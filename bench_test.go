@@ -282,14 +282,15 @@ func BenchmarkOperatorInPlannerAblation(b *testing.B) {
 }
 
 // BenchmarkOracleAblation swaps the distance oracle underneath the whole
-// pipeline: hub labels vs contraction hierarchies vs plain bidirectional
-// Dijkstra. Outcomes are identical (all exact); only the per-query cost
-// differs, which dominates total planning time exactly as the paper's
-// "shortest distance queries are the basic operation" framing predicts.
+// pipeline: hub labels vs contraction hierarchies (classic and
+// customizable) vs plain bidirectional Dijkstra. Outcomes are identical
+// (all exact); only the per-query cost differs, which dominates total
+// planning time exactly as the paper's "shortest distance queries are the
+// basic operation" framing predicts.
 func BenchmarkOracleAblation(b *testing.B) {
 	ch, _ := benchRunners(b)
 	defer func() { ch.OracleKind = "" }()
-	for _, kind := range []string{"hub", "ch", "bidijkstra"} {
+	for _, kind := range []string{"hub", "ch", "cch", "bidijkstra"} {
 		b.Run(kind, func(b *testing.B) {
 			ch.OracleKind = kind
 			for i := 0; i < b.N; i++ {

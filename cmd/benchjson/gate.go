@@ -96,32 +96,35 @@ func runGate(in io.Reader, baselinePath string, threshold float64) error {
 	// minutes apart, *everything* can measure 1.5x slower (noisy
 	// neighbors, thermal state, host fsync load). A patch regression is
 	// *relative* — one benchmark slowing while its peers do not — so the
-	// gate divides every ratio by the geometric mean ratio across the
-	// shared set. Uniform drift cancels exactly; a local regression
-	// barely moves the mean and still trips the threshold. The trade is
-	// explicit: a patch slowing every benchmark by the same factor reads
-	// as drift and passes — the printed drift factor is the tell.
-	var sumLog float64
-	var compared, unmatched int
+	// gate divides every ratio by the median ratio across the shared set.
+	// Uniform drift cancels exactly; a local change of any size, in
+	// either direction, leaves the median where it is (a mean would read
+	// two rungs getting 200x faster as drift and fail every untouched
+	// benchmark). The trade is explicit: a patch slowing most benchmarks
+	// by the same factor reads as drift and passes — the printed drift
+	// factor is the tell.
+	var ratios []float64
+	var unmatched int
 	for _, name := range names {
 		if b, ok := baseNs[name]; ok && b > 0 {
-			compared++
-			sumLog += math.Log(candNs[name] / b)
+			ratios = append(ratios, candNs[name]/b)
 		} else {
 			unmatched++
 		}
 	}
+	compared := len(ratios)
 	if compared == 0 {
 		return fmt.Errorf("no benchmark shared between candidate and baseline — wrong -baseline?")
 	}
-	drift := math.Exp(sumLog / float64(compared))
+	sort.Float64s(ratios)
+	drift := math.Sqrt(ratios[(compared-1)/2] * ratios[compared/2])
 	if compared < 5 {
 		// Too few peers to tell drift from regression — with one shared
-		// benchmark the geomean IS its ratio and would absolve anything.
+		// benchmark the median IS its ratio and would absolve anything.
 		drift = 1
 		fmt.Printf("gate: %d shared benchmark(s) — too few to estimate drift; ratios below are raw\n", compared)
 	} else {
-		fmt.Printf("gate: machine drift %.2fx (geomean ratio over %d shared benchmarks; ratios below are drift-corrected)\n",
+		fmt.Printf("gate: machine drift %.2fx (median ratio over %d shared benchmarks; ratios below are drift-corrected)\n",
 			drift, compared)
 	}
 

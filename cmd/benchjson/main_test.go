@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,5 +100,33 @@ func TestTrajectoryRejectsForeignJSON(t *testing.T) {
 func TestRunRequiresBenchLines(t *testing.T) {
 	if err := run(strings.NewReader("PASS\nok repro 1s\n"), "x", "", "", "c"); err == nil {
 		t.Fatal("empty bench output must fail")
+	}
+}
+
+// TestGateDriftIgnoresLocalOutliers: a patch that makes two benchmarks
+// 200x faster must not read as machine drift and fail the untouched ones,
+// and a real local regression must still trip the threshold.
+func TestGateDriftIgnoresLocalOutliers(t *testing.T) {
+	benchOut := func(ns map[int]float64) string {
+		var b strings.Builder
+		b.WriteString("cpu: test\n")
+		for i := 0; i < 8; i++ {
+			v, ok := ns[i]
+			if !ok {
+				v = 1000
+			}
+			fmt.Fprintf(&b, "BenchmarkG/r%d \t 100\t %v ns/op\n", i, v)
+		}
+		return b.String()
+	}
+	base := filepath.Join(t.TempDir(), "base.json")
+	if err := run(strings.NewReader(benchOut(nil)), "base", base, "100x", "c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := runGate(strings.NewReader(benchOut(map[int]float64{0: 5, 1: 5})), base, 1.25); err != nil {
+		t.Fatalf("two large local speedups failed the gate: %v", err)
+	}
+	if err := runGate(strings.NewReader(benchOut(map[int]float64{0: 5, 1: 5, 2: 2000})), base, 1.25); err == nil {
+		t.Fatal("a 2x local regression passed the gate")
 	}
 }

@@ -9,11 +9,13 @@ import "repro/internal/roadnet"
 //	               Dijkstra per vertex (superlinear in practice) and label
 //	               memory grows with graph diameter; affordable up to a few
 //	               tens of thousands of vertices.
-//	CCH          — CH-class queries over a metric-independent skeleton;
+//	CCH          — queries off cached elimination-tree labels (~0.5µs
+//	               once an endpoint has been seen, ~60µs the first time,
+//	               5.9k-vertex city) over a metric-independent skeleton;
 //	               contraction runs once per topology and a traffic epoch
 //	               re-derives shortcut weights in milliseconds (cch.go),
 //	               so it is the preferred mid tier under live weights.
-//	CH           — ~10µs queries after a witness-limited contraction pass
+//	CH           — ~6-15µs queries after a witness-limited contraction pass
 //	               (near-linear on road networks); slightly sparser than
 //	               CCH but every weight change costs a full rebuild.
 //	bidirectional
@@ -36,10 +38,12 @@ type AutoKind string
 const (
 	// AutoHub is the hub-labeling oracle (BuildHubLabels).
 	AutoHub AutoKind = "hub"
-	// AutoCCH is the customizable contraction hierarchy (BuildCCH):
-	// CH-class query latency, and under a traffic overlay a weight epoch
-	// recustomizes the fixed skeleton in milliseconds instead of
-	// contracting from scratch (see cch.go, DESIGN.md §12).
+	// AutoCCH is the customizable contraction hierarchy (BuildCCH). A
+	// point query costs ~60µs the first time an endpoint is seen and
+	// ~0.5µs afterwards, against classic CH's flat ~14µs (5.9k-vertex
+	// Chengdu-like city, DESIGN.md §12.4), and under a traffic overlay a
+	// weight epoch recustomizes the fixed skeleton in milliseconds
+	// instead of contracting from scratch (see cch.go, DESIGN.md §12).
 	AutoCCH AutoKind = "cch"
 	// AutoCH is the classic witness-search contraction hierarchy
 	// (BuildCH): a slightly sparser hierarchy than CCH, but every weight
@@ -60,8 +64,9 @@ type AutoBudget struct {
 	MaxHubVertices int
 	// MaxCCHVertices is the largest graph that gets a customizable
 	// contraction hierarchy. The default budget makes CCH the mid tier:
-	// queries cost about the same as classic CH, and a traffic epoch
-	// recustomizes in milliseconds instead of rebuilding (cch.go).
+	// repeated endpoints make its queries cheaper than classic CH's, and a
+	// traffic epoch recustomizes in milliseconds instead of rebuilding
+	// (cch.go).
 	MaxCCHVertices int
 	// MaxCHVertices is the largest graph that gets a classic contraction
 	// hierarchy; beyond it Auto falls back to bidirectional Dijkstra.

@@ -60,6 +60,15 @@ type CCHSkeleton struct {
 	upVia   []roadnet.VertexID
 	upBase  []int32
 
+	// Elimination tree: parent[v] is v's lowest-ranked upward neighbor (-1
+	// at a root), depth[v] its distance from that root. Contracting v made
+	// its upward neighbors a clique, so by induction all of them are
+	// ancestors of v: v's upward search space is exactly its root path,
+	// which is what CCH's depth-indexed labels rest on (DESIGN.md §12.4).
+	parent   []roadnet.VertexID
+	depth    []int32
+	maxDepth int32
+
 	// tri is the lower-triangle enumeration: flat (c, a, b) arc-index
 	// triples, meaning weight[c] may be improved to weight[a]+weight[b].
 	// Triples are grouped by (apex contraction level, arc shard c mod
@@ -227,6 +236,20 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 	}
 	sk.upStart[n] = pos
 
+	// Elimination tree, top-down so a parent's depth is final first.
+	sk.parent = make([]roadnet.VertexID, n)
+	sk.depth = make([]int32, n)
+	for r := n - 1; r >= 0; r-- {
+		v := sk.order[r]
+		sk.parent[v] = -1
+		if sk.upStart[v] < sk.upStart[v+1] {
+			p := sk.upTo[sk.upStart[v]]
+			sk.parent[v] = p
+			sk.depth[v] = sk.depth[p] + 1
+			sk.maxDepth = max(sk.maxDepth, sk.depth[v])
+		}
+	}
+
 	// Contraction levels over the chordal graph: level(v) = 1 + max level
 	// of v's lower upward-neighbors (0 for leaves of the hierarchy). A
 	// rank-order pass finalizes each vertex before its upward arcs are
@@ -321,7 +344,7 @@ func (sk *CCHSkeleton) Triangles() int { return len(sk.tri) / 3 }
 func (sk *CCHSkeleton) MemoryBytes() int64 {
 	return int64(len(sk.upTo))*4 + int64(len(sk.upVia))*4 + int64(len(sk.upBase))*4 +
 		int64(len(sk.upStart))*4 + int64(len(sk.tri))*4 + int64(len(sk.triOff))*4 +
-		int64(sk.n)*8
+		int64(sk.n)*8 + int64(len(sk.parent))*4 + int64(len(sk.depth))*4
 }
 
 // Levels is the number of contraction levels the customization sweeps
@@ -338,8 +361,8 @@ func (sk *CCHSkeleton) Levels() int { return sk.numLevels }
 // customization ran.
 //
 // Customize is safe to call concurrently on a shared skeleton; each call
-// returns an independent CCH whose query state is its own (wrap in Locked
-// to share one instance across goroutines, as Versioned does).
+// returns an independent CCH with its own, empty label arena (wrap in
+// Locked to share one instance across goroutines, as Versioned does).
 //
 // Large skeletons sweep their triangle levels in parallel across
 // GOMAXPROCS workers; the result is bit-identical to the serial sweep
@@ -373,11 +396,17 @@ func (sk *CCHSkeleton) CustomizeParallel(costs []float64, workers int) *CCH {
 	} else {
 		sk.sweepParallel(w, workers)
 	}
+	// Label budget: what the hierarchy itself occupies, which on road
+	// networks keeps every label resident (DESIGN.md §12.4). The clamps
+	// make sure two labels always fit after a reset.
+	budget := int((sk.MemoryBytes() + int64(len(w))*8) / 8)
+	slabLen := max(min(cchSlabFloats, budget/2), int(sk.maxDepth)+1)
 	return &CCH{
-		skel: sk,
-		upW:  w,
-		fwd:  newCHSearch(sk.n),
-		bwd:  newCHSearch(sk.n),
+		skel:     sk,
+		upW:      w,
+		lab:      make([][]float64, sk.n),
+		slabLen:  slabLen,
+		maxSlabs: max(budget/slabLen, 2),
 	}
 }
 
@@ -443,16 +472,32 @@ func (sk *CCHSkeleton) sweepParallel(w []float64, workers int) {
 	}
 }
 
+// cchSlabFloats is the label arena's growth step (256 KiB, a hundred-odd
+// labels): an epoch that answers few point queries touches little memory.
+const cchSlabFloats = 1 << 15
+
 // CCH is a customized contraction hierarchy: one epoch's metric laid over
-// a shared CCHSkeleton. Queries run the same bidirectional upward search
-// as CH. Like CH it reuses per-instance search state, so a shared
-// instance needs Locked; the skeleton underneath is immutable and free to
-// share.
+// a shared CCHSkeleton. Point queries read lazily built elimination-tree
+// labels out of a per-instance arena, so a shared instance needs Locked;
+// the skeleton and upW underneath are immutable and free to share (which
+// is all ManyToManyFor touches).
 type CCH struct {
 	skel *CCHSkeleton
 	upW  []float64
 
-	fwd, bwd chSearch
+	// lab[v][i] is the upward distance from v to its ancestor at depth i
+	// (nil until v is first queried, and again after a reset). Labels live
+	// in slabs allocated on demand up to maxSlabs; when those are full all
+	// labels are dropped and the slabs refilled from the start. gen counts
+	// those resets, built the labels computed.
+	lab      [][]float64
+	slabs    [][]float64
+	free     []float64 // unused tail of the slab being filled
+	next     int       // slab to move into when free runs out
+	slabLen  int
+	maxSlabs int
+	gen      uint32
+	built    uint64
 }
 
 // BuildCCH builds the skeleton for g and customizes it with g's current
@@ -467,15 +512,101 @@ func BuildCCH(g *roadnet.Graph) *CCH {
 func (c *CCH) Skeleton() *CCHSkeleton { return c.skel }
 
 // Dist implements Oracle: exact shortest travel time on the customized
-// metric via bidirectional upward search.
+// metric. The two upward search spaces are root paths, so they meet on
+// the common ancestors of s and t — depths 0..d, d the depth of their
+// lowest common ancestor — and the answer is the min over those of
+// label(s)[i]+label(t)[i]: the same float min over the same fl(a+b)
+// candidates as upwardDist on these arrays, hence the same bits
+// (DESIGN.md §12.4).
 func (c *CCH) Dist(s, t roadnet.VertexID) float64 {
-	return upwardDist(&c.fwd, &c.bwd, c.skel.upStart, c.skel.upTo, c.upW, s, t)
+	if s == t {
+		return 0
+	}
+	sk := c.skel
+	a, b := s, t
+	for sk.depth[a] > sk.depth[b] {
+		a = sk.parent[a]
+	}
+	for sk.depth[b] > sk.depth[a] {
+		b = sk.parent[b]
+	}
+	for a != b { // two distinct roots step to -1 together
+		a, b = sk.parent[a], sk.parent[b]
+	}
+	if a < 0 {
+		return Inf
+	}
+	ls := c.label(s)
+	gen := c.gen
+	lt := c.label(t)
+	if gen != c.gen {
+		// Building t's label recycled the slab holding s's. The arena now
+		// holds one label and always has room for a second.
+		ls = c.label(s)
+	}
+	d := int(sk.depth[a])
+	lt = lt[:d+1]
+	best := Inf
+	for i, x := range ls[:d+1] {
+		if y := x + lt[i]; y < best {
+			best = y
+		}
+	}
+	return best
 }
 
-// MemoryBytes reports the customized hierarchy's footprint including its
-// share of the skeleton.
+// label returns v's label, building it on first use: one heap-free walk
+// up the root path in rank order, each ancestor relaxing its upward arcs
+// into the label itself (every arc head is a higher ancestor, so it is
+// final by the time the walk reaches it).
+func (c *CCH) label(v roadnet.VertexID) []float64 {
+	if l := c.lab[v]; l != nil {
+		return l
+	}
+	sk := c.skel
+	l := c.grab(int(sk.depth[v]) + 1)
+	for i := range l {
+		l[i] = Inf
+	}
+	l[len(l)-1] = 0
+	for u := v; u >= 0; u = sk.parent[u] {
+		du := l[sk.depth[u]]
+		for i := sk.upStart[u]; i < sk.upStart[u+1]; i++ {
+			if k, d := sk.depth[sk.upTo[i]], du+c.upW[i]; d < l[k] {
+				l[k] = d
+			}
+		}
+	}
+	c.lab[v] = l
+	c.built++
+	return l
+}
+
+// grab carves k floats out of the arena, opening the next slab when the
+// current one cannot hold them and recycling them all once maxSlabs are full.
+func (c *CCH) grab(k int) []float64 {
+	if len(c.free) < k {
+		if c.next == c.maxSlabs {
+			clear(c.lab)
+			c.next = 0
+			c.gen++
+		}
+		if c.next == len(c.slabs) {
+			c.slabs = append(c.slabs, make([]float64, c.slabLen))
+		}
+		c.free = c.slabs[c.next]
+		c.next++
+	}
+	l := c.free[:k:k]
+	c.free = c.free[k:]
+	return l
+}
+
+// MemoryBytes reports the customized hierarchy's footprint: its share of
+// the skeleton, the weights, and the label arena at its current capacity.
 func (c *CCH) MemoryBytes() int64 {
-	return c.skel.MemoryBytes() + int64(len(c.upW))*8
+	return c.skel.MemoryBytes() + int64(len(c.upW))*8 +
+		int64(len(c.lab))*24 + int64(len(c.slabs))*int64(c.slabLen)*8
 }
 
 // AvgUpDegree is the mean number of upward arcs per vertex.

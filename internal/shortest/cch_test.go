@@ -307,28 +307,297 @@ func FuzzCCHCustomize(f *testing.F) {
 			t.Skip()
 		}
 		cch := skel.Customize(cur.ArcCosts())
+		// The same metric behind an arena that recycles every few labels,
+		// and the heap search the labels replaced.
+		tiny := skel.Customize(cur.ArcCosts())
+		shrinkArena(tiny, 1+rng.Intn(3))
+		old := oldCCHQuery(cch)
 		ref := NewDijkstra(cur)
 		n := g.NumVertices()
 		for q := 0; q < 20; q++ {
 			s := roadnet.VertexID(rng.Intn(n))
 			d := roadnet.VertexID(rng.Intn(n))
 			want := ref.Dist(s, d)
-			if got := cch.Dist(s, d); math.Abs(got-want) > 1e-6*(1+want) {
+			got := cch.Dist(s, d)
+			if math.Abs(got-want) > 1e-6*(1+want) {
 				t.Fatalf("Dist(%d,%d)=%v want %v", s, d, got, want)
+			}
+			if a, b := tiny.Dist(s, d), old(s, d); !sameBits(got, a) || !sameBits(got, b) {
+				t.Fatalf("Dist(%d,%d): labels %v, tiny arena %v, heap search %v", s, d, got, a, b)
 			}
 		}
 	})
 }
 
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// oldCCHQuery is the point query this tier ran before it had labels:
+// CH's bidirectional heap search over the same customized arrays. It is
+// the reference the label query must reproduce bit for bit.
+func oldCCHQuery(c *CCH) func(s, t roadnet.VertexID) float64 {
+	f, b := newCHSearch(c.skel.n), newCHSearch(c.skel.n)
+	return func(s, t roadnet.VertexID) float64 {
+		return upwardDist(&f, &b, c.skel.upStart, c.skel.upTo, c.upW, s, t)
+	}
+}
+
+// shrinkArena gives a not-yet-queried CCH a label budget of two slabs of
+// about perSlab labels each, so a query stream recycles them constantly.
+func shrinkArena(c *CCH, perSlab int) {
+	c.slabLen = perSlab * (int(c.skel.maxDepth) + 1)
+	c.maxSlabs = 2
+}
+
+// twoIslands copies two generated networks into one graph with no edge
+// between them: two elimination trees, +Inf across.
+func twoIslands(t testing.TB) *roadnet.Graph {
+	t.Helper()
+	parts := []*roadnet.Graph{testGraph(t, 9, 11, 5), testGraph(t, 7, 8, 6)}
+	b := roadnet.NewBuilder(256, 512)
+	for k, g := range parts {
+		base := roadnet.VertexID(b.NumVertices())
+		for v := 0; v < g.NumVertices(); v++ {
+			p := g.Point(roadnet.VertexID(v))
+			p.X += float64(k) * 1e5
+			b.AddVertex(p)
+		}
+		for _, e := range g.Edges() {
+			if err := b.AddEdge(base+e.U, base+e.V, e.Meters, e.Class); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCCHLabelQueryBitIdentical checks the label query against the query
+// it replaced, not against itself: on three networks (one of them
+// disconnected) and three metrics each — free flow, a traffic-scaled
+// epoch, and one with closed roads (+Inf arcs) — every distance must have
+// the same float64 bits as upwardDist over the same arrays.
+func TestCCHLabelQueryBitIdentical(t *testing.T) {
+	nets := map[string]*roadnet.Graph{
+		"grid16x20": testGraph(t, 16, 20, 15),
+		"grid30x30": testGraph(t, 30, 30, 4),
+		"islands":   twoIslands(t),
+	}
+	for name, g := range nets {
+		rng := rand.New(rand.NewSource(77))
+		skel := BuildCCHSkeleton(g)
+		scaled, _, _, err := roadnet.NewOverlay(g).Apply(randomUpdates(rng, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := append([]float64(nil), g.ArcCosts()...)
+		for _, e := range g.Edges() {
+			// Random closures, and every road into each 9th vertex so some
+			// pairs are cut off by the metric alone.
+			if rng.Intn(12) == 0 || e.U%9 == 0 || e.V%9 == 0 {
+				closed[g.ArcIndex(e.U, e.V)] = math.Inf(1)
+				closed[g.ArcIndex(e.V, e.U)] = math.Inf(1)
+			}
+		}
+		metrics := map[string][]float64{"free": g.ArcCosts(), "traffic": scaled.ArcCosts(), "closed": closed}
+		for mname, costs := range metrics {
+			c := skel.Customize(costs)
+			old := oldCCHQuery(c)
+			n, infs := g.NumVertices(), 0
+			for q := 0; q < 3000; q++ {
+				s := roadnet.VertexID(rng.Intn(n))
+				d := roadnet.VertexID(rng.Intn(n))
+				if q%100 == 0 {
+					d = s
+				}
+				got, want := c.Dist(s, d), old(s, d)
+				if !sameBits(got, want) {
+					t.Fatalf("%s/%s: Dist(%d,%d) labels %v (%#x), heap search %v (%#x)", name, mname,
+						s, d, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				if math.IsInf(got, 1) {
+					infs++
+				}
+			}
+			if (name == "islands" || mname == "closed") && infs == 0 {
+				t.Fatalf("%s/%s: no unreachable pair sampled", name, mname)
+			}
+		}
+	}
+}
+
+// TestCCHArenaResetMidQuery pins the generational arena: with room for
+// only a few labels, building t's label regularly recycles the slab that
+// holds s's label fetched a line earlier. Every distance must still match
+// the unbounded run bit for bit.
+func TestCCHArenaResetMidQuery(t *testing.T) {
+	g := testGraph(t, 20, 20, 9)
+	skel := BuildCCHSkeleton(g)
+	full := skel.Customize(g.ArcCosts())
+	tiny := skel.Customize(g.ArcCosts())
+	shrinkArena(tiny, 2)
+	rng := rand.New(rand.NewSource(5))
+	n := g.NumVertices()
+	for q := 0; q < 20000; q++ {
+		s := roadnet.VertexID(rng.Intn(n))
+		d := roadnet.VertexID(rng.Intn(n))
+		if a, b := tiny.Dist(s, d), full.Dist(s, d); !sameBits(a, b) {
+			t.Fatalf("query %d: Dist(%d,%d) tiny arena %v, unbounded %v (after %d resets)", q, s, d, a, b, tiny.gen)
+		}
+	}
+	if tiny.gen < 3 {
+		t.Fatalf("tiny arena reset %d times, want >= 3", tiny.gen)
+	}
+	if full.gen != 0 {
+		t.Fatalf("default budget reset %d times on a %d-vertex network", full.gen, n)
+	}
+	if len(tiny.slabs) > tiny.maxSlabs {
+		t.Fatalf("arena grew to %d slabs, budget %d", len(tiny.slabs), tiny.maxSlabs)
+	}
+}
+
+// TestCCHLabelsDoNotLeakAcrossEpochs queries two customizations of one
+// skeleton interleaved, then swaps epochs under a Versioned front; each
+// must agree with Dijkstra on its own metric, which a label surviving
+// from the other metric would break.
+func TestCCHLabelsDoNotLeakAcrossEpochs(t *testing.T) {
+	g := testGraph(t, 12, 12, 13)
+	n := g.NumVertices()
+	skel := BuildCCHSkeleton(g)
+	overlay := roadnet.NewOverlay(g)
+	slow, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: 2.5, Class: "arterial"}, {Factor: 1.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := skel.Customize(g.ArcCosts()), skel.Customize(slow.ArcCosts())
+	refA, refB := NewDijkstra(g), NewDijkstra(slow)
+	rng := rand.New(rand.NewSource(8))
+	type pair struct{ s, d roadnet.VertexID }
+	pairs := make([]pair, 300)
+	differ := 0
+	for i := range pairs {
+		p := pair{roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))}
+		pairs[i] = p
+		da, db := a.Dist(p.s, p.d), b.Dist(p.s, p.d)
+		if wa, wb := refA.Dist(p.s, p.d), refB.Dist(p.s, p.d); math.Abs(da-wa) > 1e-6*(1+wa) || math.Abs(db-wb) > 1e-6*(1+wb) {
+			t.Fatalf("Dist(%d,%d): epoch A %v want %v, epoch B %v want %v", p.s, p.d, da, wa, db, wb)
+		}
+		if da != db {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the two metrics never disagree; the test cannot see a leak")
+	}
+
+	v := NewVersioned(g, AutoBudget{MaxCCHVertices: n, MaxCHVertices: n}, false)
+	for _, p := range pairs { // warm epoch 0's labels
+		v.Dist(p.s, p.d)
+	}
+	v.Advance(slow, epoch)
+	for _, p := range pairs {
+		if got, want := v.Dist(p.s, p.d), refB.Dist(p.s, p.d); math.Abs(got-want) > 1e-6*(1+want) {
+			t.Fatalf("after swap: Dist(%d,%d)=%v want %v", p.s, p.d, got, want)
+		}
+	}
+}
+
+// TestCCHQueryAllocs: a warm query allocates nothing, and neither does a
+// label build once the arena's slabs exist.
+func TestCCHQueryAllocs(t *testing.T) {
+	g := testGraph(t, 14, 14, 2)
+	n := roadnet.VertexID(g.NumVertices())
+	c := BuildCCH(g)
+	c.Dist(3, n-4)
+	if a := testing.AllocsPerRun(100, func() { c.Dist(3, n-4) }); a != 0 {
+		t.Fatalf("warm query allocates %v times", a)
+	}
+
+	tiny := BuildCCH(g)
+	shrinkArena(tiny, 3)
+	for v := roadnet.VertexID(0); tiny.gen == 0; v++ {
+		tiny.Dist(v%n, (v+n/2)%n)
+	}
+	v, built := roadnet.VertexID(0), tiny.built
+	if a := testing.AllocsPerRun(200, func() { tiny.Dist(v%n, (v+n/2)%n); v++ }); a != 0 {
+		t.Fatalf("label build allocates %v times with all slabs in place", a)
+	}
+	if tiny.built-built < 200 {
+		t.Fatalf("only %d labels built over 200 cold queries", tiny.built-built)
+	}
+}
+
+// TestCCHMemoryBytesCountsQueryState: the elimination tree and the label
+// arena's capacity are part of the tier's footprint.
+func TestCCHMemoryBytesCountsQueryState(t *testing.T) {
+	g := testGraph(t, 12, 12, 8)
+	c := BuildCCH(g)
+	sk, n := c.Skeleton(), int64(g.NumVertices())
+	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*12+int64(len(sk.tri))*4+n*16; got < floor {
+		t.Fatalf("skeleton reports %d bytes, arcs+triangles+order+elimination tree alone are %d", got, floor)
+	}
+	empty := c.MemoryBytes()
+	c.Dist(0, roadnet.VertexID(n-1))
+	if grew := c.MemoryBytes() - empty; grew != int64(c.slabLen)*8 {
+		t.Fatalf("first query grew the reported footprint by %d bytes, want one slab (%d)", grew, c.slabLen*8)
+	}
+	if budget := sk.MemoryBytes() + int64(len(c.upW))*8; int64(c.maxSlabs)*int64(c.slabLen)*8 > budget {
+		t.Fatalf("arena may grow to %d bytes, over the %d-byte hierarchy", int64(c.maxSlabs)*int64(c.slabLen)*8, budget)
+	}
+}
+
+// BenchmarkCCHQuery decomposes the point-query cost. cold: every query
+// builds both labels (a fresh Customize, off the clock, whenever the
+// vertices run out). warm: labels resident, two array walks. planner-
+// stream: the shape insertion's fillExact issues — a request endpoint
+// against 40 route vertices that stay put while requests come and go.
 func BenchmarkCCHQuery(b *testing.B) {
 	g := testGraph(b, 40, 40, 1)
-	cch := BuildCCH(g)
-	rng := rand.New(rand.NewSource(1))
+	skel := BuildCCHSkeleton(g)
 	n := g.NumVertices()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cch.Dist(roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)))
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	vert := func(i int) roadnet.VertexID { return roadnet.VertexID(perm[i%n]) }
+	report := func(b *testing.B, built uint64) {
+		b.ReportMetric(float64(built)/float64(b.N), "labels-built/op")
 	}
+
+	b.Run("cold", func(b *testing.B) {
+		var built uint64
+		cch := skel.Customize(g.ArcCosts())
+		for i := 0; i < b.N; i++ {
+			k := i % (n / 2) // disjoint pairs until the vertices run out
+			if k == 0 && i > 0 {
+				b.StopTimer()
+				built += cch.built
+				cch = skel.Customize(g.ArcCosts())
+				b.StartTimer()
+			}
+			cch.Dist(vert(2*k), vert(2*k+1))
+		}
+		report(b, built+cch.built)
+	})
+	b.Run("warm", func(b *testing.B) {
+		cch := skel.Customize(g.ArcCosts())
+		for v := 0; v < n; v++ {
+			cch.label(roadnet.VertexID(v))
+		}
+		built := cch.built
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cch.Dist(vert(i), vert(7*i+3))
+		}
+		report(b, cch.built-built)
+	})
+	b.Run("planner-stream", func(b *testing.B) {
+		const route = 40
+		cch := skel.Customize(g.ArcCosts())
+		for i := 0; i < b.N; i++ {
+			cch.Dist(vert(i%route), vert(route+i/route))
+		}
+		report(b, cch.built)
+	})
 }
 
 // BenchmarkCCHCustomize is the headline number: recustomizing the shared

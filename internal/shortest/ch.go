@@ -345,10 +345,9 @@ func (ch *CH) Dist(s, t roadnet.VertexID) float64 {
 	return upwardDist(&ch.fwd, &ch.bwd, ch.upStart, ch.upTo, ch.upW, s, t)
 }
 
-// upwardDist is the bidirectional upward search shared by the CH and CCH
-// tiers: both store a hierarchy as upward CSR arrays, differing only in
-// how the arc weights were derived (witness-limited contraction vs.
-// per-epoch customization of a fixed skeleton).
+// upwardDist is the bidirectional upward search over a hierarchy stored
+// as upward CSR arrays. It is CH's query, and the reference CCH's label
+// query is held to bit for bit (TestCCHLabelQueryBitIdentical).
 func upwardDist(f, b *chSearch, upStart []int32, upTo []roadnet.VertexID, upW []float64,
 	s, t roadnet.VertexID) float64 {
 	if s == t {

@@ -12,7 +12,7 @@
 # different CPU model the comparison is skipped with a warning (ns/op
 # across machines measures the hardware, not the patch), so the gate is
 # strict on the box that produced the artifact and advisory elsewhere.
-# On the same machine, per-benchmark ratios are divided by the geomean
+# On the same machine, per-benchmark ratios are divided by the median
 # ratio across the shared set before the threshold applies: shared-box
 # drift slows everything uniformly, a patch regression slows one
 # benchmark relative to its peers.
@@ -25,10 +25,14 @@
 # the gate does not compare. The gate also leaves URPSM_BENCH_XL unset,
 # so the 102k many-to-many rungs recorded by bench-json are simply not
 # shared with the gate run and the gate stays quick.
+# BenchmarkCCHQuery (internal/shortest, one point query per op) runs at
+# its own POINTTIME like in bench-json.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkManyToMany|BenchmarkCCHCustomize'
+POINT='BenchmarkCCHQuery'
+POINTTIME=20000x
 BENCHTIME=100x
 BASELINE=""
 THRESHOLD=1.25
@@ -66,5 +70,6 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 for _ in $(seq "$COUNT"); do
   go test -run xxx -bench "$BENCH" -benchtime "$BENCHTIME" . >> "$RAW"
+  go test -run xxx -bench "$POINT" -benchtime "$POINTTIME" ./internal/shortest >> "$RAW"
 done
 go run ./cmd/benchjson -gate -baseline "$BASELINE" -threshold "$THRESHOLD" < "$RAW"

@@ -19,14 +19,19 @@
 # sweep (goodput/shed-rate/p99 at offered loads straddling the service's
 # throughput knee, under a bounded admission queue — DESIGN.md §15),
 # the batched many-to-many distance oracle across the scale ladder
-# (one table fill vs 1024 point queries per tier, DESIGN.md §16) and
-# the level-parallel CCH customization sweep.
+# (one table fill vs 1024 point queries per tier, DESIGN.md §16),
+# the level-parallel CCH customization sweep, and the CCH point query
+# decomposed into cold / warm / planner-stream (DESIGN.md §12.4; its end
+# to end counterpart is BenchmarkOracleAblation's cch rung).
 # -benchmem is always on so allocs/op regressions are recorded in the
 # artifact.
 #
 # BenchmarkBatchPlanning replays the tail of a Chengdu-like stream per
 # iteration (~seconds/op by design), so it runs in a separate heavy pass
 # at HEAVYTIME iterations rather than the headline BENCHTIME.
+# BenchmarkCCHQuery reads the tier's unexported label counter, so it lives
+# in internal/shortest; one op is a single point query (0.2-25 µs), so it
+# runs at POINTTIME iterations to rise above timer resolution.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +42,8 @@ export URPSM_BENCH_XL=1
 BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkSaturation|BenchmarkManyToMany|BenchmarkCCHCustomize'
 HEAVY='BenchmarkBatchPlanning'
 HEAVYTIME=3x
+POINT='BenchmarkCCHQuery'
+POINTTIME=20000x
 BENCHTIME=100x
 OUT=BENCH_PR10.json
 LABEL=""
@@ -70,6 +77,7 @@ echo "bench-json: running '$BENCH' at -benchtime $BENCHTIME, $COUNT sweep(s) ...
 for _ in $(seq "$COUNT"); do
   go test -run xxx -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" . | tee -a "$RAW" >&2
   go test -run xxx -bench "$HEAVY" -benchmem -benchtime "$HEAVYTIME" . | tee -a "$RAW" >&2
+  go test -run xxx -bench "$POINT" -benchmem -benchtime "$POINTTIME" ./internal/shortest | tee -a "$RAW" >&2
 done
 
 go run ./cmd/benchjson -label "$LABEL" -benchtime "$BENCHTIME" -out "$OUT" < "$RAW"
