@@ -20,9 +20,12 @@ race:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Full benchmark suite (regenerates the paper's tables and figures).
+# Full benchmark suite (regenerates the paper's tables and figures), then
+# the developer benchmarks that decompose the simulator's leg search.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkLegPath' -benchmem ./internal/shortest
+	$(GO) test -run xxx -bench 'BenchmarkEngineRunChunked' -benchmem ./internal/sim
 
 # Headline benchmarks -> JSON trajectory artifact (BENCH_PR10.json).
 # Override: make bench-json BENCHTIME=1x BENCHOUT=/tmp/bench.json
@@ -45,8 +48,8 @@ golden:
 
 # Short fuzz pass over the untrusted-input parsers (roadnet text, DIMACS,
 # traffic profiles, workload stream, trip CSV, serve snapshot + request
-# bodies) and the CCH customization equivalence invariant. `go test` alone
-# replays only the seed corpus.
+# bodies), the CCH customization equivalence invariant and the landmark leg
+# search. `go test` alone replays only the seed corpus.
 fuzz:
 	$(GO) test -fuzz FuzzRead$$ -fuzztime 10s ./internal/roadnet
 	$(GO) test -fuzz FuzzLoadDIMACS -fuzztime 10s ./internal/roadnet
@@ -56,6 +59,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzRequestBody -fuzztime 10s ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzCCHCustomize -fuzztime 10s ./internal/shortest
+	$(GO) test -run xxx -fuzz FuzzLegPath -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzReadWAL -fuzztime 10s ./internal/wal
 
 # End-to-end check of the online dispatch service: start urpsm-serve on a

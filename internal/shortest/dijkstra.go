@@ -3,7 +3,6 @@ package shortest
 import (
 	"math"
 
-	"repro/internal/geo"
 	"repro/internal/pqueue"
 	"repro/internal/roadnet"
 )
@@ -120,122 +119,44 @@ func (d *Dijkstra) Path(s, t roadnet.VertexID) []roadnet.VertexID {
 	return d.extractPath(s, t)
 }
 
+// extractPath reads the s→t path off the parent pointers of the last
+// search. It counts the hops first so the path costs one allocation.
 func (d *Dijkstra) extractPath(s, t roadnet.VertexID) []roadnet.VertexID {
-	var rev []roadnet.VertexID
-	for v := t; ; v = d.parent[v] {
-		rev = append(rev, v)
-		if v == s {
-			break
-		}
+	n := 1
+	for v := t; v != s; v = d.parent[v] {
+		n++
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]roadnet.VertexID, n)
+	for v, i := t, n-1; i >= 0; v, i = d.parent[v], i-1 {
+		path[i] = v
 	}
-	return rev
+	return path
 }
 
-// AStar is a goal-directed point-to-point engine using the Euclidean
-// travel-time lower bound as its heuristic. The bound is admissible and
-// consistent because every edge satisfies cost ≥ euclid/maxSpeed by
-// construction of the road network.
-type AStar struct {
-	g       *roadnet.Graph
-	dist    []float64
-	parent  []roadnet.VertexID
-	version []uint32
-	cur     uint32
-	heap    *pqueue.Heap
-	Settled int
-}
+// numLandmarks is how many landmark distance rows BiDijkstra.Path keeps.
+// A constant, not a knob: eight float64 are the one cache line a relaxed
+// vertex costs, every row bounds every query, and the count was measured
+// (DESIGN.md §5.1: 4 rows settle a third more vertices, 16 a fifth fewer
+// at the same time per query for twice the build and memory).
+const numLandmarks = 8
 
-// NewAStar returns an engine bound to g.
-func NewAStar(g *roadnet.Graph) *AStar {
-	n := g.NumVertices()
-	return &AStar{
-		g:       g,
-		dist:    make([]float64, n),
-		parent:  make([]roadnet.VertexID, n),
-		version: make([]uint32, n),
-		heap:    pqueue.New(n),
-	}
-}
-
-// Dist returns the shortest travel time from s to t.
-func (a *AStar) Dist(s, t roadnet.VertexID) float64 {
-	a.run(s, t)
-	if a.version[t] != a.cur {
-		return Inf
-	}
-	return a.dist[t]
-}
-
-// Path returns a shortest s→t vertex path, or nil if unreachable.
-func (a *AStar) Path(s, t roadnet.VertexID) []roadnet.VertexID {
-	a.run(s, t)
-	if a.version[t] != a.cur {
-		return nil
-	}
-	var rev []roadnet.VertexID
-	for v := t; ; v = a.parent[v] {
-		rev = append(rev, v)
-		if v == s {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-func (a *AStar) run(s, t roadnet.VertexID) {
-	a.cur++
-	if a.cur == 0 {
-		for i := range a.version {
-			a.version[i] = 0
-		}
-		a.cur = 1
-	}
-	a.heap.Reset()
-	a.Settled = 0
-	maxSpeed := geo.MaxSpeed()
-	tp := a.g.Point(t)
-	h := func(v roadnet.VertexID) float64 {
-		return a.g.Point(v).Dist(tp) / maxSpeed
-	}
-	a.version[s] = a.cur
-	a.dist[s] = 0
-	a.parent[s] = -1
-	a.heap.Push(s, h(s))
-	// The heuristic is consistent, so each vertex is settled at most once
-	// and the indexed heap's decrease-key keeps one entry per vertex; no
-	// closed set is needed.
-	for a.heap.Len() > 0 {
-		v, _ := a.heap.Pop()
-		a.Settled++
-		if v == t {
-			return
-		}
-		dv := a.dist[v]
-		to, cost := a.g.Arcs(v)
-		for i, u := range to {
-			du := dv + cost[i]
-			if a.version[u] != a.cur || du < a.dist[u] {
-				a.version[u] = a.cur
-				a.dist[u] = du
-				a.parent[u] = v
-				a.heap.Push(u, du+h(u))
-			}
-		}
-	}
-}
-
-// BiDijkstra is a bidirectional Dijkstra engine; roughly half the search
-// space of plain Dijkstra on road networks. It is the path engine the
-// simulator uses for route legs.
+// BiDijkstra is the fallback oracle tier and the simulator's leg-path
+// engine. Dist is a bidirectional Dijkstra search, roughly half the search
+// space of plain Dijkstra on road networks. Path is a goal-directed A*
+// search whose potential is the landmark (triangle-inequality) lower bound
+// max_L |d(L,v) − d(L,t)|; the landmark rows are built by the first Path
+// call, so an engine that only answers Dist never pays for them, and an
+// engine bound to a traffic snapshot bounds with that snapshot's weights.
+// The potential is consistent, so Path settles each vertex once and
+// returns a shortest path — the same one the bidirectional search finds
+// wherever shortest paths are unique.
 type BiDijkstra struct {
 	fwd, bwd *Dijkstra
-	Settled  int
+	// Settled counts vertices settled by the most recent query.
+	Settled int
+	// lm[v*numLandmarks+l] is the distance from landmark l to v (+Inf in
+	// another component); nil until the first Path call.
+	lm []float64
 }
 
 // NewBiDijkstra returns an engine bound to g. The graph is undirected so
@@ -250,19 +171,85 @@ func (b *BiDijkstra) Dist(s, t roadnet.VertexID) float64 {
 	return d
 }
 
+// buildLandmarks picks numLandmarks vertices farthest-first (each the
+// vertex farthest from those already chosen, lowest ID on ties) and stores
+// one-to-all distances from each. An unreached vertex is infinitely far, so
+// every component gets a landmark before any component gets its second.
+func (b *BiDijkstra) buildLandmarks() {
+	d := b.fwd
+	n := d.g.NumVertices()
+	b.lm = make([]float64, n*numLandmarks)
+	far := make([]float64, n) // distance to the nearest chosen landmark
+	for v := range far {
+		far[v] = Inf
+	}
+	for l := 0; l < numLandmarks; l++ {
+		next := 0
+		for v, f := range far {
+			if f > far[next] {
+				next = v
+			}
+		}
+		d.RunAll(roadnet.VertexID(next))
+		for v := range far {
+			dv := d.DistTo(roadnet.VertexID(v))
+			b.lm[v*numLandmarks+l] = dv
+			far[v] = math.Min(far[v], dv)
+		}
+	}
+}
+
 // Path returns a shortest s→t vertex path, or nil if unreachable.
 func (b *BiDijkstra) Path(s, t roadnet.VertexID) []roadnet.VertexID {
-	d, meet := b.search(s, t)
-	if d == Inf {
-		return nil
+	if b.lm == nil {
+		b.buildLandmarks()
 	}
-	fwdPath := b.fwd.extractPath(s, meet)
-	bwdPath := b.bwd.extractPath(t, meet) // t .. meet
-	// Append reversed bwdPath minus the duplicated meeting vertex.
-	for i := len(bwdPath) - 2; i >= 0; i-- {
-		fwdPath = append(fwdPath, bwdPath[i])
+	ls := b.lm[int(s)*numLandmarks:][:numLandmarks]
+	lt := b.lm[int(t)*numLandmarks:][:numLandmarks]
+	b.Settled = 0
+	// A landmark that reaches exactly one endpoint proves t unreachable.
+	// One that reaches neither reaches no vertex of this search either.
+	for l := range lt {
+		if (ls[l] == Inf) != (lt[l] == Inf) {
+			return nil
+		}
 	}
-	return fwdPath
+	d := b.fwd
+	d.reset()
+	d.relax(s, 0, -1)
+	for d.heap.Len() > 0 {
+		v, _ := d.heap.Pop()
+		d.Settled++
+		if v == t {
+			b.Settled = d.Settled
+			return d.extractPath(s, t)
+		}
+		dv := d.dist[v]
+		to, cost := d.g.Arcs(v)
+		for i, u := range to {
+			du := dv + cost[i]
+			// A settled vertex is seen and off the heap; it stays settled
+			// even if rounding in the potential finds it an ulp closer.
+			if d.seen(u) && (du >= d.dist[u] || !d.heap.Contains(u)) {
+				continue
+			}
+			// h(u) = max_L |d(L,u) − d(L,t)|. For a landmark in another
+			// component that is |Inf − Inf| = NaN, which no comparison
+			// admits: it contributes 0, never a NaN heap key.
+			h := 0.0
+			for l, x := range b.lm[int(u)*numLandmarks:][:numLandmarks] {
+				if a := math.Abs(x - lt[l]); a > h {
+					h = a
+				}
+			}
+			d.version[u] = d.cur
+			d.dist[u] = du
+			d.parent[u] = v
+			d.heap.Push(u, du+h)
+		}
+	}
+	b.Settled = d.Settled
+	return nil
 }
 
 func (b *BiDijkstra) search(s, t roadnet.VertexID) (float64, roadnet.VertexID) {

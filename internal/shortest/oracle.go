@@ -1,9 +1,10 @@
 // Package shortest provides the shortest-path machinery the paper assumes
 // as a substrate: exact point-to-point travel-time queries via Dijkstra,
-// bidirectional Dijkstra, A*, and a hub-labeling oracle (pruned landmark
-// labeling, standing in for the hub-based labeling of Abraham et al., the
-// paper's reference [9]), plus the LRU query cache and query counters used
-// in the paper's experimental setup.
+// bidirectional Dijkstra (with a landmark-guided A* for the simulator's leg
+// paths), and a hub-labeling oracle (pruned landmark labeling, standing in
+// for the hub-based labeling of Abraham et al., the paper's reference [9]),
+// plus the LRU query cache and query counters used in the paper's
+// experimental setup.
 //
 // All distances are travel times in seconds over roadnet.Graph edges.
 package shortest

@@ -84,12 +84,12 @@ func TestRunWithinRadius(t *testing.T) {
 	}
 }
 
-// TestEnginesAgree cross-validates Dijkstra, A*, bidirectional Dijkstra and
-// hub labels on random queries over a synthetic city.
+// TestEnginesAgree cross-validates Dijkstra, the landmark leg search,
+// bidirectional Dijkstra and hub labels on random queries over a synthetic
+// city.
 func TestEnginesAgree(t *testing.T) {
 	g := testGraph(t, 18, 22, 4)
 	dij := NewDijkstra(g)
-	ast := NewAStar(g)
 	bi := NewBiDijkstra(g)
 	hub := BuildHubLabels(g)
 	rng := rand.New(rand.NewSource(11))
@@ -98,8 +98,8 @@ func TestEnginesAgree(t *testing.T) {
 		s := roadnet.VertexID(rng.Intn(n))
 		tt := roadnet.VertexID(rng.Intn(n))
 		want := dij.Dist(s, tt)
-		if got := ast.Dist(s, tt); math.Abs(got-want) > 1e-6 {
-			t.Fatalf("A* (%d,%d)=%v want %v", s, tt, got, want)
+		if got := pathCost(t, g, bi.Path(s, tt)); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("landmark path (%d,%d) costs %v want %v", s, tt, got, want)
 		}
 		if got := bi.Dist(s, tt); math.Abs(got-want) > 1e-6 {
 			t.Fatalf("BiDijkstra (%d,%d)=%v want %v", s, tt, got, want)
@@ -127,7 +127,6 @@ func pathCost(t *testing.T, g *roadnet.Graph, path []roadnet.VertexID) float64 {
 func TestPathsAreValidAndOptimal(t *testing.T) {
 	g := testGraph(t, 14, 14, 8)
 	dij := NewDijkstra(g)
-	ast := NewAStar(g)
 	bi := NewBiDijkstra(g)
 	rng := rand.New(rand.NewSource(2))
 	n := g.NumVertices()
@@ -137,8 +136,8 @@ func TestPathsAreValidAndOptimal(t *testing.T) {
 		want := dij.Dist(s, tt)
 		for name, path := range map[string][]roadnet.VertexID{
 			"dijkstra": dij.Path(s, tt),
-			"astar":    ast.Path(s, tt),
-			"bi":       bi.Path(s, tt),
+			"landmark": bi.Path(s, tt),
+			"bi":       bi.bidiPath(s, tt),
 		} {
 			if len(path) == 0 || path[0] != s || path[len(path)-1] != tt {
 				t.Fatalf("%s path endpoints wrong: %v (s=%d t=%d)", name, path, s, tt)

@@ -53,7 +53,12 @@ type Engine struct {
 	rejected     []*core.Request
 	computeNs    int64
 	maxComputeNs int64
-	respSamples  []float64 // per-request compute ms
+	// respSamples holds per-request compute ms; the first respSorted of
+	// them are in ascending order, the rest as observed. respMerge is the
+	// scratch the next merge reuses.
+	respSamples []float64
+	respSorted  int
+	respMerge   []float64
 }
 
 // NewEngine wires a fleet, a planner and a path engine together.
@@ -171,8 +176,9 @@ func (e *Engine) metrics(total int) Metrics {
 	if total > 0 {
 		m.AvgResponseMs = float64(e.computeNs) / float64(total) / 1e6
 	}
-	m.P50ResponseMs = Percentile(append([]float64(nil), e.respSamples...), 0.50)
-	m.P95ResponseMs = Percentile(append([]float64(nil), e.respSamples...), 0.95)
+	sorted := e.sortedSamples()
+	m.P50ResponseMs = nearestRank(sorted, 0.50)
+	m.P95ResponseMs = nearestRank(sorted, 0.95)
 	m.MaxResponseMs = float64(e.maxComputeNs) / 1e6
 	m.TotalComputeMs = float64(e.computeNs) / 1e6
 	m.AvgOccupancy, m.SharedFraction = e.world.Occupancy()
@@ -180,6 +186,31 @@ func (e *Engine) metrics(total int) Metrics {
 		m.DistQueries = e.Queries.Count()
 	}
 	return m
+}
+
+// sortedSamples returns respSamples in ascending order (what Percentile
+// indexes by nearest rank). A driver that calls Run once per chunk asks
+// after every chunk, so only the samples observed since the last call are
+// sorted and then merged, from the back, into the already sorted prefix:
+// no copy of the history and no full sort of it.
+func (e *Engine) sortedSamples() []float64 {
+	s := e.respSamples
+	sort.Float64s(s[e.respSorted:])
+	if e.respSorted > 0 {
+		e.respMerge = append(e.respMerge[:0], s[e.respSorted:]...)
+		i, j := e.respSorted-1, len(e.respMerge)-1
+		for k := len(s) - 1; j >= 0; k-- {
+			if i >= 0 && s[i] > e.respMerge[j] {
+				s[k] = s[i]
+				i--
+			} else {
+				s[k] = e.respMerge[j]
+				j--
+			}
+		}
+	}
+	e.respSorted = len(s)
+	return s
 }
 
 // Metrics returns a fresh snapshot of the run's metrics; after

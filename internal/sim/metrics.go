@@ -48,12 +48,16 @@ type Metrics struct {
 // serving tier's latency stats and cmd/urpsm-replay's report, so all
 // three agree on what "p99" means.
 func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
+	sort.Float64s(samples)
+	return nearestRank(samples, p)
+}
+
+// nearestRank is Percentile over samples already in ascending order.
+func nearestRank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sort.Float64s(samples)
-	idx := int(p * float64(len(samples)-1))
-	return samples[idx]
+	return sorted[int(p*float64(len(sorted)-1))]
 }
 
 // String renders a one-line summary.

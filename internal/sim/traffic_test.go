@@ -24,8 +24,14 @@ type trafficPipeline struct {
 
 func newTrafficPipeline(t testing.TB, seed int64, nWorkers, nRequests int) *trafficPipeline {
 	t.Helper()
+	return newTrafficPipelineSized(t, seed, 24, nWorkers, nRequests)
+}
+
+// newTrafficPipelineSized is newTrafficPipeline on a side×side city.
+func newTrafficPipelineSized(t testing.TB, seed int64, side, nWorkers, nRequests int) *trafficPipeline {
+	t.Helper()
 	p := workload.ChengduLike(0.02)
-	p.Net.Rows, p.Net.Cols = 24, 24
+	p.Net.Rows, p.Net.Cols = side, side
 	p.Net.Seed = seed
 	p.Seed = seed * 31
 	p.NumWorkers = nWorkers

@@ -83,9 +83,21 @@ func onboardRides(rt *core.Route) int {
 	return n
 }
 
-// MarkDirty invalidates the worker's cached first leg; planners call it
-// (through their driver) after mutating a route.
-func (wd *World) MarkDirty(id core.WorkerID) { wd.states[id].dirty = true }
+// MarkDirty tells the world that a planner mutated the worker's route. The
+// cached first leg survives when the mutation left it alone: the worker
+// still stands at path[idx] at times[idx] and still drives to the same
+// vertex with the same arrival time. Recomputing would find the suffix of
+// the same shortest path and fold the same per-vertex times (computeLeg
+// sums hop by hop from rt.Now and pins the last to rt.Arr[0]), so keeping
+// the leg changes no hop — only LegsComputed.
+func (wd *World) MarkDirty(id core.WorkerID) {
+	ws := &wd.states[id]
+	rt := &ws.w.Route
+	last := len(ws.path) - 1
+	ws.dirty = ws.dirty || last < 0 || len(rt.Stops) == 0 ||
+		rt.Stops[0].Vertex != ws.path[last] || rt.Arr[0] != ws.times[last] ||
+		rt.Loc != ws.path[ws.idx] || rt.Now != ws.times[ws.idx]
+}
 
 // MarkAllDirty invalidates every worker's cached leg; a traffic-epoch
 // advance calls it because each cached leg carries per-vertex times of
