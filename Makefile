@@ -21,10 +21,11 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # Full benchmark suite (regenerates the paper's tables and figures), then
-# the developer benchmarks that decompose the simulator's leg search.
+# the developer benchmarks that decompose the simulator's leg search and
+# the distance cache's per-epoch flush.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-	$(GO) test -run xxx -bench 'BenchmarkLegPath' -benchmem ./internal/shortest
+	$(GO) test -run xxx -bench 'BenchmarkLegPath|BenchmarkLRUFlush' -benchmem ./internal/shortest
 	$(GO) test -run xxx -bench 'BenchmarkEngineRunChunked' -benchmem ./internal/sim
 
 # Headline benchmarks -> JSON trajectory artifact (BENCH_PR10.json).

@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -703,8 +702,8 @@ func BenchmarkSaturation(b *testing.B) {
 
 // --- Batched many-to-many distance oracle (DESIGN.md §16) ---
 
-// mtmGen is the probe-validated grid family for the many-to-many scale
-// ladder: dim 40 ≈ 1.6k vertices, dim 100 ≈ 10k, dim 320 ≈ 102k.
+// mtmGen is the probe-validated grid family of the many-to-many and CCH
+// customization benchmarks: dim 40 ≈ 1.6k vertices, dim 100 ≈ 10k.
 func mtmGen(dim int) roadnet.GenConfig {
 	return roadnet.GenConfig{
 		Rows: dim, Cols: dim, Spacing: 150, Jitter: 0.2, ArterialEvery: 5,
@@ -736,8 +735,7 @@ func mtmGraph(b *testing.B, dim int) *roadnet.Graph {
 	return g
 }
 
-// mtmTier returns the cached preprocessed tier for (dim, kind); the
-// 102k-vertex CCH build takes ~2 minutes, paid once per process.
+// mtmTier returns the cached preprocessed tier for (dim, kind).
 func mtmTier(b *testing.B, dim int, kind string) shortest.Oracle {
 	b.Helper()
 	g := mtmGraph(b, dim)
@@ -751,8 +749,6 @@ func mtmTier(b *testing.B, dim int, kind string) shortest.Oracle {
 			o = shortest.BuildHubLabels(g)
 		case "ch":
 			o = shortest.BuildCH(g)
-		case "cch":
-			o = shortest.BuildCCH(g)
 		default:
 			b.Fatalf("unknown tier %q", kind)
 		}
@@ -774,39 +770,21 @@ func mtmBatch(g *roadnet.Graph) (sources, targets []roadnet.VertexID) {
 }
 
 // BenchmarkManyToMany compares one batched table fill against the
-// equivalent 32×32 = 1024 point queries on every tier of the scale
-// ladder. The bucket sweep (CH/CCH) and the hub batch merge produce
-// bit-identical cells to the point queries they replace
-// (TestManyToManyMatchesPointDist), so ns/op is the only delta. The
-// 102k-vertex CCH rungs run when URPSM_BENCH_XL=1 (scripts/bench-json.sh
-// sets it; the ~2-minute build keeps it out of quick runs).
+// equivalent 32×32 = 1024 point queries on every tier that has a filler.
+// The bucket sweep (CH) and the hub batch merge produce bit-identical
+// cells to the point queries they replace
+// (TestManyToManyMatchesPointDist), so ns/op is the only delta. CCH has
+// no rung: it answers from cached labels (BenchmarkCCHQuery).
 func BenchmarkManyToMany(b *testing.B) {
-	cases := []struct {
-		label string
-		dim   int
-		kind  string
-	}{
-		{"1.6k", 40, "hub"},
-		{"1.6k", 40, "ch"},
-		{"1.6k", 40, "cch"},
-		{"10k", 100, "cch"},
-	}
-	if os.Getenv("URPSM_BENCH_XL") == "1" {
-		cases = append(cases, struct {
-			label string
-			dim   int
-			kind  string
-		}{"102k", 320, "cch"})
-	}
-	for _, c := range cases {
-		g := mtmGraph(b, c.dim)
-		tier := mtmTier(b, c.dim, c.kind)
+	g := mtmGraph(b, 40)
+	sources, targets := mtmBatch(g)
+	for _, kind := range []string{"hub", "ch"} {
+		tier := mtmTier(b, 40, kind)
 		mtm := shortest.ManyToManyFor(tier)
 		if mtm == nil {
-			b.Fatalf("no batched form for %s", c.kind)
+			b.Fatalf("no batched form for %s", kind)
 		}
-		sources, targets := mtmBatch(g)
-		b.Run(fmt.Sprintf("%s/%s/point", c.label, c.kind), func(b *testing.B) {
+		b.Run(fmt.Sprintf("1.6k/%s/point", kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, s := range sources {
 					for _, t := range targets {
@@ -816,7 +794,7 @@ func BenchmarkManyToMany(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(sources)*len(targets)), "cells/op")
 		})
-		b.Run(fmt.Sprintf("%s/%s/table", c.label, c.kind), func(b *testing.B) {
+		b.Run(fmt.Sprintf("1.6k/%s/table", kind), func(b *testing.B) {
 			arena := shortest.NewTableArena()
 			for i := 0; i < b.N; i++ {
 				mtm.Table(arena, sources, targets)
@@ -824,10 +802,8 @@ func BenchmarkManyToMany(b *testing.B) {
 			b.ReportMetric(float64(len(sources)*len(targets)), "cells/op")
 		})
 	}
-	// The unpreprocessed fallback, small scale only: one full Dijkstra per
-	// source vs 1024 early-stopping point runs.
-	g := mtmGraph(b, 40)
-	sources, targets := mtmBatch(g)
+	// The unpreprocessed fallback: one full Dijkstra per source vs 1024
+	// early-stopping point runs.
 	point := shortest.NewDijkstra(g)
 	b.Run("1.6k/dijkstra/point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -13,7 +13,7 @@
 // insertion (§4 operator scaling ablation), ablation (planner and oracle
 // design-choice ablations), parallel (dispatcher throughput sweep over
 // pool sizes), batchdist (point vs batched-table distance queries across
-// admission-batch sizes), all.
+// admission-batch sizes; -oracle hub or ch, the tiers with a table), all.
 //
 // -parallel N plans pruneGreedyDP/GreedyDP with the N-goroutine parallel
 // dispatcher in any experiment (decisions stay bit-identical to serial);
@@ -36,7 +36,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table4|fig3|fig4|fig5|fig6|fig7|hardness|insertion|ablation|parallel|batchdist|all")
+		exp      = flag.String("exp", "all", "experiment: table4|fig3|fig4|fig5|fig6|fig7|hardness|insertion|ablation|parallel|batchdist|all (batchdist needs -oracle hub or ch)")
 		dataset  = flag.String("dataset", "both", "dataset: chengdu|nyc|both")
 		scale    = flag.Float64("scale", 0.03, "workload scale factor in (0,1]")
 		repeat   = flag.Int("repeat", 1, "repetitions per configuration (paper: 30)")
@@ -147,7 +147,9 @@ func run(exp, dataset string, scale float64, repeat int, algos []string, csvDir 
 			fmt.Println()
 		}
 
-		if wantFig("batchdist") {
+		// Only hub and ch have a table; "all" skips the sweep elsewhere.
+		kind := strings.TrimPrefix(strings.Fields(desc)[0], "auto→")
+		if exp == "batchdist" || exp == "all" && (kind == "hub" || kind == "ch") {
 			pts, err := runner.BatchDistSweep([]int{1, 4, 8, 16, 32})
 			if err != nil {
 				return err

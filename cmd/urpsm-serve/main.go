@@ -89,7 +89,7 @@ func main() {
 		walCkpt     = flag.Int64("wal-checkpoint-bytes", serve.DefaultCheckpointBytes, "auto-checkpoint once the log exceeds this size (negative = explicit POST /v1/checkpoint only)")
 		asyncRb     = flag.Bool("async-rebuild", false, "rebuild the oracle in the background after POST /v1/traffic (live-tier queries meanwhile; mid-rebuild decisions lose bit-comparability; with -oracle cch the window is a millisecond customization, see DESIGN.md §11.4/§12)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		noPrefetch  = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16)")
+		noPrefetch  = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16); only the hub and ch tiers have a table, cch and bidijkstra always plan from point queries")
 		traceEv     = flag.Int("trace-events", serve.DefaultTraceEvents, "flight-recorder ring capacity in events for /debug/trace and explain (0 = tracing disabled)")
 		logLevel    = cliutil.LogLevelFlag("info")
 	)

@@ -137,15 +137,15 @@ type Config struct {
 	// DESIGN.md §11.4 and §12.
 	AsyncRebuild bool
 	// NoBatchPrefetch disables the batched distance-table prefetch: by
-	// default flush builds one dense many-to-many table per admission
-	// batch (request endpoints × candidate route vertices, filled by a
-	// single shortest.ManyToMany sweep over the current tier) and plans
-	// the whole batch against it, collapsing per-batch dist_queries from
-	// O(workers × requests × stops) point queries to table lookups. Every
-	// table cell is bit-identical to the point query it replaces and
-	// uncovered pairs fall back to the unchanged point chain, so decisions
-	// are identical either way (DESIGN.md §16) — the knob exists for A/B
-	// measurement and as an escape hatch, not for correctness.
+	// default, on the tiers with a table filler (hub, ch), flush builds one
+	// dense many-to-many table per admission batch (request endpoints ×
+	// candidate route vertices, one shortest.ManyToMany sweep) and plans
+	// the batch against it, collapsing per-batch dist_queries from
+	// O(workers × requests × stops) point queries to table lookups. Cells
+	// are bit-identical to the point queries they replace and uncovered
+	// pairs fall back to the point chain, so decisions are identical either
+	// way (DESIGN.md §16); the knob is for A/B measurement. cch and
+	// bidijkstra have no table: a cch query already reads cached labels.
 	NoBatchPrefetch bool
 	// TraceEvents enables the flight recorder (internal/trace): the ring
 	// retains that many most-recent lifecycle events, the planner gets a
@@ -888,9 +888,9 @@ const maxPrefetchCells = 1 << 22
 // Pairs the table missed (a mid-leg location after AdvanceAll, a worker
 // that drifted into radius, a dest-to-dest query) fall back to the
 // untouched point chain, so coverage gaps cost a point query, never a
-// different decision. Prefetch is skipped entirely while an async
-// rebuild is pending (CurrentTier declines): the live fallback tier has
-// no bit-identical batched form.
+// different decision. Prefetch is skipped on a tier without a table filler
+// (cch plans from its labels, bidijkstra has no bit-identical batched
+// form) and while an async rebuild is pending (CurrentTier declines).
 func (s *Server) prefetchLocked(batch []*pending) bool {
 	if s.table == nil || len(batch) == 0 {
 		return false

@@ -10,7 +10,8 @@ import "repro/internal/roadnet"
 //	               memory grows with graph diameter; affordable up to a few
 //	               tens of thousands of vertices.
 //	CCH          — queries off cached elimination-tree labels (~0.5µs
-//	               once an endpoint has been seen, ~60µs the first time,
+//	               warm, ~40µs for a pair never seen: two label builds,
+//	               each one walk over the per-arc upDepth/upW runs;
 //	               5.9k-vertex city) over a metric-independent skeleton;
 //	               contraction runs once per topology and a traffic epoch
 //	               re-derives shortcut weights in milliseconds (cch.go),
@@ -38,12 +39,10 @@ type AutoKind string
 const (
 	// AutoHub is the hub-labeling oracle (BuildHubLabels).
 	AutoHub AutoKind = "hub"
-	// AutoCCH is the customizable contraction hierarchy (BuildCCH). A
-	// point query costs ~60µs the first time an endpoint is seen and
-	// ~0.5µs afterwards, against classic CH's flat ~14µs (5.9k-vertex
-	// Chengdu-like city, DESIGN.md §12.4), and under a traffic overlay a
-	// weight epoch recustomizes the fixed skeleton in milliseconds
-	// instead of contracting from scratch (see cch.go, DESIGN.md §12).
+	// AutoCCH is the customizable contraction hierarchy (BuildCCH): label
+	// point queries as priced above against classic CH's flat ~14µs, and
+	// a weight epoch recustomizes the fixed skeleton in milliseconds
+	// instead of contracting from scratch (DESIGN.md §12, §12.4).
 	AutoCCH AutoKind = "cch"
 	// AutoCH is the classic witness-search contraction hierarchy
 	// (BuildCH): a slightly sparser hierarchy than CCH, but every weight

@@ -16,7 +16,7 @@ type lruEntry struct {
 // network is undirected.
 //
 // Entries live in a flat slice and the list uses int32 indices, keeping the
-// cache allocation-free after construction. Not safe for concurrent use.
+// cache allocation-free between flushes. Not safe for concurrent use.
 type LRU struct {
 	capacity int
 	entries  []lruEntry
@@ -51,13 +51,14 @@ func pairKey(u, v roadnet.VertexID) uint64 {
 // Len returns the number of cached entries.
 func (c *LRU) Len() int { return len(c.entries) }
 
-// Flush drops every entry, keeping the backing storage and the cumulative
+// Flush drops every entry, keeping the entry storage and the cumulative
 // hit/miss counters. Epoch-aware wrappers call it when the weight epoch
 // advances: a distance cached under old weights must never answer a query
-// under new ones.
+// under new ones. The index is replaced by one sized for what was live:
+// clear() walks the whole table, which NewLRU sized for capacity.
 func (c *LRU) Flush() {
+	c.index = make(map[uint64]int32, len(c.entries))
 	c.entries = c.entries[:0]
-	clear(c.index)
 	c.head, c.tail = -1, -1
 }
 

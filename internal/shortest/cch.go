@@ -65,8 +65,11 @@ type CCHSkeleton struct {
 	// its upward neighbors a clique, so by induction all of them are
 	// ancestors of v: v's upward search space is exactly its root path,
 	// which is what CCH's depth-indexed labels rest on (DESIGN.md §12.4).
+	// upDepth[i] = depth[upTo[i]], so a label build reads head depths in
+	// sequence beside upW; metric-independent, shared by every epoch's CCH.
 	parent   []roadnet.VertexID
 	depth    []int32
+	upDepth  []int32
 	maxDepth int32
 
 	// tri is the lower-triangle enumeration: flat (c, a, b) arc-index
@@ -249,6 +252,10 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 			sk.maxDepth = max(sk.maxDepth, sk.depth[v])
 		}
 	}
+	sk.upDepth = make([]int32, total)
+	for i, x := range sk.upTo {
+		sk.upDepth[i] = sk.depth[x]
+	}
 
 	// Contraction levels over the chordal graph: level(v) = 1 + max level
 	// of v's lower upward-neighbors (0 for leaves of the hierarchy). A
@@ -344,12 +351,8 @@ func (sk *CCHSkeleton) Triangles() int { return len(sk.tri) / 3 }
 func (sk *CCHSkeleton) MemoryBytes() int64 {
 	return int64(len(sk.upTo))*4 + int64(len(sk.upVia))*4 + int64(len(sk.upBase))*4 +
 		int64(len(sk.upStart))*4 + int64(len(sk.tri))*4 + int64(len(sk.triOff))*4 +
-		int64(sk.n)*8 + int64(len(sk.parent))*4 + int64(len(sk.depth))*4
+		int64(sk.n)*8 + int64(len(sk.parent))*4 + int64(len(sk.depth))*4 + int64(len(sk.upDepth))*4
 }
-
-// Levels is the number of contraction levels the customization sweeps
-// (the critical-path length of the parallel sweep).
-func (sk *CCHSkeleton) Levels() int { return sk.numLevels }
 
 // Customize derives the epoch's shortcut weights over the fixed skeleton:
 // original arcs are seeded from costs (the graph's CSR arc-cost array,
@@ -392,7 +395,8 @@ func (sk *CCHSkeleton) CustomizeParallel(costs []float64, workers int) *CCH {
 		workers = cchCustomizeShards
 	}
 	if workers <= 1 || len(sk.tri) < cchParallelMinTriples {
-		sk.sweepSerial(w)
+		// The reference basic customization: one in-order pass.
+		sk.sweepRange(w, 0, int32(len(sk.tri)/3))
 	} else {
 		sk.sweepParallel(w, workers)
 	}
@@ -410,18 +414,6 @@ func (sk *CCHSkeleton) CustomizeParallel(costs []float64, workers int) *CCH {
 	}
 }
 
-// sweepSerial is the reference basic customization: one in-order pass
-// over the grouped triangle list.
-func (sk *CCHSkeleton) sweepSerial(w []float64) {
-	tri := sk.tri
-	for t := 0; t+3 <= len(tri); t += 3 {
-		c, a, b := tri[t], tri[t+1], tri[t+2]
-		if s := w[a] + w[b]; s < w[c] {
-			w[c] = s
-		}
-	}
-}
-
 // sweepRange relaxes the triangles in triple-index range [lo, hi).
 func (sk *CCHSkeleton) sweepRange(w []float64, lo, hi int32) {
 	tri := sk.tri
@@ -436,7 +428,7 @@ func (sk *CCHSkeleton) sweepRange(w []float64, lo, hi int32) {
 // sweepParallel runs the customization level by level with a barrier
 // between levels, fanning each level's shards across the workers.
 //
-// Determinism argument (this must stay bit-identical to sweepSerial, or
+// Determinism argument (this must stay bit-identical to the serial pass, or
 // replay equivalence would depend on GOMAXPROCS): a level-ℓ triangle
 // reads the two arcs leaving its apex (level ℓ) and writes the arc
 // between its corners, which leaves a vertex of level > ℓ. So within a
@@ -479,8 +471,7 @@ const cchSlabFloats = 1 << 15
 // CCH is a customized contraction hierarchy: one epoch's metric laid over
 // a shared CCHSkeleton. Point queries read lazily built elimination-tree
 // labels out of a per-instance arena, so a shared instance needs Locked;
-// the skeleton and upW underneath are immutable and free to share (which
-// is all ManyToManyFor touches).
+// the skeleton and upW underneath are immutable and free to share.
 type CCH struct {
 	skel *CCHSkeleton
 	upW  []float64
@@ -571,8 +562,10 @@ func (c *CCH) label(v roadnet.VertexID) []float64 {
 	l[len(l)-1] = 0
 	for u := v; u >= 0; u = sk.parent[u] {
 		du := l[sk.depth[u]]
-		for i := sk.upStart[u]; i < sk.upStart[u+1]; i++ {
-			if k, d := sk.depth[sk.upTo[i]], du+c.upW[i]; d < l[k] {
+		lo, hi := sk.upStart[u], sk.upStart[u+1]
+		ws := c.upW[lo:hi]
+		for i, k := range sk.upDepth[lo:hi] {
+			if d := du + ws[i]; d < l[k] {
 				l[k] = d
 			}
 		}

@@ -529,14 +529,23 @@ func TestCCHQueryAllocs(t *testing.T) {
 	}
 }
 
-// TestCCHMemoryBytesCountsQueryState: the elimination tree and the label
-// arena's capacity are part of the tier's footprint.
+// TestCCHMemoryBytesCountsQueryState: the elimination tree (with its
+// per-arc head depths) and the label arena's capacity are part of the
+// tier's footprint.
 func TestCCHMemoryBytesCountsQueryState(t *testing.T) {
 	g := testGraph(t, 12, 12, 8)
 	c := BuildCCH(g)
 	sk, n := c.Skeleton(), int64(g.NumVertices())
-	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*12+int64(len(sk.tri))*4+n*16; got < floor {
-		t.Fatalf("skeleton reports %d bytes, arcs+triangles+order+elimination tree alone are %d", got, floor)
+	if len(sk.upDepth) != len(sk.upTo) {
+		t.Fatalf("upDepth has %d entries for %d upward arcs", len(sk.upDepth), len(sk.upTo))
+	}
+	for i, x := range sk.upTo {
+		if sk.upDepth[i] != sk.depth[x] {
+			t.Fatalf("upDepth[%d] = %d, head %d sits at depth %d", i, sk.upDepth[i], x, sk.depth[x])
+		}
+	}
+	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*16+int64(len(sk.tri))*4+n*16; got < floor {
+		t.Fatalf("skeleton reports %d bytes, arcs+head depths+triangles+order+elimination tree alone are %d", got, floor)
 	}
 	empty := c.MemoryBytes()
 	c.Dist(0, roadnet.VertexID(n-1))

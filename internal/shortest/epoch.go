@@ -46,7 +46,7 @@ type Versioned struct {
 
 	mu         sync.RWMutex
 	g          *roadnet.Graph // current snapshot
-	live       Oracle         // Locked BiDijkstra over g; always current
+	live       *BiDijkstra    // fallback engine over g; nil until needed, used under mu.Lock
 	built      Oracle         // preprocessed tier (concurrency-safe)
 	builtKind  AutoKind
 	builtOK    bool // built answers for the current epoch
@@ -80,9 +80,7 @@ func NewVersioned(g *roadnet.Graph, budget AutoBudget, async bool) *Versioned {
 // pass at startup. kind must name base's tier so Versioned knows whether
 // it needs a lock.
 func AdoptVersioned(g *roadnet.Graph, base Oracle, kind AutoKind, budget AutoBudget, async bool) *Versioned {
-	v := &Versioned{budget: budget, async: async}
-	v.g = g
-	v.live = NewLocked(NewBiDijkstra(g))
+	v := &Versioned{budget: budget, async: async, g: g}
 	v.built = lockIfStateful(base, kind)
 	v.builtKind = kind
 	v.builtOK = true
@@ -125,12 +123,8 @@ func (v *Versioned) LastRebuild() time.Duration {
 // ResolvedKind names the tier currently answering queries: the built tier
 // when it is current, otherwise the live bidirectional-Dijkstra tier.
 func (v *Versioned) ResolvedKind() AutoKind {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if v.builtOK {
-		return v.builtKind
-	}
-	return AutoBiDijkstra
+	_, kind, _ := v.CurrentTier()
+	return kind
 }
 
 // Graph returns the snapshot queries currently run against.
@@ -142,12 +136,11 @@ func (v *Versioned) Graph() *roadnet.Graph {
 
 // CurrentTier returns the preprocessed tier currently answering queries,
 // unwrapped from its concurrency shim, or ok=false while a rebuild is in
-// flight (the live fallback tier is stateful and has no bit-identical
-// batched form, so batch fillers skip those windows). The returned tier
-// object is immutable once built — callers may hand it to ManyToManyFor
-// and fill tables from it concurrently with Dist traffic — but it answers
-// for the epoch current at call time; callers that must pin an epoch
-// (serve's flush does) hold their own serialization against Advance.
+// flight (the live fallback tier has no bit-identical batched form, so
+// batch fillers skip those windows). Where ManyToManyFor has a filler for
+// it (hub, ch) the arrays that reads are immutable once built. The tier
+// answers for the epoch current at call time; callers that must pin an
+// epoch (serve's flush does) serialize against Advance themselves.
 func (v *Versioned) CurrentTier() (Oracle, AutoKind, bool) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -166,29 +159,47 @@ func (v *Versioned) CurrentTier() (Oracle, AutoKind, bool) {
 // a tier from a superseded epoch; it allocates nothing.
 func (v *Versioned) Dist(s, t roadnet.VertexID) float64 {
 	v.mu.RLock()
-	o := v.live
-	if v.builtOK {
-		o = v.built
+	if !v.builtOK {
+		v.mu.RUnlock()
+		return v.liveDist(s, t)
 	}
-	d := o.Dist(s, t)
+	d := v.built.Dist(s, t)
 	v.mu.RUnlock()
 	return d
+}
+
+// liveDist answers while the built tier is stale, under the write lock:
+// the live engine is stateful, and the epoch's first fallback builds it.
+func (v *Versioned) liveDist(s, t roadnet.VertexID) float64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.builtOK {
+		return v.built.Dist(s, t)
+	}
+	if v.live == nil {
+		v.live = NewBiDijkstra(v.g)
+	}
+	return v.live.Dist(s, t)
 }
 
 // Advance switches the front to a new weight snapshot. Queries arriving
 // after Advance returns are answered on the new weights: immediately by
 // the live tier, and by the rebuilt preprocessed tier once construction
 // completes (synchronously here unless async). A stale in-flight rebuild
-// whose epoch was superseded is discarded on arrival.
+// whose epoch was superseded is discarded on arrival. Only async mode
+// builds the live engine here (≈ 56 B per vertex): a synchronous Advance
+// has the built tier back before it returns, so at most a racing caller
+// falls back, and liveDist builds the engine then.
 func (v *Versioned) Advance(g *roadnet.Graph, epoch uint64) {
 	v.mu.Lock()
 	v.g = g
 	v.gen++
 	gen := v.gen
-	v.live = NewLocked(NewBiDijkstra(g))
+	v.live = nil
 	v.builtOK = false
 	v.epoch.Store(epoch)
 	if v.async {
+		v.live = NewBiDijkstra(g)
 		// Registered while still holding the lock: a WaitRebuild issued
 		// after Advance returns must observe this rebuild, and Add must
 		// not race a concurrent Wait that has already drained to zero.
@@ -218,14 +229,11 @@ func (v *Versioned) rebuild(g *roadnet.Graph, gen uint64) {
 	skel := v.cchSkel
 	v.mu.RUnlock()
 
-	var (
-		base Oracle
-		kind AutoKind
-	)
-	customized := false
-	if skel != nil && skel.NumVertices() == g.NumVertices() {
-		base, kind = skel.Customize(g.ArcCosts()), AutoCCH
-		customized = true
+	var base Oracle
+	kind := AutoCCH
+	customized := skel != nil && skel.NumVertices() == g.NumVertices()
+	if customized {
+		base = skel.Customize(g.ArcCosts())
 	} else {
 		base, kind = Auto(g, v.budget)
 	}

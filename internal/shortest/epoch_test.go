@@ -250,3 +250,61 @@ func TestCachedFlushOnEpochAdvance(t *testing.T) {
 		t.Fatalf("slowdown did not change the distance (%v); test graph too small", after)
 	}
 }
+
+// TestVersionedLiveTierBuiltOnDemand pins who pays for the fallback
+// engine: a synchronous Advance has the built tier back before it returns
+// and allocates no live engine; the first query that does fall back (here
+// forced, as a caller racing Advance from another goroutine would see it)
+// builds one on the current snapshot, later fallbacks of the epoch reuse
+// it, and the next epoch drops it. Async mode builds it in Advance, where
+// queries are expected to need it.
+func TestVersionedLiveTierBuiltOnDemand(t *testing.T) {
+	g := testGraph(t, 9, 9, 4)
+	overlay := roadnet.NewOverlay(g)
+	v := AdoptVersioned(g, BuildCCH(g), AutoCCH, DefaultAutoBudget(), false)
+	if v.live != nil {
+		t.Fatal("live engine allocated at construction")
+	}
+	cur, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Advance(cur, epoch)
+	rng := rand.New(rand.NewSource(3))
+	checkAgainstDijkstra(t, v, cur, rng, 40, "built tier")
+	if v.live != nil {
+		t.Fatal("synchronous Advance (or a query the built tier answered) allocated a live engine")
+	}
+
+	v.builtOK = false // what a query racing Advance observes
+	checkAgainstDijkstra(t, v, cur, rng, 40, "forced fallback")
+	first := v.live
+	if first == nil {
+		t.Fatal("fallback query answered without a live engine")
+	}
+	v.Dist(0, roadnet.VertexID(g.NumVertices()-1))
+	if v.live != first {
+		t.Fatal("live engine rebuilt within one epoch")
+	}
+	v.builtOK = true
+
+	cur, epoch, _, err = overlay.Apply([]roadnet.TrafficUpdate{{Factor: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Advance(cur, epoch)
+	if v.live != nil {
+		t.Fatal("live engine of a superseded epoch kept")
+	}
+	checkAgainstDijkstra(t, v, cur, rng, 40, "next epoch")
+
+	av := AdoptVersioned(g, BuildCCH(g), AutoCCH, DefaultAutoBudget(), true)
+	av.Advance(cur, epoch)
+	av.mu.RLock()
+	eager := av.live != nil
+	av.mu.RUnlock()
+	av.WaitRebuild()
+	if !eager {
+		t.Fatal("async Advance left the live tier unbuilt")
+	}
+}

@@ -134,10 +134,10 @@ func (a *TableArena) relax(v roadnet.VertexID, d float64) {
 	}
 }
 
-// BucketMtM is the bucket-based many-to-many filler over a CH or CCH
-// upward hierarchy. It reads only the immutable CSR arrays (never the
-// tier's per-instance query state), so any number of concurrent fills may
-// share one hierarchy as long as each brings its own arena.
+// BucketMtM is the bucket-based many-to-many filler over a CH upward
+// hierarchy. It reads only the immutable CSR arrays (never the tier's
+// per-instance query state), so any number of concurrent fills may share
+// one hierarchy as long as each brings its own arena.
 //
 // Bit-exactness with upwardDist: (1) with strictly positive edge weights a
 // Dijkstra's final distances are a scheduling-independent function of the
@@ -156,10 +156,7 @@ func (a *TableArena) relax(v roadnet.VertexID, d float64) {
 // the s == t diagonal (both sides settle the vertex at 0) and +Inf for
 // unreachable pairs.
 type BucketMtM struct {
-	n       int
-	upStart []int32
-	upTo    []roadnet.VertexID
-	upW     []float64
+	ch *CH
 }
 
 // Table implements ManyToMany with one bucket sweep: |sources| forward
@@ -173,7 +170,8 @@ func (m *BucketMtM) Table(a *TableArena, sources, targets []roadnet.VertexID) []
 	if ns == 0 || nt == 0 {
 		return cells
 	}
-	a.ensureSearch(m.n)
+	h := m.ch
+	a.ensureSearch(h.n)
 
 	// Reset bucket storage: one version bump invalidates every bucket.
 	a.depV = a.depV[:0]
@@ -203,8 +201,8 @@ func (m *BucketMtM) Table(a *TableArena, sources, targets []roadnet.VertexID) []
 			a.depV = append(a.depV, int32(v))
 			a.depS = append(a.depS, int32(si))
 			a.depD = append(a.depD, dv)
-			for i := m.upStart[v]; i < m.upStart[v+1]; i++ {
-				a.relax(m.upTo[i], dv+m.upW[i])
+			for i := h.upStart[v]; i < h.upStart[v+1]; i++ {
+				a.relax(h.upTo[i], dv+h.upW[i])
 			}
 		}
 	}
@@ -248,8 +246,8 @@ func (m *BucketMtM) Table(a *TableArena, sources, targets []roadnet.VertexID) []
 					}
 				}
 			}
-			for i := m.upStart[v]; i < m.upStart[v+1]; i++ {
-				a.relax(m.upTo[i], dv+m.upW[i])
+			for i := h.upStart[v]; i < h.upStart[v+1]; i++ {
+				a.relax(h.upTo[i], dv+h.upW[i])
 			}
 		}
 	}
@@ -341,10 +339,11 @@ func (m *DijkstraMtM) Table(a *TableArena, sources, targets []roadnet.VertexID) 
 }
 
 // ManyToManyFor returns the batched filler matching o's tier, unwrapping
-// counting/locking/caching shims to reach it: bucket sweep for CH and
-// CCH, label scatter for hub labels, nil for tiers with no bit-identical
-// batched form (BiDijkstra's meet-sum rounds differently than a one-sided
-// sweep, so a prefetched table would perturb replay equivalence there).
+// counting/locking/caching shims to reach it: bucket sweep for CH, label
+// scatter for hub labels, nil otherwise. BiDijkstra has no bit-identical
+// batched form (its meet-sum rounds differently than a one-sided sweep);
+// CCH needs none: a label is its vertex's finished upward sweep, cached,
+// so a bucket fill would redo it with a heap (DESIGN.md §16.4).
 // The returned filler reads only the tier's immutable arrays and may run
 // concurrently with point queries against the same tier.
 func ManyToManyFor(o Oracle) ManyToMany {
@@ -363,9 +362,7 @@ func ManyToManyFor(o Oracle) ManyToMany {
 		case *HubLabels:
 			return &HubMtM{h: x}
 		case *CH:
-			return &BucketMtM{n: x.n, upStart: x.upStart, upTo: x.upTo, upW: x.upW}
-		case *CCH:
-			return &BucketMtM{n: x.skel.n, upStart: x.skel.upStart, upTo: x.skel.upTo, upW: x.upW}
+			return &BucketMtM{ch: x}
 		default:
 			return nil
 		}

@@ -1,6 +1,7 @@
 package shortest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -44,8 +45,9 @@ func requireBitIdentical(t *testing.T, tag string, cells []float64,
 }
 
 // TestManyToManyMatchesPointDist is the tentpole equivalence suite: for
-// every preprocessed tier, on several randomized graphs, a batched table
-// fill must reproduce the point oracle bit-for-bit — including the
+// every tier that has a batched filler (cch answers from labels and has
+// none, see TestManyToManyFor), on several randomized graphs, a batched
+// table fill must reproduce the point oracle bit-for-bit — including the
 // diagonal, duplicates, and arena reuse across consecutive batches.
 func TestManyToManyMatchesPointDist(t *testing.T) {
 	tiers := []struct {
@@ -54,7 +56,6 @@ func TestManyToManyMatchesPointDist(t *testing.T) {
 	}{
 		{"hub", func(g *roadnet.Graph) Oracle { return BuildHubLabels(g) }},
 		{"ch", func(g *roadnet.Graph) Oracle { return BuildCH(g) }},
-		{"cch", func(g *roadnet.Graph) Oracle { return BuildCCH(g) }},
 	}
 	for _, tier := range tiers {
 		t.Run(tier.name, func(t *testing.T) {
@@ -88,33 +89,6 @@ func TestManyToManyMatchesPointDist(t *testing.T) {
 	}
 }
 
-// TestManyToManyAcrossEpochs re-customizes a CCH skeleton with perturbed
-// arc costs (a traffic epoch) and requires the bucket table to track the
-// point queries bit-for-bit on every epoch's weights.
-func TestManyToManyAcrossEpochs(t *testing.T) {
-	g := testGraph(t, 12, 12, 9)
-	sk := BuildCCHSkeleton(g)
-	base := g.ArcCosts()
-	rng := rand.New(rand.NewSource(42))
-	a := NewTableArena()
-	n := g.NumVertices()
-	costs := make([]float64, len(base))
-	for epoch := 0; epoch < 4; epoch++ {
-		copy(costs, base)
-		for i := range costs {
-			if rng.Intn(4) == 0 {
-				costs[i] *= 1 + 3*rng.Float64() // congestion on a quarter of arcs
-			}
-		}
-		c := sk.Customize(costs)
-		mtm := ManyToManyFor(c)
-		sources := pickBatch(rng, n, 7)
-		targets := pickBatch(rng, n, 6)
-		cells := mtm.Table(a, sources, targets)
-		requireBitIdentical(t, "cch-epoch", cells, sources, targets, c)
-	}
-}
-
 // TestDijkstraMtMMatchesDijkstra pins the fallback filler to forward
 // Dijkstra point queries (its bit-reference; BiDijkstra's meet sums round
 // differently, which is why the bidijkstra tier gets no batched form).
@@ -133,25 +107,41 @@ func TestDijkstraMtMMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestManyToManyForUnwraps checks the shim-unwrapping: counting, locking
-// and caching layers must not hide a batched-capable tier, and tiers
-// without a bit-identical batched form must yield nil.
-func TestManyToManyForUnwraps(t *testing.T) {
+// TestManyToManyFor pins which tier gets which filler, through every shim
+// the query chains wrap a tier in: hub labels scatter-merge, CH bucket-
+// sweeps, and the two tiers without a filler yield nil — BiDijkstra has no
+// bit-identical batched form, and a CCH label already is the cached upward
+// sweep a table fill would redo.
+func TestManyToManyFor(t *testing.T) {
 	g := testGraph(t, 8, 8, 3)
-	ch := BuildCH(g)
-	wrapped := NewCounting(NewLocked(NewAtomicCounting(ch)))
-	mtm := ManyToManyFor(wrapped)
-	if mtm == nil {
-		t.Fatal("ManyToManyFor failed to unwrap the shim chain")
+	shims := []struct {
+		name string
+		wrap func(Oracle) Oracle
+	}{
+		{"bare", func(o Oracle) Oracle { return o }},
+		{"Counting", func(o Oracle) Oracle { return NewCounting(o) }},
+		{"AtomicCounting", func(o Oracle) Oracle { return NewAtomicCounting(o) }},
+		{"Locked", func(o Oracle) Oracle { return NewLocked(o) }},
+		{"Cached", func(o Oracle) Oracle { return NewCached(o, 64) }},
+		{"ShardedCached", func(o Oracle) Oracle { return NewShardedCached(o, 64, 4) }},
+		{"stack", func(o Oracle) Oracle { return NewCounting(NewLocked(NewAtomicCounting(o))) }},
 	}
-	if _, ok := mtm.(*BucketMtM); !ok {
-		t.Fatalf("unwrapped to %T, want *BucketMtM", mtm)
+	tiers := []struct {
+		name string
+		o    Oracle
+		want string
+	}{
+		{"hub", BuildHubLabels(g), "*shortest.HubMtM"},
+		{"ch", BuildCH(g), "*shortest.BucketMtM"},
+		{"cch", BuildCCH(g), "<nil>"},
+		{"bidijkstra", NewBiDijkstra(g), "<nil>"},
 	}
-	if got := ManyToManyFor(NewShardedCached(BuildHubLabels(g), 64, 4)); got == nil {
-		t.Fatal("ManyToManyFor missed hub labels under ShardedCached")
-	}
-	if got := ManyToManyFor(NewBiDijkstra(g)); got != nil {
-		t.Fatalf("ManyToManyFor(BiDijkstra) = %T, want nil (no bit-identical batched form)", got)
+	for _, tier := range tiers {
+		for _, shim := range shims {
+			if got := fmt.Sprintf("%T", ManyToManyFor(shim.wrap(tier.o))); got != tier.want {
+				t.Errorf("ManyToManyFor(%s under %s) = %s, want %s", tier.name, shim.name, got, tier.want)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package shortest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -336,6 +338,79 @@ func TestLRUStressAgainstMap(t *testing.T) {
 	if c.Hits == 0 || c.Misses == 0 {
 		t.Fatalf("stats not tracked: hits=%d misses=%d", c.Hits, c.Misses)
 	}
+}
+
+// TestLRUFlushKeepsContract pins what a flush may and may not change:
+// every key misses afterwards and Len is 0, the cumulative counters are
+// kept, and the cache refills to its full capacity and then evicts in LRU
+// order exactly as a fresh one would.
+func TestLRUFlushKeepsContract(t *testing.T) {
+	const capacity = 8
+	c := NewLRU(capacity)
+	for i := 0; i < 5; i++ {
+		c.Put(roadnet.VertexID(i), roadnet.VertexID(i+100), float64(i))
+	}
+	c.Get(0, 100)
+	c.Get(7, 107)
+	hits, misses := c.Hits, c.Misses
+	c.Flush()
+	if c.Len() != 0 {
+		t.Fatalf("Len after flush = %d", c.Len())
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok := c.Get(roadnet.VertexID(i), roadnet.VertexID(i+100)); ok {
+			t.Fatalf("key %d survived the flush", i)
+		}
+	}
+	if c.Hits != hits || c.Misses != misses+5 {
+		t.Fatalf("counters not cumulative: hits %d→%d misses %d→%d (+5 probes)", hits, c.Hits, misses, c.Misses)
+	}
+	// Refill past capacity: nothing is evicted before the cache is full, then
+	// the least recently used key goes first.
+	for i := 0; i < capacity; i++ {
+		c.Put(roadnet.VertexID(i), roadnet.VertexID(i+200), float64(i))
+	}
+	if c.Len() != capacity {
+		t.Fatalf("Len after refill = %d, want %d", c.Len(), capacity)
+	}
+	c.Get(0, 200) // key 0 is now the most recent, key 1 the least
+	c.Put(50, 250, 50)
+	c.Put(51, 251, 51)
+	for i, want := range []bool{true, false, false, true, true, true, true, true} {
+		if _, ok := c.Get(roadnet.VertexID(i), roadnet.VertexID(i+200)); ok != want {
+			t.Fatalf("after two evictions key %d present=%v, want %v", i, ok, want)
+		}
+	}
+	if c.Len() != capacity {
+		t.Fatalf("Len after eviction = %d, want %d", c.Len(), capacity)
+	}
+	// A flush of a full cache and of an empty one behave the same.
+	c.Flush()
+	c.Flush()
+	c.Put(1, 2, 3)
+	if d, ok := c.Get(2, 1); !ok || d != 3 || c.Len() != 1 {
+		t.Fatalf("cache unusable after repeated flushes: %v %v len %d", d, ok, c.Len())
+	}
+}
+
+// BenchmarkLRUFlush is one traffic epoch of the daemon's distance cache:
+// `live` entries put into a cache of capacity `cap`, then flushed. ns/op
+// is fill + flush; flush-ns/op is the flush alone.
+func BenchmarkLRUFlush(b *testing.B) {
+	const live, capacity = 6000, 1 << 18
+	b.Run(fmt.Sprintf("live=%d,cap=%d", live, capacity), func(b *testing.B) {
+		c := NewLRU(capacity)
+		var flush time.Duration
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < live; k++ {
+				c.Put(roadnet.VertexID(k), roadnet.VertexID(k*7+1), float64(k))
+			}
+			start := time.Now()
+			c.Flush()
+			flush += time.Since(start)
+		}
+		b.ReportMetric(float64(flush.Nanoseconds())/float64(b.N), "flush-ns/op")
+	})
 }
 
 func TestCachedOracleCorrectAndCounts(t *testing.T) {

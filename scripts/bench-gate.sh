@@ -22,9 +22,9 @@
 # lives in the goodput-rps/shed-rate metrics, not in wall time per op.
 # BenchmarkBatchPlanning is excluded for the same reason: one op is a
 # deliberate full-stream replay whose signal is dist-queries/op, which
-# the gate does not compare. The gate also leaves URPSM_BENCH_XL unset,
-# so the 102k many-to-many rungs recorded by bench-json are simply not
-# shared with the gate run and the gate stays quick.
+# the gate does not compare. The BenchmarkManyToMany cch rungs recorded
+# in older BENCH_PR*.json files no longer exist (the cch tier has no table
+# filler); the gate compares shared benchmarks only, so they drop out.
 # BenchmarkCCHQuery (internal/shortest, one point query per op) runs at
 # its own POINTTIME like in bench-json.sh.
 set -euo pipefail

@@ -35,10 +35,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The 102k-vertex many-to-many rungs (a ~2-minute CCH build, paid once
-# per go-test process) only run when this is exported.
-export URPSM_BENCH_XL=1
-
 BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkSaturation|BenchmarkManyToMany|BenchmarkCCHCustomize'
 HEAVY='BenchmarkBatchPlanning'
 HEAVYTIME=3x
