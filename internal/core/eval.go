@@ -50,20 +50,63 @@ func (b *AtomicBound) Shrink(v float64) {
 
 // SortWorkerBounds orders lbs by (LBΔ*, WorkerID) ascending — the
 // pruneGreedyDP scan order. The worker-ID tie-break makes the order a
-// total one, so the sorted result is unique: serial and parallel planners
-// (and any sorting algorithm) produce the identical permutation. The
-// generic slices.SortFunc avoids sort.Slice's reflection and its per-call
-// closure allocation on the hot path.
-func SortWorkerBounds(lbs []WorkerBound) {
-	slices.SortFunc(lbs, func(a, b WorkerBound) int {
-		switch {
-		case a.LB < b.LB:
-			return -1
-		case a.LB > b.LB:
-			return 1
+// total one, so the sorted result is unique: the parallel planner's sort,
+// the serial scan's lazy heap order (EvalCandidatesSerial) and any other
+// sorting algorithm produce the identical permutation. The generic
+// slices.SortFunc avoids sort.Slice's reflection and its per-call closure
+// allocation, which the zero-allocation plan path cannot afford.
+func SortWorkerBounds(lbs []WorkerBound) { slices.SortFunc(lbs, cmpBounds) }
+
+// cmpBounds is the (LBΔ*, WorkerID) scan order.
+func cmpBounds(a, b WorkerBound) int {
+	switch {
+	case a.LB < b.LB:
+		return -1
+	case a.LB > b.LB:
+		return 1
+	}
+	return int(a.Worker.ID - b.Worker.ID)
+}
+
+// The serial scan's lazy order: lbs[k:] is a binary min-heap under
+// cmpBounds laid out back to front — heap node i lives at lbs[len(lbs)-1-i],
+// so the root is the last element and the heap's last node is lbs[k].
+// Popping swaps the root into lbs[k], which extends the sorted prefix
+// lbs[:k+1]; because cmpBounds is a total order, the popped sequence is
+// exactly the SortWorkerBounds order (DESIGN.md §10.5).
+
+// heapifyBounds arranges all of lbs as that heap in O(len(lbs)).
+func heapifyBounds(lbs []WorkerBound) {
+	for i := len(lbs)/2 - 1; i >= 0; i-- {
+		siftBound(lbs, i, len(lbs))
+	}
+}
+
+// popBound moves the least bound of the heap lbs[k:] to lbs[k], leaving
+// lbs[k+1:] a heap.
+func popBound(lbs []WorkerBound, k int) {
+	last := len(lbs) - 1
+	lbs[last], lbs[k] = lbs[k], lbs[last]
+	siftBound(lbs, 0, last-k)
+}
+
+// siftBound sifts heap node i down a heap of m nodes.
+func siftBound(lbs []WorkerBound, i, m int) {
+	last := len(lbs) - 1
+	for {
+		c := 2*i + 1
+		if c >= m {
+			return
 		}
-		return int(a.Worker.ID - b.Worker.ID)
-	})
+		if c+1 < m && cmpBounds(lbs[last-c-1], lbs[last-c]) < 0 {
+			c++
+		}
+		if cmpBounds(lbs[last-c], lbs[last-i]) >= 0 {
+			return
+		}
+		lbs[last-i], lbs[last-c] = lbs[last-c], lbs[last-i]
+		i = c
+	}
 }
 
 // BetterCandidate reports whether candidate (w2, ins2) beats (w1, ins1)
@@ -93,6 +136,13 @@ func BetterCandidate(w1 *Worker, ins1 Insertion, w2 *Worker, ins2 Insertion) boo
 // (Scratch asserts that), because the operator's auxiliary arrays live in
 // it for the duration of each candidate evaluation.
 //
+// With prune, lbs may arrive in any order: the scan visits it in
+// SortWorkerBounds order but sorts lazily, one heap pop per worker it
+// reaches, so the workers Lemma 8 prunes are never put in order either.
+// On return lbs is permuted — the visited prefix sorted, the rest a heap —
+// and a caller that needs the full order sorts it then. Without prune lbs
+// is scanned as given.
+//
 // st, when non-nil, accumulates the scan's work counters (exact
 // evaluations, feasible insertions, DP cells) for the observer hook; it
 // never influences the scan itself.
@@ -100,7 +150,14 @@ func EvalCandidatesSerial(sc *Scratch, insert InsertionFunc, prune bool, lbs []W
 	req *Request, L float64, dist DistFunc, st *PlanStats) (*Worker, Insertion) {
 	var bestW *Worker
 	bestIns := Infeasible
-	for _, wb := range lbs {
+	if prune {
+		heapifyBounds(lbs)
+	}
+	for k := range lbs {
+		if prune {
+			popBound(lbs, k)
+		}
+		wb := lbs[k]
 		// Strictly-less break keeps the scan order-independent: every
 		// worker whose exact Δ could tie the winner has LB ≤ Δ and is
 		// therefore still scanned (Lemma 8).

@@ -194,18 +194,21 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 
 	// Phase 2: planning. With pruning, scan workers in ascending LBΔ*
 	// order and stop once the best exact Δ* undercuts the next lower
-	// bound (Lemma 8). The scan lives in EvalCandidatesSerial; the
-	// parallel dispatcher runs the concurrent twin (EvalCandidates) with
-	// a shared cursor and bound, provably selecting the same winner.
-	if p.cfg.Prune {
-		SortWorkerBounds(lbs)
-	}
+	// bound (Lemma 8). The scan lives in EvalCandidatesSerial, which
+	// orders lbs only as far as it gets; the parallel dispatcher runs the
+	// concurrent twin (EvalCandidates) with a shared cursor and bound,
+	// provably selecting the same winner.
 	var st *PlanStats
 	if tr != nil {
-		tr.LBs = lbs
 		st = &tr.Stats
 	}
 	bestW, bestIns := EvalCandidatesSerial(&p.sc, p.cfg.Insertion, p.cfg.Prune, lbs, req, L, f.Dist, st)
+	if tr != nil {
+		if p.cfg.Prune {
+			SortWorkerBounds(lbs) // the trace reports the whole scan order
+		}
+		tr.LBs = lbs
+	}
 	if bestW == nil {
 		if tr != nil {
 			tr.Reason = ReasonNoFeasibleInsertion

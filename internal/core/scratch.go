@@ -121,9 +121,10 @@ func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph,
 // Decide is Algorithm 4 on this scratch: compute LBΔ* for every candidate
 // worker and report whether the request should be rejected outright
 // because even the optimistic cost α·min LB exceeds the penalty. The
-// returned slice feeds the planning phase (it is not yet sorted;
-// pruneGreedyDP sorts it, GreedyDP does not need to) and aliases the
-// scratch — it is valid until the scratch's next Decide call.
+// returned slice feeds the planning phase in candidate order
+// (pruneGreedyDP's scan orders it lazily, only as far as Lemma 8 lets it
+// go; GreedyDP needs no order) and aliases the scratch — it is valid
+// until the scratch's next Decide call.
 func (sc *Scratch) Decide(alpha float64, cands []*Worker, req *Request, g *roadnet.Graph, L float64) (lbs []WorkerBound, reject bool) {
 	sc.acquire()
 	defer sc.release()

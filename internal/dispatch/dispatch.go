@@ -278,13 +278,10 @@ func (p *ParallelGreedy) planOn(a *planArena, now float64, req *core.Request, tr
 		return nil, core.Infeasible, L
 	}
 
-	// Phase 2: planning.
-	if p.cfg.Prune {
-		core.SortWorkerBounds(lbs)
-	}
+	// Phase 2: planning. The shared-cursor scan needs lbs sorted up front;
+	// the serial scan orders it lazily.
 	var st *core.PlanStats
 	if tr != nil {
-		tr.LBs = lbs
 		st = &tr.Stats
 	}
 	var (
@@ -292,9 +289,18 @@ func (p *ParallelGreedy) planOn(a *planArena, now float64, req *core.Request, tr
 		bestIns core.Insertion
 	)
 	if parallel && len(lbs) > 1 {
+		if p.cfg.Prune {
+			core.SortWorkerBounds(lbs)
+		}
 		bestW, bestIns = p.parallelEval(a, lbs, req, L, st)
 	} else {
 		bestW, bestIns = core.EvalCandidatesSerial(&a.sc, p.cfg.Insertion, p.cfg.Prune, lbs, req, L, f.Dist, st)
+	}
+	if tr != nil {
+		if p.cfg.Prune {
+			core.SortWorkerBounds(lbs) // the trace reports the whole scan order
+		}
+		tr.LBs = lbs
 	}
 	if bestW == nil {
 		if tr != nil {

@@ -140,16 +140,27 @@ func (c *LRU) moveToFront(i int32) {
 // When the inner chain contains an epoch-aware oracle (Versioned), the
 // cache watches its epoch and flushes itself on advance; a static chain
 // resolves no source at construction and pays nothing per query.
+//
+// Over a CCH (bare, or behind counting, locking or caching shims) there is
+// no cache: a warm label query is two table reads and a zip, cheaper than
+// the LRU probe in front of it, so every query is forwarded and counted
+// as a miss (DESIGN.md §12.4).
 type Cached struct {
-	inner Oracle
-	cache *LRU
-	src   EpochSource
-	epoch uint64
+	inner  Oracle
+	cache  *LRU   // nil over a CCH
+	missed uint64 // queries forwarded without a cache
+	src    EpochSource
+	epoch  uint64
 }
 
-// NewCached wraps inner with a cache of the given capacity.
+// NewCached wraps inner with a cache of the given capacity, or with none
+// when inner is a CCH behind shims.
 func NewCached(inner Oracle, capacity int) *Cached {
-	c := &Cached{inner: inner, cache: NewLRU(capacity)}
+	c := &Cached{inner: inner}
+	if _, labels := tierOf(inner).(*CCH); labels {
+		return c
+	}
+	c.cache = NewLRU(capacity)
 	if c.src = epochSourceOf(inner); c.src != nil {
 		c.epoch = c.src.Epoch()
 	}
@@ -158,6 +169,10 @@ func NewCached(inner Oracle, capacity int) *Cached {
 
 // Dist implements Oracle.
 func (c *Cached) Dist(u, v roadnet.VertexID) float64 {
+	if c.cache == nil {
+		c.missed++
+		return c.inner.Dist(u, v)
+	}
 	if c.src != nil {
 		if e := c.src.Epoch(); e != c.epoch {
 			c.cache.Flush()
@@ -175,5 +190,11 @@ func (c *Cached) Dist(u, v roadnet.VertexID) float64 {
 	return d
 }
 
-// Stats returns (hits, misses) of the underlying cache.
-func (c *Cached) Stats() (hits, misses uint64) { return c.cache.Hits, c.cache.Misses }
+// Stats returns (hits, misses) of the underlying cache; over a CCH every
+// query is a miss.
+func (c *Cached) Stats() (hits, misses uint64) {
+	if c.cache == nil {
+		return 0, c.missed
+	}
+	return c.cache.Hits, c.cache.Misses
+}

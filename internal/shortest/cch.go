@@ -30,6 +30,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -71,6 +72,19 @@ type CCHSkeleton struct {
 	depth    []int32
 	upDepth  []int32
 	maxDepth int32
+
+	// LCA index over the elimination forest, metric-independent like the
+	// tree itself. The forest's Euler tours (a vertex on entry and again
+	// after each child returns), concatenated tree by tree, are eulerLen
+	// long; first[v] is v's first position in them and tree[v] the root of
+	// v's tree. sparse is a table of range minima by depth: entry
+	// sparse[k*eulerLen+i] is the shallowest vertex of tour positions
+	// [i, i+2^k), so row 0 is the tour itself. lca answers with two table
+	// reads instead of a walk up both root paths (DESIGN.md §12.4).
+	first    []int32
+	tree     []roadnet.VertexID
+	sparse   []roadnet.VertexID
+	eulerLen int
 
 	// tri is the lower-triangle enumeration: flat (c, a, b) arc-index
 	// triples, meaning weight[c] may be improved to weight[a]+weight[b].
@@ -256,6 +270,7 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 	for i, x := range sk.upTo {
 		sk.upDepth[i] = sk.depth[x]
 	}
+	sk.buildLCA()
 
 	// Contraction levels over the chordal graph: level(v) = 1 + max level
 	// of v's lower upward-neighbors (0 for leaves of the hierarchy). A
@@ -338,6 +353,100 @@ func (sk *CCHSkeleton) arcBetween(u, x roadnet.VertexID) int32 {
 	return -1
 }
 
+// buildLCA lays out the elimination forest for constant-time lowest
+// common ancestor queries: children in CSR by vertex ID, an iterative
+// Euler tour of every tree in root-ID order, then the sparse table, one
+// doubling row at a time.
+func (sk *CCHSkeleton) buildLCA() {
+	n := sk.n
+	kidNext := make([]int32, n+1) // per vertex: next child to visit
+	for _, p := range sk.parent {
+		if p >= 0 {
+			kidNext[p+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		kidNext[v+1] += kidNext[v]
+	}
+	kids := make([]roadnet.VertexID, kidNext[n])
+	kidEnd := make([]int32, n)
+	copy(kidEnd, kidNext[:n])
+	for v, p := range sk.parent {
+		if p >= 0 {
+			kids[kidEnd[p]] = roadnet.VertexID(v)
+			kidEnd[p]++
+		}
+	}
+
+	euler := make([]roadnet.VertexID, 0, 2*n)
+	sk.first = make([]int32, n)
+	sk.tree = make([]roadnet.VertexID, n)
+	var stack []roadnet.VertexID
+	enter := func(v, root roadnet.VertexID) {
+		sk.first[v] = int32(len(euler))
+		sk.tree[v] = root
+		euler = append(euler, v)
+		stack = append(stack, v)
+	}
+	for r := 0; r < n; r++ {
+		if sk.parent[r] >= 0 {
+			continue
+		}
+		root := roadnet.VertexID(r)
+		enter(root, root)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			if kidNext[v] < kidEnd[v] {
+				kidNext[v]++
+				enter(kids[kidNext[v]-1], root)
+				continue
+			}
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
+				euler = append(euler, stack[len(stack)-1])
+			}
+		}
+	}
+
+	m := len(euler)
+	sk.eulerLen = m
+	sk.sparse = make([]roadnet.VertexID, bits.Len(uint(m))*m)
+	copy(sk.sparse, euler)
+	for k, half := 1, 1; 2*half <= m; k, half = k+1, 2*half {
+		prev, row := sk.sparse[(k-1)*m:k*m], sk.sparse[k*m:(k+1)*m]
+		for i := 0; i+2*half <= m; i++ {
+			a, b := prev[i], prev[i+half]
+			if sk.depth[b] < sk.depth[a] {
+				a = b
+			}
+			row[i] = a
+		}
+	}
+}
+
+// lca returns the lowest common ancestor of s and t in the elimination
+// forest, or -1 when they lie in different trees. Between the first
+// visits of s and t the tour climbs no higher than their LCA and passes
+// through it, so it is the unique shallowest vertex of that range; of the
+// two overlapping power-of-two windows that cover the range, both hold
+// only it and deeper vertices and one holds it.
+func (sk *CCHSkeleton) lca(s, t roadnet.VertexID) roadnet.VertexID {
+	if sk.tree[s] != sk.tree[t] {
+		return -1
+	}
+	l, r := int(sk.first[s]), int(sk.first[t])
+	if l > r {
+		l, r = r, l
+	}
+	k := bits.Len(uint(r-l+1)) - 1
+	row := sk.sparse[k*sk.eulerLen:]
+	a, b := row[l], row[r+1-1<<k]
+	if sk.depth[b] < sk.depth[a] {
+		return b
+	}
+	return a
+}
+
 // NumVertices returns |V| of the topology the skeleton was built on.
 func (sk *CCHSkeleton) NumVertices() int { return sk.n }
 
@@ -351,7 +460,8 @@ func (sk *CCHSkeleton) Triangles() int { return len(sk.tri) / 3 }
 func (sk *CCHSkeleton) MemoryBytes() int64 {
 	return int64(len(sk.upTo))*4 + int64(len(sk.upVia))*4 + int64(len(sk.upBase))*4 +
 		int64(len(sk.upStart))*4 + int64(len(sk.tri))*4 + int64(len(sk.triOff))*4 +
-		int64(sk.n)*8 + int64(len(sk.parent))*4 + int64(len(sk.depth))*4 + int64(len(sk.upDepth))*4
+		int64(sk.n)*8 + int64(len(sk.parent))*4 + int64(len(sk.depth))*4 + int64(len(sk.upDepth))*4 +
+		int64(len(sk.first))*4 + int64(len(sk.tree))*4 + int64(len(sk.sparse))*4
 }
 
 // Customize derives the epoch's shortcut weights over the fixed skeleton:
@@ -505,25 +615,16 @@ func (c *CCH) Skeleton() *CCHSkeleton { return c.skel }
 // Dist implements Oracle: exact shortest travel time on the customized
 // metric. The two upward search spaces are root paths, so they meet on
 // the common ancestors of s and t — depths 0..d, d the depth of their
-// lowest common ancestor — and the answer is the min over those of
-// label(s)[i]+label(t)[i]: the same float min over the same fl(a+b)
-// candidates as upwardDist on these arrays, hence the same bits
-// (DESIGN.md §12.4).
+// lowest common ancestor (two sparse-table reads) — and the answer is the
+// min over those of label(s)[i]+label(t)[i]: the same float min over the
+// same fl(a+b) candidates as upwardDist on these arrays, hence the same
+// bits (DESIGN.md §12.4).
 func (c *CCH) Dist(s, t roadnet.VertexID) float64 {
 	if s == t {
 		return 0
 	}
 	sk := c.skel
-	a, b := s, t
-	for sk.depth[a] > sk.depth[b] {
-		a = sk.parent[a]
-	}
-	for sk.depth[b] > sk.depth[a] {
-		b = sk.parent[b]
-	}
-	for a != b { // two distinct roots step to -1 together
-		a, b = sk.parent[a], sk.parent[b]
-	}
+	a := sk.lca(s, t)
 	if a < 0 {
 		return Inf
 	}

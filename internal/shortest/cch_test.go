@@ -2,6 +2,7 @@ package shortest
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
+	"repro/internal/workload"
 )
 
 func TestCCHMatchesDijkstra(t *testing.T) {
@@ -352,7 +354,14 @@ func shrinkArena(c *CCH, perSlab int) {
 // between them: two elimination trees, +Inf across.
 func twoIslands(t testing.TB) *roadnet.Graph {
 	t.Helper()
-	parts := []*roadnet.Graph{testGraph(t, 9, 11, 5), testGraph(t, 7, 8, 6)}
+	return islands(t, 0, testGraph(t, 9, 11, 5), testGraph(t, 7, 8, 6))
+}
+
+// islands copies the parts side by side into one graph with no edge
+// between them, followed by isolated vertices: one elimination tree per
+// part, a single-vertex tree per isolated vertex.
+func islands(t testing.TB, isolated int, parts ...*roadnet.Graph) *roadnet.Graph {
+	t.Helper()
 	b := roadnet.NewBuilder(256, 512)
 	for k, g := range parts {
 		base := roadnet.VertexID(b.NumVertices())
@@ -366,6 +375,9 @@ func twoIslands(t testing.TB) *roadnet.Graph {
 				t.Fatal(err)
 			}
 		}
+	}
+	for i := 0; i < isolated; i++ {
+		b.AddVertex(geo.Point{X: float64(len(parts)+i) * 1e5})
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -544,8 +556,12 @@ func TestCCHMemoryBytesCountsQueryState(t *testing.T) {
 			t.Fatalf("upDepth[%d] = %d, head %d sits at depth %d", i, sk.upDepth[i], x, sk.depth[x])
 		}
 	}
-	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*16+int64(len(sk.tri))*4+n*16; got < floor {
-		t.Fatalf("skeleton reports %d bytes, arcs+head depths+triangles+order+elimination tree alone are %d", got, floor)
+	if m := int64(sk.eulerLen); m != 2*n-1 || int64(len(sk.sparse)) < m*int64(bits.Len(uint(m))) {
+		t.Fatalf("connected network: Euler tour %d long (want %d), sparse table %d entries", m, 2*n-1, len(sk.sparse))
+	}
+	lcaIndex := int64(len(sk.first))*4 + int64(len(sk.tree))*4 + int64(len(sk.sparse))*4
+	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*16+int64(len(sk.tri))*4+n*16+lcaIndex; got < floor {
+		t.Fatalf("skeleton reports %d bytes, arcs+head depths+triangles+order+elimination tree+LCA index alone are %d", got, floor)
 	}
 	empty := c.MemoryBytes()
 	c.Dist(0, roadnet.VertexID(n-1))
@@ -554,6 +570,73 @@ func TestCCHMemoryBytesCountsQueryState(t *testing.T) {
 	}
 	if budget := sk.MemoryBytes() + int64(len(c.upW))*8; int64(c.maxSlabs)*int64(c.slabLen)*8 > budget {
 		t.Fatalf("arena may grow to %d bytes, over the %d-byte hierarchy", int64(c.maxSlabs)*int64(c.slabLen)*8, budget)
+	}
+}
+
+// lcaByParentWalk is how CCH.Dist found the lowest common ancestor before
+// the sparse table: lift the deeper vertex to the other's depth, then both
+// together until they meet (two distinct roots step to -1 together).
+func lcaByParentWalk(sk *CCHSkeleton, a, b roadnet.VertexID) roadnet.VertexID {
+	for sk.depth[a] > sk.depth[b] {
+		a = sk.parent[a]
+	}
+	for sk.depth[b] > sk.depth[a] {
+		b = sk.parent[b]
+	}
+	for a != b {
+		a, b = sk.parent[a], sk.parent[b]
+	}
+	return a
+}
+
+// TestCCHLCAMatchesParentWalk pins the sparse-table LCA to the parent walk
+// it replaced — same vertex, so Dist zips labels to the same depth — on
+// every pair of three networks (connected; two islands; a forest of three
+// grids and five isolated vertices) and on 100k random pairs of the
+// benchmark's city.
+func TestCCHLCAMatchesParentWalk(t *testing.T) {
+	check := func(name string, sk *CCHSkeleton, s, d roadnet.VertexID) {
+		if got, want := sk.lca(s, d), lcaByParentWalk(sk, s, d); got != want {
+			t.Fatalf("%s: lca(%d,%d) = %d, parent walk %d", name, s, d, got, want)
+		}
+	}
+	nets := []struct {
+		name  string
+		g     *roadnet.Graph
+		roots int
+	}{
+		{"grid16x20", testGraph(t, 16, 20, 15), 1},
+		{"islands", twoIslands(t), 2},
+		{"forest", islands(t, 5, testGraph(t, 6, 7, 1), testGraph(t, 5, 5, 2), testGraph(t, 4, 9, 3)), 8},
+	}
+	for _, nt := range nets {
+		sk := BuildCCHSkeleton(nt.g)
+		n := nt.g.NumVertices()
+		roots := 0
+		for _, p := range sk.parent {
+			if p < 0 {
+				roots++
+			}
+		}
+		if roots != nt.roots || sk.eulerLen != 2*n-roots {
+			t.Fatalf("%s: %d roots (want %d), Euler tour %d long (want %d)", nt.name, roots, nt.roots, sk.eulerLen, 2*n-roots)
+		}
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				check(nt.name, sk, roadnet.VertexID(s), roadnet.VertexID(d))
+			}
+		}
+	}
+
+	g, err := roadnet.Generate(workload.ChengduLike(0.5).Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := BuildCCHSkeleton(g)
+	rng := rand.New(rand.NewSource(28))
+	n := g.NumVertices()
+	for q := 0; q < 100000; q++ {
+		check("chengdu", sk, roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)))
 	}
 }
 

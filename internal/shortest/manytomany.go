@@ -347,6 +347,19 @@ func (m *DijkstraMtM) Table(a *TableArena, sources, targets []roadnet.VertexID) 
 // The returned filler reads only the tier's immutable arrays and may run
 // concurrently with point queries against the same tier.
 func ManyToManyFor(o Oracle) ManyToMany {
+	switch x := tierOf(o).(type) {
+	case *HubLabels:
+		return &HubMtM{h: x}
+	case *CH:
+		return &BucketMtM{ch: x}
+	}
+	return nil
+}
+
+// tierOf strips the counting, locking and caching shims off o and returns
+// the oracle underneath. An epoch front (Versioned) is not a shim: the tier
+// behind it changes with every traffic epoch.
+func tierOf(o Oracle) Oracle {
 	for {
 		switch x := o.(type) {
 		case *Counting:
@@ -359,12 +372,8 @@ func ManyToManyFor(o Oracle) ManyToMany {
 			o = x.inner
 		case *ShardedCached:
 			o = x.inner
-		case *HubLabels:
-			return &HubMtM{h: x}
-		case *CH:
-			return &BucketMtM{ch: x}
 		default:
-			return nil
+			return o
 		}
 	}
 }

@@ -439,6 +439,51 @@ func TestCachedOracleCorrectAndCounts(t *testing.T) {
 	}
 }
 
+// TestCachedDeclinesLabelTier: over a CCH, bare or behind the counting and
+// locking shims, NewCached keeps no LRU and forwards every query, counting
+// each as a miss; over every other tier — an epoch front whose current
+// tier is a CCH included — it caches and hits as before.
+func TestCachedDeclinesLabelTier(t *testing.T) {
+	g := testGraph(t, 8, 8, 5)
+	n := g.NumVertices()
+	cch := BuildCCH(g)
+	for _, c := range []struct {
+		name     string
+		oracle   Oracle
+		forwards bool
+	}{
+		{"cch", cch, true},
+		{"Counting(cch)", NewCounting(cch), true},
+		{"Locked(cch)", NewLocked(cch), true},
+		{"hub", BuildHubLabels(g), false},
+		{"bidijkstra", NewBiDijkstra(g), false},
+		{"Versioned(cch)", NewVersioned(g, AutoBudget{MaxCCHVertices: n, MaxCHVertices: n}, false), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cached := NewCached(c.oracle, 128)
+			if forwards := cached.cache == nil; forwards != c.forwards {
+				t.Fatalf("forwards without an LRU = %v, want %v", forwards, c.forwards)
+			}
+			rng := rand.New(rand.NewSource(12))
+			const queries = 500
+			for q := 0; q < queries; q++ {
+				s := roadnet.VertexID(rng.Intn(n / 3)) // small ID range forces repeats
+				d := s + 1 + roadnet.VertexID(rng.Intn(n/3))
+				if got, want := cached.Dist(s, d), cch.Dist(s, d); math.Abs(got-want) > 1e-9*(1+want) {
+					t.Fatalf("Dist(%d,%d) = %v, want %v", s, d, got, want)
+				}
+			}
+			hits, misses := cached.Stats()
+			if hits+misses != queries {
+				t.Fatalf("%d hits + %d misses over %d queries", hits, misses, queries)
+			}
+			if c.forwards != (hits == 0) {
+				t.Fatalf("%d hits; a forwarding cache has none, an LRU over this stream must", hits)
+			}
+		})
+	}
+}
+
 func BenchmarkDijkstraQuery(b *testing.B) {
 	g := testGraph(b, 40, 40, 1)
 	d := NewDijkstra(g)

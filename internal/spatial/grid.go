@@ -27,16 +27,29 @@ type ItemID = int32
 // harnesses (the race suite's Candidates-under-load test) and a future
 // pipelined dispatcher safe. Callbacks run under the read lock and must
 // not call Insert or Remove.
+//
+// Each cell stores its items in a slice, so a range query reads
+// contiguous (id, position) slots; where maps an item to its slot, and
+// removal moves the cell's last slot into the hole. Iteration follows slot
+// order, which depends only on the sequence of Insert and Remove calls.
 type Grid struct {
-	mu     sync.RWMutex
-	min    geo.Point
-	cell   float64
-	cols   int
-	rows   int
-	items  []map[ItemID]geo.Point // cell -> items inside with their position
-	where  map[ItemID]int         // item -> cell index
-	nItems int
+	mu    sync.RWMutex
+	min   geo.Point
+	cell  float64
+	cols  int
+	rows  int
+	items [][]slot          // cell -> the items inside
+	where map[ItemID]slotAt // item -> its slot
 }
+
+// slot is one indexed item and its stored position.
+type slot struct {
+	id  ItemID
+	pos geo.Point
+}
+
+// slotAt locates a slot: items[cell][idx].
+type slotAt struct{ cell, idx int32 }
 
 // NewGrid builds a grid over bounds with the given cell size in meters.
 func NewGrid(bounds geo.BBox, cellMeters float64) (*Grid, error) {
@@ -50,8 +63,8 @@ func NewGrid(bounds geo.BBox, cellMeters float64) (*Grid, error) {
 		cell:  cellMeters,
 		cols:  cols,
 		rows:  rows,
-		items: make([]map[ItemID]geo.Point, cols*rows),
-		where: make(map[ItemID]int),
+		items: make([][]slot, cols*rows),
+		where: make(map[ItemID]slotAt),
 	}
 	return g, nil
 }
@@ -66,7 +79,7 @@ func (g *Grid) NumCells() int { return g.cols * g.rows }
 func (g *Grid) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.nItems
+	return len(g.where)
 }
 
 func (g *Grid) cellOf(p geo.Point) int {
@@ -99,8 +112,8 @@ func (g *Grid) ItemsInCell(cell int, fn func(id ItemID, pos geo.Point) bool) {
 	if cell < 0 || cell >= len(g.items) {
 		return
 	}
-	for id, pos := range g.items[cell] {
-		if !fn(id, pos) {
+	for _, s := range g.items[cell] {
+		if !fn(s.id, s.pos) {
 			return
 		}
 	}
@@ -121,30 +134,36 @@ func (g *Grid) Insert(id ItemID, p geo.Point) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	c := g.cellOf(p)
-	if old, ok := g.where[id]; ok {
-		if old == c {
-			g.items[old][id] = p
+	if at, ok := g.where[id]; ok {
+		if int(at.cell) == c {
+			g.items[c][at.idx].pos = p
 			return
 		}
-		delete(g.items[old], id)
-		g.nItems--
+		g.vacate(at)
 	}
-	if g.items[c] == nil {
-		g.items[c] = make(map[ItemID]geo.Point, 4)
+	g.where[id] = slotAt{cell: int32(c), idx: int32(len(g.items[c]))}
+	g.items[c] = append(g.items[c], slot{id: id, pos: p})
+}
+
+// vacate empties slot at by moving its cell's last slot into it; the
+// caller re-points or deletes the vacated item's where entry.
+func (g *Grid) vacate(at slotAt) {
+	cell := g.items[at.cell]
+	last := len(cell) - 1
+	if int(at.idx) != last {
+		cell[at.idx] = cell[last]
+		g.where[cell[at.idx].id] = at
 	}
-	g.items[c][id] = p
-	g.where[id] = c
-	g.nItems++
+	g.items[at.cell] = cell[:last]
 }
 
 // Remove deletes item id; it is a no-op if absent.
 func (g *Grid) Remove(id ItemID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if c, ok := g.where[id]; ok {
-		delete(g.items[c], id)
+	if at, ok := g.where[id]; ok {
+		g.vacate(at)
 		delete(g.where, id)
-		g.nItems--
 	}
 }
 
@@ -152,12 +171,11 @@ func (g *Grid) Remove(id ItemID) {
 func (g *Grid) Position(id ItemID) (geo.Point, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	c, ok := g.where[id]
+	at, ok := g.where[id]
 	if !ok {
 		return geo.Point{}, false
 	}
-	p, ok := g.items[c][id]
-	return p, ok
+	return g.items[at.cell][at.idx].pos, true
 }
 
 // Within calls fn for every item whose stored position lies within
@@ -188,9 +206,9 @@ func (g *Grid) Within(p geo.Point, radiusMeters float64, fn func(id ItemID, pos 
 	r2 := radiusMeters * radiusMeters
 	for cy := loY; cy <= hiY; cy++ {
 		for cx := loX; cx <= hiX; cx++ {
-			for id, pos := range g.items[cy*g.cols+cx] {
-				if p.DistSq(pos) <= r2 {
-					if !fn(id, pos) {
+			for _, s := range g.items[cy*g.cols+cx] {
+				if p.DistSq(s.pos) <= r2 {
+					if !fn(s.id, s.pos) {
 						return
 					}
 				}
@@ -199,13 +217,16 @@ func (g *Grid) Within(p geo.Point, radiusMeters float64, fn func(id ItemID, pos 
 	}
 }
 
-// All calls fn for every indexed item. Iteration stops if fn returns false.
+// All calls fn for every indexed item, cell by cell. Iteration stops if fn
+// returns false.
 func (g *Grid) All(fn func(id ItemID, pos geo.Point) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for id, c := range g.where {
-		if !fn(id, g.items[c][id]) {
-			return
+	for _, cell := range g.items {
+		for _, s := range cell {
+			if !fn(s.id, s.pos) {
+				return
+			}
 		}
 	}
 }
@@ -216,15 +237,14 @@ func (g *Grid) All(fn func(id ItemID, pos geo.Point) bool) {
 func (g *Grid) MemoryBytes() int64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	// Cell slice headers + map headers, ~48 bytes per non-nil cell map, and
-	// ~40 bytes per stored item (key+value+overhead in two maps).
-	total := int64(len(g.items)) * 8
-	for _, m := range g.items {
-		if m != nil {
-			total += 48
-		}
+	// A 24-byte slice header per cell; 24 bytes per allocated slot (4-byte
+	// id padded to 8, 16-byte position); and ~16 bytes per item in where
+	// (4-byte key, 8-byte slotAt, map bucket overhead).
+	total := int64(len(g.items)) * 24
+	for _, cell := range g.items {
+		total += int64(cap(cell)) * 24
 	}
-	total += int64(g.nItems) * 40
+	total += int64(len(g.where)) * 16
 	return total
 }
 

@@ -96,6 +96,93 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestGridMatchesMapModel drives random inserts, moves (within and across
+// cells, out of bounds included) and removals against a plain map and
+// checks after every step that Len and Position agree, and every few
+// steps that Within, All and ItemsInCell report the model's items as sets.
+func TestGridMatchesMapModel(t *testing.T) {
+	g, err := NewGrid(bounds10km(), 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(28))
+	model := map[ItemID]geo.Point{}
+	point := func() geo.Point {
+		return geo.Point{X: rng.Float64()*12000 - 1000, Y: rng.Float64()*12000 - 1000}
+	}
+	type item struct {
+		id  ItemID
+		pos geo.Point
+	}
+	sorted := func(items []item) []item {
+		sort.Slice(items, func(i, j int) bool { return items[i].id < items[j].id })
+		return items
+	}
+	collect := func(visit func(fn func(ItemID, geo.Point) bool)) []item {
+		var got []item
+		visit(func(id ItemID, pos geo.Point) bool {
+			got = append(got, item{id, pos})
+			return true
+		})
+		return sorted(got)
+	}
+	want := func(keep func(geo.Point) bool) []item {
+		var w []item
+		for id, p := range model {
+			if keep(p) {
+				w = append(w, item{id, p})
+			}
+		}
+		return sorted(w)
+	}
+	same := func(step int, what string, got, want []item) {
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %s has %d items, model %d", step, what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: %s item %d is %v, model %v", step, what, i, got[i], want[i])
+			}
+		}
+	}
+
+	for step := 0; step < 20000; step++ {
+		id := ItemID(rng.Intn(300))
+		switch op := rng.Intn(10); {
+		case op < 2:
+			g.Remove(id)
+			delete(model, id)
+		case op < 4:
+			if p, ok := model[id]; ok { // a short move, usually within the cell
+				p.X += rng.Float64()*200 - 100
+				g.Insert(id, p)
+				model[id] = p
+			}
+		default:
+			p := point()
+			g.Insert(id, p)
+			model[id] = p
+		}
+		if g.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, model %d", step, g.Len(), len(model))
+		}
+		p, ok := g.Position(id)
+		if mp, mok := model[id]; ok != mok || p != mp {
+			t.Fatalf("step %d: Position(%d) = %v %v, model %v %v", step, id, p, ok, mp, mok)
+		}
+		if step%50 != 0 {
+			continue
+		}
+		same(step, "All", collect(g.All), want(func(geo.Point) bool { return true }))
+		q, r := point(), rng.Float64()*4000
+		same(step, "Within", collect(func(fn func(ItemID, geo.Point) bool) { g.Within(q, r, fn) }),
+			want(func(p geo.Point) bool { return q.DistSq(p) <= r*r }))
+		c := g.CellIndex(q)
+		same(step, "ItemsInCell", collect(func(fn func(ItemID, geo.Point) bool) { g.ItemsInCell(c, fn) }),
+			want(func(p geo.Point) bool { return g.CellIndex(p) == c }))
+	}
+}
+
 func TestWithinEarlyStop(t *testing.T) {
 	g, _ := NewGrid(bounds10km(), 1000)
 	for i := ItemID(0); i < 50; i++ {
