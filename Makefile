@@ -21,11 +21,11 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # Full benchmark suite (regenerates the paper's tables and figures), then
-# the developer benchmarks that decompose the simulator's leg search and
-# the distance cache's per-epoch flush.
+# the developer benchmarks that decompose the simulator's leg search, the
+# distance cache's per-epoch flush and the CCH skeleton build.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-	$(GO) test -run xxx -bench 'BenchmarkLegPath|BenchmarkLRUFlush' -benchmem ./internal/shortest
+	$(GO) test -run xxx -bench 'BenchmarkLegPath|BenchmarkLRUFlush|BenchmarkCCHSkeletonBuild' -benchmem ./internal/shortest
 	$(GO) test -run xxx -bench 'BenchmarkEngineRunChunked' -benchmem ./internal/sim
 
 # Headline benchmarks -> JSON trajectory artifact (BENCH_PR10.json).
@@ -49,8 +49,9 @@ golden:
 
 # Short fuzz pass over the untrusted-input parsers (roadnet text, DIMACS,
 # traffic profiles, workload stream, trip CSV, serve snapshot + request
-# bodies), the CCH customization equivalence invariant and the landmark leg
-# search. `go test` alone replays only the seed corpus.
+# bodies), the CCH skeleton build against its map-based reference, the CCH
+# customization equivalence invariant and the landmark leg search. `go test`
+# alone replays only the seed corpus.
 fuzz:
 	$(GO) test -fuzz FuzzRead$$ -fuzztime 10s ./internal/roadnet
 	$(GO) test -fuzz FuzzLoadDIMACS -fuzztime 10s ./internal/roadnet
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadTripCSV -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzRequestBody -fuzztime 10s ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzCCHSkeleton -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzCCHCustomize -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzLegPath -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzReadWAL -fuzztime 10s ./internal/wal

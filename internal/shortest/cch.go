@@ -19,7 +19,8 @@ package shortest
 // BenchmarkDistUnderRebuild advance=customize-cch vs advance=rebuild-ch).
 //
 // Determinism is load-bearing (DESIGN.md §12): the skeleton is built in a
-// canonical order (sorted adjacency, vertex-ID tie-breaks), every
+// canonical order (order-free fill-in counts, vertex-ID tie-breaks,
+// rank-sorted upward arcs), every
 // customization seeds and relaxes arcs in the same fixed order, and a
 // query composes a shortest-path sum over the same arcs every epoch — so
 // two processes that built the skeleton independently return bit-identical
@@ -27,12 +28,12 @@ package shortest
 // repo's replay-equivalence guarantee across traffic epochs.
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/roadnet"
@@ -121,10 +122,75 @@ const cchParallelMinTriples = 3 * 65536
 // fanned out.
 const cchParallelMinLevel = 3 * 4096
 
-// cchUpArc is an upward arc recorded at contraction time.
-type cchUpArc struct {
+// cchArc is an edge of the contraction graph as seen from one endpoint:
+// the neighbour, and the vertex whose contraction created the edge (-1 for
+// original edges). Once its owner is contracted it is an upward arc.
+type cchArc struct {
 	to  roadnet.VertexID
 	via roadnet.VertexID
+}
+
+// cchPrio is a contraction-queue entry. Entries order by (prio, v), a
+// strict total order because v is unique.
+type cchPrio struct {
+	prio int
+	v    roadnet.VertexID
+}
+
+func (a cchPrio) less(b cchPrio) bool {
+	return a.prio < b.prio || a.prio == b.prio && a.v < b.v
+}
+
+// cchQueue is a binary min-heap of cchPrio entries.
+type cchQueue []cchPrio
+
+func (q cchQueue) init() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// down sifts q[i] toward the leaves until neither child orders before it.
+func (q cchQueue) down(i int) {
+	it := q[i]
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].less(q[c]) {
+			c++
+		}
+		if !q[c].less(it) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = it
+}
+
+// pop removes the top entry.
+func (q *cchQueue) pop() {
+	h := *q
+	last := len(h) - 1
+	h[0] = h[last]
+	*q = h[:last]
+	if last > 0 {
+		(*q).down(0)
+	}
+}
+
+// nextPrio is the smallest priority below the top, which sits in one of
+// the root's children; ok is false when the top is the only entry.
+func (q cchQueue) nextPrio() (prio int, ok bool) {
+	switch len(q) {
+	case 0, 1:
+		return 0, false
+	case 2:
+		return q[1].prio, true
+	}
+	return min(q[1].prio, q[2].prio), true
 }
 
 // BuildCCHSkeleton contracts g's topology in a canonical
@@ -135,15 +201,17 @@ type cchUpArc struct {
 // graph shares it.
 func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 	n := g.NumVertices()
-	// Topology-only working graph: neighbor -> vertex whose contraction
-	// created the edge (-1 for original edges).
-	adj := make([]map[roadnet.VertexID]roadnet.VertexID, n)
-	for v := 0; v < n; v++ {
-		adj[v] = make(map[roadnet.VertexID]roadnet.VertexID, g.Degree(roadnet.VertexID(v))+2)
-	}
-	for _, e := range g.Edges() {
-		adj[e.U][e.V] = -1
-		adj[e.V][e.U] = -1
+	// Topology-only contraction graph: each vertex's uncontracted
+	// neighbours, in no particular order. roadnet.Build rejects self-loops
+	// and duplicate edges, and chordal completion adds only missing edges,
+	// so no list ever holds a vertex twice.
+	adj := make([][]cchArc, n)
+	for v := range adj {
+		to, _ := g.Arcs(roadnet.VertexID(v))
+		adj[v] = make([]cchArc, len(to))
+		for i, u := range to {
+			adj[v][i] = cchArc{to: u, via: -1}
+		}
 	}
 
 	sk := &CCHSkeleton{
@@ -152,86 +220,93 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 		rank:     make([]int32, n),
 		order:    make([]roadnet.VertexID, n),
 	}
-	contracted := make([]bool, n)
 	neighborsContracted := make([]int32, n)
-	upNbrs := make([][]cchUpArc, n)
+	// mark[x] == stamp flags x as a member of the set being tested against;
+	// bumping stamp empties the set.
+	mark := make([]uint32, n)
+	stamp := uint32(0)
 
-	var nbBuf []roadnet.VertexID
 	// fillIn counts the shortcut edges contracting v would add right now:
-	// pairs of uncontracted neighbors not yet adjacent. A pure count, so
-	// map iteration order cannot leak into the priority.
+	// pairs of v's neighbours not yet adjacent. Each adjacent pair is seen
+	// once from either end, and the count does not depend on list order.
 	fillIn := func(v roadnet.VertexID) int {
-		nbBuf = nbBuf[:0]
-		for u := range adj[v] {
-			nbBuf = append(nbBuf, u)
+		stamp++
+		for _, a := range adj[v] {
+			mark[a.to] = stamp
 		}
-		cnt := 0
-		for i, u := range nbBuf {
-			for _, x := range nbBuf[i+1:] {
-				if _, ok := adj[u][x]; !ok {
-					cnt++
+		linked := 0
+		for _, a := range adj[v] {
+			for _, b := range adj[a.to] {
+				if mark[b.to] == stamp {
+					linked++
 				}
 			}
 		}
-		return cnt
+		d := len(adj[v])
+		return d*(d-1)/2 - linked/2
 	}
 
-	pq := make(chPrioQueue, 0, n)
-	for v := 0; v < n; v++ {
-		prio := float64(fillIn(roadnet.VertexID(v)) - len(adj[v]))
-		pq = append(pq, chPrioItem{v: roadnet.VertexID(v), prio: prio})
+	// Every uncontracted vertex has exactly one entry, so the keys are
+	// distinct and the top is the unique minimum: the contraction order is
+	// a function of the keys alone, not of how the heap arranges them.
+	// Priorities are integers, so `prio > next` is the test BuildCH writes
+	// as the float `prio > next+1e-9`.
+	pq := make(cchQueue, n)
+	for v := range pq {
+		pq[v] = cchPrio{prio: fillIn(roadnet.VertexID(v)) - len(adj[v]), v: roadnet.VertexID(v)}
 	}
-	heap.Init(&pq)
+	pq.init()
 
-	nextRank := int32(0)
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(chPrioItem)
-		v := it.v
-		if contracted[v] {
+	for r := int32(0); len(pq) > 0; {
+		v := pq[0].v
+		// Lazy update, same discipline as BuildCH: a vertex whose fresh
+		// priority exceeds the next key goes back under that priority.
+		prio := fillIn(v) - len(adj[v]) + 2*int(neighborsContracted[v])
+		if next, ok := pq.nextPrio(); ok && prio > next {
+			pq[0].prio = prio
+			pq.down(0)
 			continue
 		}
-		// Lazy update, same discipline as BuildCH.
-		prio := float64(fillIn(v)-len(adj[v])) + 2*float64(neighborsContracted[v])
-		if pq.Len() > 0 && prio > pq[0].prio+1e-9 {
-			heap.Push(&pq, chPrioItem{v: v, prio: prio})
-			continue
-		}
-		sk.rank[v] = nextRank
-		sk.order[nextRank] = v
-		nextRank++
-		// Snapshot v's neighbors in sorted order; all of them outrank v
-		// (they contract later), so they become v's upward arcs.
-		nbBuf = nbBuf[:0]
-		for u := range adj[v] {
-			nbBuf = append(nbBuf, u)
-		}
-		sort.Slice(nbBuf, func(i, j int) bool { return nbBuf[i] < nbBuf[j] })
-		for _, u := range nbBuf {
-			upNbrs[v] = append(upNbrs[v], cchUpArc{to: u, via: adj[v][u]})
-		}
-		// Chordal completion: every pair of neighbors becomes adjacent.
-		for i, u := range nbBuf {
-			for _, x := range nbBuf[i+1:] {
-				if _, ok := adj[u][x]; !ok {
-					adj[u][x] = v
-					adj[x][u] = v
+		pq.pop()
+		sk.rank[v] = r
+		sk.order[r] = v
+		r++
+		// All of v's neighbours outrank it (they contract later), so adj[v]
+		// becomes its upward arcs, frozen as is; v leaves every neighbour's
+		// list and the neighbours become a clique.
+		nb := adj[v]
+		for i, a := range nb {
+			u := a.to
+			neighborsContracted[u]++
+			// Walking backwards, the tail entry swapped into v's slot has
+			// already been marked.
+			stamp++
+			l := adj[u]
+			for k := len(l) - 1; k >= 0; k-- {
+				if l[k].to == v {
+					l[k] = l[len(l)-1]
+					l = l[:len(l)-1]
+				} else {
+					mark[l[k].to] = stamp
+				}
+			}
+			for _, b := range nb[i+1:] {
+				if x := b.to; mark[x] != stamp {
+					l = append(l, cchArc{to: x, via: v})
+					adj[x] = append(adj[x], cchArc{to: u, via: v})
 					sk.shortcutArcs++
 				}
 			}
+			adj[u] = l
 		}
-		contracted[v] = true
-		for _, u := range nbBuf {
-			delete(adj[u], v)
-			neighborsContracted[u]++
-		}
-		adj[v] = nil
 	}
 
 	// Freeze the upward arcs into CSR, sorted by target rank so the
 	// triangle precompute below can pair arcs (i, j) with i < j and know
-	// upTo[i] is the lower-ranked corner.
+	// upTo[i] is the lower-ranked corner. A shortcut joins two vertices
+	// that were not adjacent, so only original edges have a base arc.
 	total := 0
-	for _, l := range upNbrs {
+	for _, l := range adj {
 		total += len(l)
 	}
 	sk.upStart = make([]int32, n+1)
@@ -241,15 +316,18 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 	pos := int32(0)
 	for v := 0; v < n; v++ {
 		sk.upStart[v] = pos
-		l := upNbrs[v]
-		sort.Slice(l, func(i, j int) bool { return sk.rank[l[i].to] < sk.rank[l[j].to] })
+		l := adj[v]
+		slices.SortFunc(l, func(a, b cchArc) int { return cmp.Compare(sk.rank[a.to], sk.rank[b.to]) })
 		for _, a := range l {
 			sk.upTo[pos] = a.to
 			sk.upVia[pos] = a.via
-			sk.upBase[pos] = g.ArcIndex(roadnet.VertexID(v), a.to)
+			sk.upBase[pos] = -1
+			if a.via < 0 {
+				sk.upBase[pos] = g.ArcIndex(roadnet.VertexID(v), a.to)
+			}
 			pos++
 		}
-		upNbrs[v] = nil
+		adj[v] = nil
 	}
 	sk.upStart[n] = pos
 
@@ -297,60 +375,68 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 
 	// Lower-triangle enumeration in bottom-up apex order: when the sweep
 	// reaches apex w, every arc leaving a vertex ranked below w is final,
-	// so relaxing (upTo[i], upTo[j]) via w is sound.
-	var keys []int32
-	for r := 0; r < n; r++ {
-		w := sk.order[r]
-		for i := sk.upStart[w]; i < sk.upStart[w+1]; i++ {
-			for j := i + 1; j < sk.upStart[w+1]; j++ {
-				c := sk.arcBetween(sk.upTo[i], sk.upTo[j])
-				if c < 0 {
-					// Impossible by chordal completion; fail loudly rather
-					// than silently customizing a broken skeleton.
-					panic(fmt.Sprintf("shortest: CCH skeleton missing chordal arc (%d,%d)", sk.upTo[i], sk.upTo[j]))
-				}
-				sk.tri = append(sk.tri, c, i, j)
-				keys = append(keys, level[w]*cchCustomizeShards+c%cchCustomizeShards)
-			}
-		}
+	// so relaxing (upTo[i], upTo[j]) via w is sound. Apex w has
+	// C(updeg(w), 2) triangles, which sizes every array exactly. The first
+	// pass finds each triangle's chordal arc c and counts the (level,
+	// shard) groups; the second replays the same (apex, i, j) order and
+	// places each triple at its group's cursor — a stable counting sort,
+	// so within a group the apex-rank order is preserved and the layout,
+	// and therefore every sweep over it, stays canonical.
+	ntri := 0
+	for v := 0; v < n; v++ {
+		d := int(sk.upStart[v+1] - sk.upStart[v])
+		ntri += d * (d - 1) / 2
 	}
-
-	// Stable counting sort of the triples into (level, shard) groups.
-	// Within a group the apex-rank order above is preserved, so the
-	// layout — and therefore every sweep over it — stays canonical.
 	ngroups := sk.numLevels * cchCustomizeShards
 	sk.triOff = make([]int32, ngroups+1)
-	for _, k := range keys {
-		sk.triOff[k+1]++
+	chord := make([]int32, 0, ntri)
+	for r := 0; r < n; r++ {
+		w := sk.order[r]
+		lo, hi := sk.upStart[w], sk.upStart[w+1]
+		base := level[w] * cchCustomizeShards
+		for i := lo; i < hi; i++ {
+			// up(upTo[i]) and upTo[i+1:hi] are both in rank order and the
+			// second is a subset of the first (chordal completion), so one
+			// pointer walks up(upTo[i]) while j rises.
+			u := sk.upTo[i]
+			p, end := sk.upStart[u], sk.upStart[u+1]
+			for j := i + 1; j < hi; j++ {
+				for p < end && sk.upTo[p] != sk.upTo[j] {
+					p++
+				}
+				if p == end {
+					// Impossible by chordal completion; fail loudly rather
+					// than silently customizing a broken skeleton.
+					panic(fmt.Sprintf("shortest: CCH skeleton missing chordal arc (%d,%d)", u, sk.upTo[j]))
+				}
+				chord = append(chord, p)
+				sk.triOff[base+p%cchCustomizeShards+1]++
+			}
+		}
 	}
 	for i := 1; i <= ngroups; i++ {
 		sk.triOff[i] += sk.triOff[i-1]
 	}
-	sorted := make([]int32, len(sk.tri))
 	cursor := make([]int32, ngroups)
 	copy(cursor, sk.triOff[:ngroups])
-	for t, k := range keys {
-		p := cursor[k]
-		cursor[k] = p + 1
-		copy(sorted[p*3:p*3+3], sk.tri[t*3:t*3+3])
-	}
-	sk.tri = sorted
-	return sk
-}
-
-// arcBetween returns the index of the upward arc from the lower-ranked of
-// u, x to the higher-ranked, or -1 if absent.
-func (sk *CCHSkeleton) arcBetween(u, x roadnet.VertexID) int32 {
-	lo, hi := u, x
-	if sk.rank[lo] > sk.rank[hi] {
-		lo, hi = hi, lo
-	}
-	for i := sk.upStart[lo]; i < sk.upStart[lo+1]; i++ {
-		if sk.upTo[i] == hi {
-			return i
+	sk.tri = make([]int32, 3*ntri)
+	t := 0
+	for r := 0; r < n; r++ {
+		w := sk.order[r]
+		lo, hi := sk.upStart[w], sk.upStart[w+1]
+		base := level[w] * cchCustomizeShards
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				c := chord[t]
+				t++
+				k := base + c%cchCustomizeShards
+				p := 3 * cursor[k]
+				cursor[k]++
+				sk.tri[p], sk.tri[p+1], sk.tri[p+2] = c, i, j
+			}
 		}
 	}
-	return -1
+	return sk
 }
 
 // buildLCA lays out the elimination forest for constant-time lowest

@@ -1,10 +1,13 @@
 package shortest
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -76,6 +79,286 @@ func TestCCHSkeletonDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.tri, b.tri) {
 		t.Fatal("triangle enumeration differs between builds")
 	}
+}
+
+// buildCCHSkeletonMaps is the skeleton build BuildCCHSkeleton ran before it
+// had slice adjacency: map-based contraction graph, container/heap over
+// chPrioQueue, neighbours snapshotted in sorted order, an arcBetween scan
+// per triangle and a counting sort by copy. It is the reference the
+// slice-based build must reproduce field for field.
+func buildCCHSkeletonMaps(g *roadnet.Graph) *CCHSkeleton {
+	n := g.NumVertices()
+	adj := make([]map[roadnet.VertexID]roadnet.VertexID, n)
+	for v := 0; v < n; v++ {
+		adj[v] = make(map[roadnet.VertexID]roadnet.VertexID, g.Degree(roadnet.VertexID(v))+2)
+	}
+	for _, e := range g.Edges() {
+		adj[e.U][e.V] = -1
+		adj[e.V][e.U] = -1
+	}
+
+	sk := &CCHSkeleton{
+		n:        n,
+		baseArcs: len(g.ArcCosts()),
+		rank:     make([]int32, n),
+		order:    make([]roadnet.VertexID, n),
+	}
+	contracted := make([]bool, n)
+	neighborsContracted := make([]int32, n)
+	upNbrs := make([][]cchArc, n)
+
+	var nbBuf []roadnet.VertexID
+	fillIn := func(v roadnet.VertexID) int {
+		nbBuf = nbBuf[:0]
+		for u := range adj[v] {
+			nbBuf = append(nbBuf, u)
+		}
+		cnt := 0
+		for i, u := range nbBuf {
+			for _, x := range nbBuf[i+1:] {
+				if _, ok := adj[u][x]; !ok {
+					cnt++
+				}
+			}
+		}
+		return cnt
+	}
+
+	pq := make(chPrioQueue, 0, n)
+	for v := 0; v < n; v++ {
+		prio := float64(fillIn(roadnet.VertexID(v)) - len(adj[v]))
+		pq = append(pq, chPrioItem{v: roadnet.VertexID(v), prio: prio})
+	}
+	heap.Init(&pq)
+
+	nextRank := int32(0)
+	for pq.Len() > 0 {
+		it := heap.Pop(&pq).(chPrioItem)
+		v := it.v
+		if contracted[v] {
+			continue
+		}
+		prio := float64(fillIn(v)-len(adj[v])) + 2*float64(neighborsContracted[v])
+		if pq.Len() > 0 && prio > pq[0].prio+1e-9 {
+			heap.Push(&pq, chPrioItem{v: v, prio: prio})
+			continue
+		}
+		sk.rank[v] = nextRank
+		sk.order[nextRank] = v
+		nextRank++
+		nbBuf = nbBuf[:0]
+		for u := range adj[v] {
+			nbBuf = append(nbBuf, u)
+		}
+		sort.Slice(nbBuf, func(i, j int) bool { return nbBuf[i] < nbBuf[j] })
+		for _, u := range nbBuf {
+			upNbrs[v] = append(upNbrs[v], cchArc{to: u, via: adj[v][u]})
+		}
+		for i, u := range nbBuf {
+			for _, x := range nbBuf[i+1:] {
+				if _, ok := adj[u][x]; !ok {
+					adj[u][x] = v
+					adj[x][u] = v
+					sk.shortcutArcs++
+				}
+			}
+		}
+		contracted[v] = true
+		for _, u := range nbBuf {
+			delete(adj[u], v)
+			neighborsContracted[u]++
+		}
+		adj[v] = nil
+	}
+
+	total := 0
+	for _, l := range upNbrs {
+		total += len(l)
+	}
+	sk.upStart = make([]int32, n+1)
+	sk.upTo = make([]roadnet.VertexID, total)
+	sk.upVia = make([]roadnet.VertexID, total)
+	sk.upBase = make([]int32, total)
+	pos := int32(0)
+	for v := 0; v < n; v++ {
+		sk.upStart[v] = pos
+		l := upNbrs[v]
+		sort.Slice(l, func(i, j int) bool { return sk.rank[l[i].to] < sk.rank[l[j].to] })
+		for _, a := range l {
+			sk.upTo[pos] = a.to
+			sk.upVia[pos] = a.via
+			sk.upBase[pos] = g.ArcIndex(roadnet.VertexID(v), a.to)
+			pos++
+		}
+	}
+	sk.upStart[n] = pos
+
+	sk.parent = make([]roadnet.VertexID, n)
+	sk.depth = make([]int32, n)
+	for r := n - 1; r >= 0; r-- {
+		v := sk.order[r]
+		sk.parent[v] = -1
+		if sk.upStart[v] < sk.upStart[v+1] {
+			p := sk.upTo[sk.upStart[v]]
+			sk.parent[v] = p
+			sk.depth[v] = sk.depth[p] + 1
+			sk.maxDepth = max(sk.maxDepth, sk.depth[v])
+		}
+	}
+	sk.upDepth = make([]int32, total)
+	for i, x := range sk.upTo {
+		sk.upDepth[i] = sk.depth[x]
+	}
+	sk.buildLCA()
+
+	level := make([]int32, n)
+	maxLevel := int32(0)
+	for r := 0; r < n; r++ {
+		v := sk.order[r]
+		lv := level[v] + 1
+		for i := sk.upStart[v]; i < sk.upStart[v+1]; i++ {
+			if x := sk.upTo[i]; level[x] < lv {
+				level[x] = lv
+			}
+		}
+		if level[v] > maxLevel {
+			maxLevel = level[v]
+		}
+	}
+	sk.numLevels = int(maxLevel) + 1
+
+	var keys []int32
+	for r := 0; r < n; r++ {
+		w := sk.order[r]
+		for i := sk.upStart[w]; i < sk.upStart[w+1]; i++ {
+			for j := i + 1; j < sk.upStart[w+1]; j++ {
+				c := sk.arcBetween(sk.upTo[i], sk.upTo[j])
+				if c < 0 {
+					panic(fmt.Sprintf("reference CCH skeleton missing chordal arc (%d,%d)", sk.upTo[i], sk.upTo[j]))
+				}
+				sk.tri = append(sk.tri, c, i, j)
+				keys = append(keys, level[w]*cchCustomizeShards+c%cchCustomizeShards)
+			}
+		}
+	}
+
+	ngroups := sk.numLevels * cchCustomizeShards
+	sk.triOff = make([]int32, ngroups+1)
+	for _, k := range keys {
+		sk.triOff[k+1]++
+	}
+	for i := 1; i <= ngroups; i++ {
+		sk.triOff[i] += sk.triOff[i-1]
+	}
+	sorted := make([]int32, len(sk.tri))
+	cursor := make([]int32, ngroups)
+	copy(cursor, sk.triOff[:ngroups])
+	for t, k := range keys {
+		p := cursor[k]
+		cursor[k] = p + 1
+		copy(sorted[p*3:p*3+3], sk.tri[t*3:t*3+3])
+	}
+	sk.tri = sorted
+	return sk
+}
+
+// arcBetween returns the index of the upward arc from the lower-ranked of
+// u, x to the higher-ranked, or -1 if absent.
+func (sk *CCHSkeleton) arcBetween(u, x roadnet.VertexID) int32 {
+	lo, hi := u, x
+	if sk.rank[lo] > sk.rank[hi] {
+		lo, hi = hi, lo
+	}
+	for i := sk.upStart[lo]; i < sk.upStart[lo+1]; i++ {
+		if sk.upTo[i] == hi {
+			return i
+		}
+	}
+	return -1
+}
+
+// chengduGraph generates the benchmark's city at the given scale (2.4k
+// vertices at 0.2, 5.9k at 0.5).
+func chengduGraph(tb testing.TB, scale float64) *roadnet.Graph {
+	tb.Helper()
+	g, err := roadnet.Generate(workload.ChengduLike(scale).Net)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// TestCCHSkeletonMatchesMapReference pins the slice-based build to the
+// map-based one it replaced: every field of the skeleton — order, arcs,
+// elimination tree, LCA index, triangles and their groups — must be
+// reflect.DeepEqual on grids, on disconnected networks (two islands; a
+// forest of three grids and five isolated vertices) and on the
+// benchmark's city at three scales.
+func TestCCHSkeletonMatchesMapReference(t *testing.T) {
+	nets := []struct {
+		name string
+		g    *roadnet.Graph
+	}{
+		{"grid6x6", testGraph(t, 6, 6, 3)},
+		{"grid14x14", testGraph(t, 14, 14, 99)},
+		{"grid16x20", testGraph(t, 16, 20, 15)},
+		{"grid30x30", testGraph(t, 30, 30, 4)},
+		{"twoIslands", twoIslands(t)},
+		{"forest", islands(t, 5, testGraph(t, 6, 7, 1), testGraph(t, 5, 5, 2), testGraph(t, 4, 9, 3))},
+		{"chengdu0.02", chengduGraph(t, 0.02)},
+		{"chengdu0.2", chengduGraph(t, 0.2)},
+		{"chengdu0.5", chengduGraph(t, 0.5)},
+	}
+	for _, nt := range nets {
+		got, want := BuildCCHSkeleton(nt.g), buildCCHSkeletonMaps(nt.g)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (%d vertices): skeleton differs from the map-based reference (%d vs %d shortcuts, %d vs %d triangles)",
+				nt.name, nt.g.NumVertices(), got.Shortcuts(), want.Shortcuts(), got.Triangles(), want.Triangles())
+		}
+	}
+}
+
+// FuzzCCHSkeleton builds skeletons of arbitrary small topologies — up to
+// 40 vertices, any edge set, isolated vertices and dense cliques included
+// — with both builders and requires them equal. The first byte picks the
+// vertex count, each later byte pair an edge; self-loops and repeated
+// edges are skipped, as roadnet.Build would reject them.
+func FuzzCCHSkeleton(f *testing.F) {
+	f.Add([]byte{1})
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0})
+	f.Add([]byte{8, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{39, 3, 17, 17, 29, 29, 3, 8, 30, 30, 12, 12, 8, 0, 38, 5, 5, 21, 22})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			t.Skip()
+		}
+		n := 1 + int(data[0])%40
+		b := roadnet.NewBuilder(n, len(data)/2)
+		for v := 0; v < n; v++ {
+			b.AddVertex(geo.Point{X: float64(v % 7), Y: float64(v / 7)})
+		}
+		seen := make(map[[2]int]bool)
+		for k := 1; k+1 < len(data); k += 2 {
+			u, v := int(data[k])%n, int(data[k+1])%n
+			if u > v {
+				u, v = v, u
+			}
+			if u == v || seen[[2]int{u, v}] {
+				continue
+			}
+			seen[[2]int{u, v}] = true
+			if err := b.AddEdge(roadnet.VertexID(u), roadnet.VertexID(v), 1+float64(k), geo.Residential); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := BuildCCHSkeleton(g), buildCCHSkeletonMaps(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d vertices, %d edges: skeleton differs from the map-based reference", n, len(seen))
+		}
+	})
 }
 
 // TestCCHCustomizeMatchesFreshBuild is the fast path's equivalence
@@ -628,10 +911,7 @@ func TestCCHLCAMatchesParentWalk(t *testing.T) {
 		}
 	}
 
-	g, err := roadnet.Generate(workload.ChengduLike(0.5).Net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := chengduGraph(t, 0.5)
 	sk := BuildCCHSkeleton(g)
 	rng := rand.New(rand.NewSource(28))
 	n := g.NumVertices()
@@ -705,10 +985,24 @@ func BenchmarkCCHCustomize(b *testing.B) {
 	}
 }
 
+// BenchmarkCCHSkeletonBuild times the metric-independent preprocessing on
+// the 625-vertex grid and on the benchmark's city at 2.4k and 5.9k
+// vertices (DESIGN.md §12.2 tabulates the last two).
 func BenchmarkCCHSkeletonBuild(b *testing.B) {
-	g := testGraph(b, 25, 25, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildCCHSkeleton(g)
+	nets := []struct {
+		name string
+		g    *roadnet.Graph
+	}{
+		{"grid25x25", testGraph(b, 25, 25, 1)},
+		{"chengdu0.2", chengduGraph(b, 0.2)},
+		{"chengdu0.5", chengduGraph(b, 0.5)},
+	}
+	for _, nt := range nets {
+		b.Run(nt.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				BuildCCHSkeleton(nt.g)
+			}
+		})
 	}
 }

@@ -52,9 +52,10 @@ type chPrioQueue []chPrioItem
 func (q chPrioQueue) Len() int { return len(q) }
 
 // Less tie-breaks equal priorities on vertex ID so vertices with the same
-// edge difference contract in a canonical order — part of the BuildCH /
-// BuildCCHSkeleton determinism contract (two builds of the same graph
-// must produce byte-identical hierarchies).
+// edge difference contract in a canonical order — part of BuildCH's
+// determinism contract (two builds of the same graph must produce
+// byte-identical hierarchies); cchPrio.less is the same order for
+// BuildCCHSkeleton.
 func (q chPrioQueue) Less(i, j int) bool {
 	if q[i].prio != q[j].prio {
 		return q[i].prio < q[j].prio
