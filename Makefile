@@ -22,11 +22,13 @@ bench-smoke:
 
 # Full benchmark suite (regenerates the paper's tables and figures), then
 # the developer benchmarks that decompose the simulator's leg search, the
-# distance cache's per-epoch flush and the CCH skeleton build.
+# distance cache's per-epoch flush, the CCH skeleton build and the
+# planner on a mostly idle fleet.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkLegPath|BenchmarkLRUFlush|BenchmarkCCHSkeletonBuild' -benchmem ./internal/shortest
 	$(GO) test -run xxx -bench 'BenchmarkEngineRunChunked' -benchmem ./internal/sim
+	$(GO) test -run xxx -bench 'BenchmarkPlanIdleFleet' -benchmem ./internal/core
 
 # Headline benchmarks -> JSON trajectory artifact (BENCH_PR10.json).
 # Override: make bench-json BENCHTIME=1x BENCHOUT=/tmp/bench.json

@@ -61,8 +61,11 @@ func (ins *Insertion) clampNonNegative() Insertion {
 // insCtx carries the auxiliary arrays of §4.3 (Eq. 6–9) plus the per-stop
 // distances to the new request's origin and destination. Building it from
 // the cached route arrivals costs no distance queries for ddl/arr/slack/
-// picked; distO/distD cost 2(n+1) queries when exact (Lemma 9) or zero
+// picked; distO/distD cost 2n+1 queries when exact (Lemma 9) or zero
 // when filled with Euclidean lower bounds (decision phase, Lemma 7).
+// distD[0] = dis(l₀, d_r) is never filled: the drop-off always follows the
+// pickup, so no operator reads it (det2, deltaEqual and the DPs index
+// distD from 1).
 //
 // The arrays are owned by the enclosing Scratch and reused across
 // requests (grown, never shrunk), which is what makes the steady-state
@@ -93,7 +96,7 @@ func (c *insCtx) reset(rt *Route, kw int, req *Request, L float64) {
 	c.slack[n] = math.Inf(1)
 	for k := n - 1; k >= 0; k-- {
 		gap := rt.ddlAt(k+1) - rt.arrAt(k+1)
-		c.slack[k] = math.Min(c.slack[k+1], gap)
+		c.slack[k] = min(c.slack[k+1], gap)
 	}
 	// picked[k]: onboard load after leaving vertex k (Eq. 9).
 	c.picked[0] = rt.Onboard
@@ -102,25 +105,44 @@ func (c *insCtx) reset(rt *Route, kw int, req *Request, L float64) {
 	}
 }
 
-// fillExact populates distO/distD with exact oracle distances: 2(n+1)
-// queries. With the one L query this is the 2n+1 (paper counts l₀ among
-// the n route vertices) of Lemma 9.
+// fillExact populates distO[0..n] and distD[1..n] with exact oracle
+// distances: 2n+1 queries given L, Lemma 9's count (dis(l_k, o_r) for
+// every k, dis(l_k, d_r) for every stop k ≥ 1).
 func (c *insCtx) fillExact(dist DistFunc) {
-	for k := 0; k <= c.n; k++ {
-		v := c.rt.vertexAt(k)
+	c.distO[0] = dist(c.rt.Loc, c.req.Origin)
+	for k := 1; k <= c.n; k++ {
+		v := c.rt.Stops[k-1].Vertex
 		c.distO[k] = dist(v, c.req.Origin)
 		c.distD[k] = dist(v, c.req.Dest)
 	}
 }
 
-// fillEuclid populates distO/distD with Euclidean travel-time lower bounds:
-// zero distance queries (Lemma 7).
+// fillEuclid populates the same entries as fillExact with Euclidean
+// travel-time lower bounds: zero distance queries (Lemma 7).
 func (c *insCtx) fillEuclid(g *roadnet.Graph) {
-	for k := 0; k <= c.n; k++ {
-		v := c.rt.vertexAt(k)
+	c.distO[0] = g.EuclidTime(c.rt.Loc, c.req.Origin)
+	for k := 1; k <= c.n; k++ {
+		v := c.rt.Stops[k-1].Vertex
 		c.distO[k] = g.EuclidTime(v, c.req.Origin)
 		c.distD[k] = g.EuclidTime(v, c.req.Dest)
 	}
+}
+
+// emptyRouteDelta is linearDP at n = 0 in closed form, clamped at 0. An
+// empty route has one insertion, (0, 0): Δ = toOrigin + L (deltaEqual),
+// feasible when the request fits (feasibleEqual's capacity test, with
+// picked[0] = Onboard) and its drop-off meets e_r (the deadline test);
+// slack[0] = +Inf, so the shift test refuses only a NaN. The expressions
+// are linearDP's, operands and order included, so the bits are too. It
+// returns +Inf when infeasible. With toOrigin = EuclidTime(l₀, o_r) it is
+// the Lemma 7 bound; with the exact dis(l₀, o_r) it is the Δ* LinearDP
+// returns.
+func emptyRouteDelta(rt *Route, kw int, req *Request, toOrigin, L float64) float64 {
+	d := toOrigin + L
+	if rt.Onboard > kw-req.Capacity || rt.Now+toOrigin+L > req.Deadline+feasEps || math.IsNaN(d) {
+		return math.Inf(1)
+	}
+	return max(0, d)
 }
 
 // det1 is det(l_i, o_r, l_{i+1}) for i < n (Fig. 2c's pickup detour).

@@ -342,9 +342,9 @@ func TestStopKindString(t *testing.T) {
 	}
 }
 
-// TestLinearDPQueryCount verifies Lemma 9: the linear DP needs exactly
-// 2(n+1) distance queries given L (the paper counts 2n+1 with l₀ among
-// its n vertices).
+// TestLinearDPQueryCount verifies Lemma 9: given L the linear DP needs
+// exactly 2n+1 distance queries, dis(l_k, o_r) for k = 0..n and
+// dis(l_k, d_r) for the n stops.
 func TestLinearDPQueryCount(t *testing.T) {
 	tw := newTestWorld(t, 10, 10, 23)
 	rng := rand.New(rand.NewSource(3))
@@ -358,11 +358,60 @@ func TestLinearDPQueryCount(t *testing.T) {
 			return tw.dist(u, v)
 		}
 		LinearDPInsertion(&rt, 4, req, L, counting)
-		want := 2 * (rt.Len() + 1)
+		want := 2*rt.Len() + 1
 		if queries != want {
 			t.Fatalf("trial %d: %d queries, want %d (n=%d)", trial, queries, want, rt.Len())
 		}
 	}
+}
+
+// TestDPsNeverReadDistD0 pins why fillExact and fillEuclid skip
+// dis(l₀, d_r): with distD[0] poisoned with NaN, the linear and naive DPs
+// return the same Insertion bits as with the true distance there.
+func TestDPsNeverReadDistD0(t *testing.T) {
+	tw := newTestWorld(t, 10, 10, 19)
+	rng := rand.New(rand.NewSource(6))
+	var c insCtx
+	feasible := 0
+	for trial := 0; trial < 400; trial++ {
+		kw := 2 + rng.Intn(4)
+		now := rng.Float64() * 500
+		rt, _ := tw.randomRoute(rng, kw, rng.Intn(6), now)
+		req := tw.randomRequest(rng, 700, now)
+		if rng.Intn(4) == 0 {
+			req.Deadline = now + tw.dist(req.Origin, req.Dest)*(1+rng.Float64()*0.2)
+		}
+		L := tw.dist(req.Origin, req.Dest)
+		for _, exact := range []bool{true, false} {
+			c.reset(&rt, kw, req, L)
+			if exact {
+				c.fillExact(tw.dist)
+				c.distD[0] = tw.dist(rt.Loc, req.Dest)
+			} else {
+				c.fillEuclid(tw.g)
+				c.distD[0] = tw.g.EuclidTime(rt.Loc, req.Dest)
+			}
+			lin, naive := linearDP(&c), naiveDP(&c)
+			c.distD[0] = math.NaN()
+			if got := linearDP(&c); !sameInsertion(got, lin) {
+				t.Fatalf("trial %d (exact %v): linearDP with NaN distD[0] %+v, want %+v", trial, exact, got, lin)
+			}
+			if got := naiveDP(&c); !sameInsertion(got, naive) {
+				t.Fatalf("trial %d (exact %v): naiveDP with NaN distD[0] %+v, want %+v", trial, exact, got, naive)
+			}
+			if lin.OK {
+				feasible++
+			}
+		}
+	}
+	if feasible < 100 {
+		t.Fatalf("only %d feasible instances; test vacuous", feasible)
+	}
+}
+
+// sameInsertion compares two insertions field for field, Δ by its bits.
+func sameInsertion(a, b Insertion) bool {
+	return a.OK == b.OK && a.I == b.I && a.J == b.J && math.Float64bits(a.Delta) == math.Float64bits(b.Delta)
 }
 
 // TestLowerBoundZeroQueries verifies the decision phase's zero-query

@@ -123,6 +123,17 @@ type PlanTrace struct {
 	Parallel bool
 }
 
+// setBounds records the decision phase's bounds: Feasible, MinLB and LBs.
+func (tr *PlanTrace) setBounds(lbs []WorkerBound) {
+	tr.Feasible = len(lbs)
+	for _, wb := range lbs {
+		if wb.LB < tr.MinLB {
+			tr.MinLB = wb.LB
+		}
+	}
+	tr.LBs = lbs
+}
+
 // PlanObserver receives planner introspection callbacks. Implementations
 // must be safe for concurrent use when attached to dispatch.ParallelGreedy
 // (concurrent read-only Plan calls are part of its contract) and must not

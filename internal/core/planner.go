@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"time"
+
+	"repro/internal/roadnet"
 )
 
 // Result records the outcome of handling one request.
@@ -83,6 +85,11 @@ type Greedy struct {
 	cfg   Config
 	name  string
 	sc    Scratch
+	// idleUB enables the idle upper bound (idleUpperBound) on the Lemma 8
+	// scan. It needs the scan to prune and the operator to be the default
+	// LinearDP, whose Δ* for an idle worker emptyRouteDelta reproduces bit
+	// for bit (the basic operator's Δ rounds differently).
+	idleUB bool
 	// obs and tr are the introspection hook: tr is the planner-owned
 	// arena record (reused across requests, so observation allocates
 	// nothing), populated and handed to obs only when obs is non-nil.
@@ -102,10 +109,11 @@ func NewGreedyDP(fleet *Fleet, alpha float64) *Greedy {
 
 // NewGreedy returns a greedy planner with full configuration control.
 func NewGreedy(fleet *Fleet, cfg Config, name string) *Greedy {
+	idleUB := cfg.Prune && cfg.Insertion == nil
 	if cfg.Insertion == nil {
 		cfg.Insertion = (*Scratch).LinearDP
 	}
-	return &Greedy{fleet: fleet, cfg: cfg, name: name}
+	return &Greedy{fleet: fleet, cfg: cfg, name: name, idleUB: idleUB}
 }
 
 // Name implements Planner.
@@ -174,19 +182,20 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 		return nil, Infeasible, L
 	}
 
-	// Phase 1: decision (Algorithm 4).
-	lbs, reject := p.sc.Decide(p.cfg.Alpha, cands, req, f.Graph, L)
-	if tr != nil {
-		tr.Feasible = len(lbs)
-		for _, wb := range lbs {
-			if wb.LB < tr.MinLB {
-				tr.MinLB = wb.LB
-			}
-		}
+	// Phase 1: decision (Algorithm 4), leaving out the idle workers the
+	// Lemma 8 scan provably never reaches.
+	ub := math.Inf(1)
+	if p.idleUB {
+		ub = idleUpperBound(cands, req, f.Graph, L, f.Dist)
 	}
+	lbs, reject := p.sc.decide(p.cfg.Alpha, cands, req, f.Graph, L, ub)
 	if reject {
 		if tr != nil {
-			tr.LBs = lbs
+			if ub < math.Inf(1) {
+				// The record lists every feasible worker in candidate order.
+				lbs, _ = p.sc.Decide(p.cfg.Alpha, cands, req, f.Graph, L)
+			}
+			tr.setBounds(lbs)
 			tr.Reason = ReasonDecisionBound
 		}
 		return nil, Infeasible, L
@@ -204,10 +213,11 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 	}
 	bestW, bestIns := EvalCandidatesSerial(&p.sc, p.cfg.Insertion, p.cfg.Prune, lbs, req, L, f.Dist, st)
 	if tr != nil {
-		if p.cfg.Prune {
-			SortWorkerBounds(lbs) // the trace reports the whole scan order
+		if p.cfg.Prune { // the trace reports the whole scan order
+			lbs = p.appendLeftOut(lbs, cands, req, L, ub)
+			SortWorkerBounds(lbs)
 		}
-		tr.LBs = lbs
+		tr.setBounds(lbs)
 	}
 	if bestW == nil {
 		if tr != nil {
@@ -223,6 +233,58 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 		return nil, Infeasible, L
 	}
 	return bestW, bestIns, L
+}
+
+// idleUpperBound returns the exact Δ* of the idle candidate w* nearest to
+// o_r that the request fits, or +Inf when there is none or it cannot meet
+// e_r. It costs one query, dis(l₀*, o_r); emptyRouteDelta over it is
+// bit for bit the Δ LinearDP returns for w*, so the scan's best Δ* ends at
+// most ub once w* is evaluated. An idle worker with a bound above ub is
+// scanned after w*, whose bound is at most ub, and so after the scan has
+// stopped: decide leaves it out (DESIGN.md §10.6).
+func idleUpperBound(cands []*Worker, req *Request, g *roadnet.Graph, L float64, dist DistFunc) float64 {
+	o := g.Point(req.Origin)
+	var star *Worker
+	nearest := math.Inf(1)
+	for _, w := range cands {
+		rt := &w.Route
+		if rt.Len() != 0 || rt.Onboard > w.Capacity-req.Capacity {
+			continue
+		}
+		if d := g.Point(rt.Loc).DistSq(o); d < nearest {
+			nearest, star = d, w
+		}
+	}
+	if star == nil {
+		return math.Inf(1)
+	}
+	rt := &star.Route
+	ub := emptyRouteDelta(rt, star.Capacity, req, dist(rt.Loc, req.Origin), L)
+	// Straight line ≤ road keeps w*'s own bound within ub; should rounding
+	// ever say otherwise, decide would drop w* itself, so leave none out.
+	if emptyRouteDelta(rt, star.Capacity, req, g.EuclidTime(rt.Loc, req.Origin), L) > ub {
+		return math.Inf(1)
+	}
+	return ub
+}
+
+// appendLeftOut appends to lbs (decide's result, permuted by the scan) the
+// bounds decide left out under ub, so an observer's record lists every
+// feasible worker: the idle candidates with a finite bound above ub.
+func (p *Greedy) appendLeftOut(lbs []WorkerBound, cands []*Worker, req *Request, L, ub float64) []WorkerBound {
+	if math.IsInf(ub, 1) {
+		return lbs
+	}
+	for _, w := range cands {
+		if w.Route.Len() != 0 {
+			continue
+		}
+		if lb := p.sc.LowerBound(&w.Route, w.Capacity, req, p.fleet.Graph, L); lb > ub && !math.IsInf(lb, 1) {
+			lbs = append(lbs, WorkerBound{LB: lb, Worker: w})
+		}
+	}
+	p.sc.lbs = lbs // retain growth across requests
+	return lbs
 }
 
 // UnifiedCost is Eq. 1: UC(W,R) = α·Σ_w D(S_w) + Σ_{r∈R⁻} p_r.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"repro/internal/geo"
 	"repro/internal/roadnet"
 )
 
@@ -105,8 +106,12 @@ func (sc *Scratch) LowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph,
 }
 
 // lowerBound is LowerBound without the ownership guard, for callers that
-// already hold the scratch (Decide's candidate loop).
+// already hold the scratch (Decide's candidate loop). An idle worker's
+// empty route takes linearDP's closed form and never touches the context.
 func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph, L float64) float64 {
+	if rt.Len() == 0 {
+		return emptyRouteDelta(rt, kw, req, g.EuclidTime(rt.Loc, req.Origin), L)
+	}
 	c := &sc.ctx
 	c.reset(rt, kw, req, L)
 	c.fillEuclid(g)
@@ -115,7 +120,7 @@ func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph,
 		return math.Inf(1)
 	}
 	// Euclidean "detours" can be negative; the true Δ* is never below 0.
-	return math.Max(0, ins.Delta)
+	return max(0, ins.Delta)
 }
 
 // Decide is Algorithm 4 on this scratch: compute LBΔ* for every candidate
@@ -126,14 +131,29 @@ func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph,
 // go; GreedyDP needs no order) and aliases the scratch — it is valid
 // until the scratch's next Decide call.
 func (sc *Scratch) Decide(alpha float64, cands []*Worker, req *Request, g *roadnet.Graph, L float64) (lbs []WorkerBound, reject bool) {
+	return sc.decide(alpha, cands, req, g, L, math.Inf(1))
+}
+
+// decide is Decide that also leaves out every idle worker whose bound
+// exceeds ub, the exact Δ* of some idle candidate (Greedy.plan's
+// idleUpperBound; +Inf leaves out none). Such a worker could never be
+// evaluated by the Lemma 8 scan (DESIGN.md §10.6), and with the candidate
+// that set ub still in the slice the minimum bound is unchanged.
+func (sc *Scratch) decide(alpha float64, cands []*Worker, req *Request, g *roadnet.Graph, L, ub float64) (lbs []WorkerBound, reject bool) {
 	sc.acquire()
 	defer sc.release()
 	lbs = sc.lbs[:0]
 	minLB := math.Inf(1)
+	o := g.Point(req.Origin)
+	cutSq := idleCutSq(ub, L)
 	for _, w := range cands {
+		idle := w.Route.Len() == 0
+		if idle && g.Point(w.Route.Loc).DistSq(o) > cutSq {
+			continue // its bound exceeds ub: skip the square root
+		}
 		lb := sc.lowerBound(&w.Route, w.Capacity, req, g, L)
-		if math.IsInf(lb, 1) {
-			continue // provably infeasible for this worker
+		if math.IsInf(lb, 1) || idle && lb > ub {
+			continue // provably infeasible, or provably never scanned
 		}
 		lbs = append(lbs, WorkerBound{LB: lb, Worker: w})
 		if lb < minLB {
@@ -147,6 +167,18 @@ func (sc *Scratch) Decide(alpha float64, cands []*Worker, req *Request, g *roadn
 	// Reject when p_r < α·min LB (Algorithm 4 line 5): serving would
 	// increase the unified cost more than rejecting.
 	return lbs, req.Penalty < alpha*minLB
+}
+
+// idleCutSq is the squared straight-line distance, in meters, beyond which
+// an idle worker's bound EuclidTime(l₀, o_r) + L is certain to exceed ub:
+// (ub − L + feasEps)·v_max, squared. The feasEps of slack is tens of
+// thousands of ulps at route time scales (≤ 10⁵ s), far more than the
+// rounding of the square, the root and the sums, so this prefilter never
+// drops a worker the exact lb > ub test keeps; below the cut, that test
+// decides.
+func idleCutSq(ub, L float64) float64 {
+	r := (ub - L + feasEps) * geo.MaxSpeed()
+	return r * r
 }
 
 // Candidates retrieves the request's grid-filtered candidate workers into

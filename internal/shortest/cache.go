@@ -144,21 +144,28 @@ func (c *LRU) moveToFront(i int32) {
 // Over a CCH (bare, or behind counting, locking or caching shims) there is
 // no cache: a warm label query is two table reads and a zip, cheaper than
 // the LRU probe in front of it, so every query is forwarded and counted
-// as a miss (DESIGN.md §12.4).
+// as a miss (DESIGN.md §12.4). The same holds over a synchronous Versioned
+// front that customizes a CCH skeleton: every epoch's tier is a CCH,
+// installed before Advance returns, and its labels are the cache.
 type Cached struct {
 	inner  Oracle
-	cache  *LRU   // nil over a CCH
+	cache  *LRU   // nil over CCH labels
 	missed uint64 // queries forwarded without a cache
 	src    EpochSource
 	epoch  uint64
 }
 
 // NewCached wraps inner with a cache of the given capacity, or with none
-// when inner is a CCH behind shims.
+// when CCH labels answer every query through inner.
 func NewCached(inner Oracle, capacity int) *Cached {
 	c := &Cached{inner: inner}
-	if _, labels := tierOf(inner).(*CCH); labels {
+	switch x := tierOf(inner).(type) {
+	case *CCH:
 		return c
+	case *Versioned:
+		if x.customizesCCH() {
+			return c
+		}
 	}
 	c.cache = NewLRU(capacity)
 	if c.src = epochSourceOf(inner); c.src != nil {

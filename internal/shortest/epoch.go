@@ -255,6 +255,17 @@ func (v *Versioned) rebuild(g *roadnet.Graph, gen uint64) {
 	v.mu.Unlock()
 }
 
+// customizesCCH reports whether every epoch's built tier is a CCH
+// customized over the captured skeleton before Advance returns: a
+// synchronous front over a CCH. Snapshots share the base topology, so
+// rebuild never leaves the customize path. Only a query racing Advance
+// reaches the live engine, for the few milliseconds a customization takes.
+func (v *Versioned) customizesCCH() bool {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.cchSkel != nil && !v.async
+}
+
 // WaitRebuild blocks until no asynchronous rebuild is in flight; tests
 // and benchmarks use it to pin which tier answers.
 func (v *Versioned) WaitRebuild() { v.rebuilding.Wait() }

@@ -440,13 +440,16 @@ func TestCachedOracleCorrectAndCounts(t *testing.T) {
 }
 
 // TestCachedDeclinesLabelTier: over a CCH, bare or behind the counting and
-// locking shims, NewCached keeps no LRU and forwards every query, counting
-// each as a miss; over every other tier — an epoch front whose current
-// tier is a CCH included — it caches and hits as before.
+// locking shims, or behind a synchronous epoch front that customizes it,
+// NewCached keeps no LRU and forwards every query, counting each as a
+// miss; over every other tier — an asynchronous front over a CCH included,
+// whose epochs answer from the live engine until the rebuild lands — it
+// caches and hits as before.
 func TestCachedDeclinesLabelTier(t *testing.T) {
 	g := testGraph(t, 8, 8, 5)
 	n := g.NumVertices()
 	cch := BuildCCH(g)
+	budget := AutoBudget{MaxCCHVertices: n, MaxCHVertices: n}
 	for _, c := range []struct {
 		name     string
 		oracle   Oracle
@@ -457,7 +460,10 @@ func TestCachedDeclinesLabelTier(t *testing.T) {
 		{"Locked(cch)", NewLocked(cch), true},
 		{"hub", BuildHubLabels(g), false},
 		{"bidijkstra", NewBiDijkstra(g), false},
-		{"Versioned(cch)", NewVersioned(g, AutoBudget{MaxCCHVertices: n, MaxCHVertices: n}, false), false},
+		{"Versioned(cch)", NewVersioned(g, budget, false), true},
+		{"Counting(Versioned(cch))", NewCounting(NewVersioned(g, budget, false)), true},
+		{"Versioned(cch),async", NewVersioned(g, budget, true), false},
+		{"Versioned(hub)", NewVersioned(g, AutoBudget{MaxHubVertices: n, MaxCHVertices: n}, false), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cached := NewCached(c.oracle, 128)
