@@ -23,12 +23,12 @@ bench-smoke:
 # Full benchmark suite (regenerates the paper's tables and figures), then
 # the developer benchmarks that decompose the simulator's leg search, the
 # distance cache's per-epoch flush, the CCH skeleton build and the
-# planner on a mostly idle fleet.
+# planner on a mostly idle and on a half busy fleet.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkLegPath|BenchmarkLRUFlush|BenchmarkCCHSkeletonBuild' -benchmem ./internal/shortest
 	$(GO) test -run xxx -bench 'BenchmarkEngineRunChunked' -benchmem ./internal/sim
-	$(GO) test -run xxx -bench 'BenchmarkPlanIdleFleet' -benchmem ./internal/core
+	$(GO) test -run xxx -bench 'BenchmarkPlanIdleFleet|BenchmarkPlanBusyFleet' -benchmem ./internal/core
 
 # Headline benchmarks -> JSON trajectory artifact (BENCH_PR10.json).
 # Override: make bench-json BENCHTIME=1x BENCHOUT=/tmp/bench.json
@@ -52,8 +52,9 @@ golden:
 # Short fuzz pass over the untrusted-input parsers (roadnet text, DIMACS,
 # traffic profiles, workload stream, trip CSV, serve snapshot + request
 # bodies), the CCH skeleton build against its map-based reference, the CCH
-# customization equivalence invariant and the landmark leg search. `go test`
-# alone replays only the seed corpus.
+# customization equivalence invariant, the landmark leg search and the
+# landmark pair bound against every oracle tier. `go test` alone replays
+# only the seed corpus.
 fuzz:
 	$(GO) test -fuzz FuzzRead$$ -fuzztime 10s ./internal/roadnet
 	$(GO) test -fuzz FuzzLoadDIMACS -fuzztime 10s ./internal/roadnet
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCCHSkeleton -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzCCHCustomize -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzLegPath -fuzztime 10s ./internal/shortest
+	$(GO) test -run xxx -fuzz FuzzLandmarkBound -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzReadWAL -fuzztime 10s ./internal/wal
 
 # End-to-end check of the online dispatch service: start urpsm-serve on a

@@ -936,7 +936,7 @@ func BenchmarkBatchPlanning(b *testing.B) {
 				cands = cands[:0]
 				for _, r := range batch {
 					table.AddRequest(r)
-					lb := fleet.TravelTimeLB(r.Origin, r.Dest)
+					lb := fleet.Graph.EuclidTime(r.Origin, r.Dest)
 					cands = fleet.CandidatesAppend(cands, r, batch[0].Release, lb)
 				}
 				for _, w := range cands {

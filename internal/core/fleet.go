@@ -88,17 +88,6 @@ func (f *Fleet) CandidatesAppend(dst []*Worker, req *Request, now, L float64) []
 	return dst
 }
 
-// TravelTimeLB is a free lower bound on Dist(u, v): the straight-line
-// separation covered at the network's maximum road speed. Road distance
-// is at least the Euclidean distance and no edge is faster than
-// MaxSpeed, so TravelTimeLB(u, v) ≤ Dist(u, v) for every metric the
-// graph can carry. The batch prefetch (DESIGN.md §16) passes it as L so
-// the candidate radius tightens without paying an oracle query while
-// the candidate set stays a superset of every plan-time search.
-func (f *Fleet) TravelTimeLB(u, v roadnet.VertexID) float64 {
-	return f.Graph.Point(u).Dist(f.Graph.Point(v)) / geo.MaxSpeed()
-}
-
 // TotalDistance sums D(S_w) over the fleet.
 func (f *Fleet) TotalDistance() float64 {
 	total := 0.0

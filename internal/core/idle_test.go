@@ -14,7 +14,7 @@ import (
 func dpBound(rt *Route, kw int, req *Request, g *roadnet.Graph, L float64) float64 {
 	var c insCtx
 	c.reset(rt, kw, req, L)
-	c.fillEuclid(g)
+	c.fillLower(&pairBound{g: g})
 	ins := linearDP(&c)
 	if !ins.OK {
 		return math.Inf(1)
@@ -220,10 +220,19 @@ func TestIdleUpperBoundScanEquivalence(t *testing.T) {
 
 // BenchmarkPlanIdleFleet times one pruneGreedyDP Plan on a 600-worker
 // fleet, 90 % of it idle, over a CCH oracle: the shape of plan-offline's
-// candidate sets (DESIGN.md §10.6). Beside ns/op and allocs/op (0) it
-// reports the bounds the Lemma 8 heap holds and the distance queries per
-// plan.
-func BenchmarkPlanIdleFleet(b *testing.B) {
+// candidate sets (DESIGN.md §10.6).
+func BenchmarkPlanIdleFleet(b *testing.B) { benchmarkPlan(b, 10) }
+
+// BenchmarkPlanBusyFleet is BenchmarkPlanIdleFleet with every other worker
+// on a route: the Lemma 8 scan's share of the plan, which the landmark
+// bounds shrink (DESIGN.md §10.7).
+func BenchmarkPlanBusyFleet(b *testing.B) { benchmarkPlan(b, 2) }
+
+// benchmarkPlan times one pruneGreedyDP Plan on a 600-worker fleet of
+// which every busyEvery-th worker carries 1–3 requests. Beside ns/op and
+// allocs/op (0) it reports the bounds the Lemma 8 heap holds, the workers
+// the scan evaluates and the distance queries per plan.
+func benchmarkPlan(b *testing.B, busyEvery int) {
 	g, err := roadnet.Generate(roadnet.GenConfig{
 		Rows: 40, Cols: 40, Spacing: 180, Jitter: 0.3, ArterialEvery: 5,
 		MotorwayRing: true, RemoveFrac: 0.1, DetourMin: 1.02, DetourMax: 1.4,
@@ -242,7 +251,7 @@ func BenchmarkPlanIdleFleet(b *testing.B) {
 	workers := make([]*Worker, 600)
 	for i := range workers {
 		rt := Route{Loc: roadnet.VertexID(rng.Intn(g.NumVertices()))}
-		if i%10 == 0 {
+		if i%busyEvery == 0 {
 			rt, _ = tw.randomRoute(rng, 4, 1+rng.Intn(3), 0)
 		}
 		workers[i] = &Worker{ID: WorkerID(i), Capacity: 4, Route: rt}
@@ -256,9 +265,14 @@ func BenchmarkPlanIdleFleet(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = tw.randomRequest(rng, RequestID(i), 0)
 	}
-	for _, r := range reqs { // warm the labels and the scratch
+	// Warm the labels, the landmark rows and the scratch, and count the
+	// evaluations: Plan mutates nothing, so every pass evaluates the same.
+	obs := &countingObserver{}
+	p.SetObserver(obs)
+	for _, r := range reqs {
 		p.Plan(0, r)
 	}
+	p.SetObserver(nil)
 	queries = 0
 	entries := 0
 	b.ReportAllocs()
@@ -268,5 +282,6 @@ func BenchmarkPlanIdleFleet(b *testing.B) {
 		entries += len(p.sc.lbs)
 	}
 	b.ReportMetric(float64(entries)/float64(b.N), "heap-entries/op")
+	b.ReportMetric(float64(obs.evaluated)/float64(len(reqs)), "evaluated/op")
 	b.ReportMetric(float64(queries)/float64(b.N), "dist-queries/op")
 }

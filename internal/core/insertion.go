@@ -62,7 +62,7 @@ func (ins *Insertion) clampNonNegative() Insertion {
 // distances to the new request's origin and destination. Building it from
 // the cached route arrivals costs no distance queries for ddl/arr/slack/
 // picked; distO/distD cost 2n+1 queries when exact (Lemma 9) or zero
-// when filled with Euclidean lower bounds (decision phase, Lemma 7).
+// when filled with lower bounds (decision phase, Lemma 7).
 // distD[0] = dis(l₀, d_r) is never filled: the drop-off always follows the
 // pickup, so no operator reads it (det2, deltaEqual and the DPs index
 // distD from 1).
@@ -84,7 +84,7 @@ type insCtx struct {
 
 // reset re-points the context at (rt, kw, req) and rebuilds the slack and
 // picked arrays in the reused buffers; distO/distD still need fillExact or
-// fillEuclid.
+// fillLower.
 func (c *insCtx) reset(rt *Route, kw int, req *Request, L float64) {
 	n := rt.Len()
 	c.rt, c.kw, c.req, c.L, c.n = rt, kw, req, L, n
@@ -117,14 +117,14 @@ func (c *insCtx) fillExact(dist DistFunc) {
 	}
 }
 
-// fillEuclid populates the same entries as fillExact with Euclidean
-// travel-time lower bounds: zero distance queries (Lemma 7).
-func (c *insCtx) fillEuclid(g *roadnet.Graph) {
-	c.distO[0] = g.EuclidTime(c.rt.Loc, c.req.Origin)
+// fillLower populates the same entries as fillExact with the pair bound
+// b: zero distance queries (Lemma 7).
+func (c *insCtx) fillLower(b *pairBound) {
+	c.distO[0] = b.at(c.rt.Loc, c.req.Origin)
 	for k := 1; k <= c.n; k++ {
 		v := c.rt.Stops[k-1].Vertex
-		c.distO[k] = g.EuclidTime(v, c.req.Origin)
-		c.distD[k] = g.EuclidTime(v, c.req.Dest)
+		c.distO[k] = b.at(v, c.req.Origin)
+		c.distD[k] = b.at(v, c.req.Dest)
 	}
 }
 
@@ -134,9 +134,9 @@ func (c *insCtx) fillEuclid(g *roadnet.Graph) {
 // picked[0] = Onboard) and its drop-off meets e_r (the deadline test);
 // slack[0] = +Inf, so the shift test refuses only a NaN. The expressions
 // are linearDP's, operands and order included, so the bits are too. It
-// returns +Inf when infeasible. With toOrigin = EuclidTime(l₀, o_r) it is
-// the Lemma 7 bound; with the exact dis(l₀, o_r) it is the Δ* LinearDP
-// returns.
+// returns +Inf when infeasible. With toOrigin a lower bound on dis(l₀, o_r)
+// it is the Lemma 7 bound; with the exact dis(l₀, o_r) it is the Δ*
+// LinearDP returns.
 func emptyRouteDelta(rt *Route, kw int, req *Request, toOrigin, L float64) float64 {
 	d := toOrigin + L
 	if rt.Onboard > kw-req.Capacity || rt.Now+toOrigin+L > req.Deadline+feasEps || math.IsNaN(d) {

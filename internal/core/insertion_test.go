@@ -232,10 +232,13 @@ func TestApplyPreservesInvariants(t *testing.T) {
 }
 
 // TestLowerBoundSound checks LBΔ* ≤ Δ* on random instances and that an
-// LB of +Inf implies real infeasibility.
+// LB of +Inf implies real infeasibility; the landmark-tightened bound must
+// hold by value, with no tolerance (DESIGN.md §10.7).
 func TestLowerBoundSound(t *testing.T) {
 	tw := newTestWorld(t, 10, 10, 17)
 	rng := rand.New(rand.NewSource(8))
+	lm := landmarkBound(tw.g)
+	var sc Scratch
 	trials := 1200
 	if testing.Short() {
 		trials = 250
@@ -252,6 +255,9 @@ func TestLowerBoundSound(t *testing.T) {
 		L := tw.dist(req.Origin, req.Dest)
 		lb := LowerBoundInsertion(&rt, kw, req, tw.g, L)
 		exact := LinearDPInsertion(&rt, kw, req, L, tw.dist)
+		if lmLB := sc.lowerBound(&rt, kw, req, &lm, L); exact.OK && !(lmLB <= exact.Delta) {
+			t.Fatalf("trial %d: landmark LB %v exceeds exact delta %v", trial, lmLB, exact.Delta)
+		}
 		if math.IsInf(lb, 1) {
 			if exact.OK {
 				t.Fatalf("trial %d: LB says infeasible but exact found delta %v", trial, exact.Delta)
@@ -365,13 +371,15 @@ func TestLinearDPQueryCount(t *testing.T) {
 	}
 }
 
-// TestDPsNeverReadDistD0 pins why fillExact and fillEuclid skip
+// TestDPsNeverReadDistD0 pins why fillExact and fillLower skip
 // dis(l₀, d_r): with distD[0] poisoned with NaN, the linear and naive DPs
-// return the same Insertion bits as with the true distance there.
+// return the same Insertion bits as with the true distance (or its
+// Euclidean or landmark bound) there.
 func TestDPsNeverReadDistD0(t *testing.T) {
 	tw := newTestWorld(t, 10, 10, 19)
 	rng := rand.New(rand.NewSource(6))
 	var c insCtx
+	lm := landmarkBound(tw.g)
 	feasible := 0
 	for trial := 0; trial < 400; trial++ {
 		kw := 2 + rng.Intn(4)
@@ -382,22 +390,22 @@ func TestDPsNeverReadDistD0(t *testing.T) {
 			req.Deadline = now + tw.dist(req.Origin, req.Dest)*(1+rng.Float64()*0.2)
 		}
 		L := tw.dist(req.Origin, req.Dest)
-		for _, exact := range []bool{true, false} {
+		for fill, b := range []*pairBound{nil, {g: tw.g}, &lm} {
 			c.reset(&rt, kw, req, L)
-			if exact {
+			if b == nil {
 				c.fillExact(tw.dist)
 				c.distD[0] = tw.dist(rt.Loc, req.Dest)
 			} else {
-				c.fillEuclid(tw.g)
-				c.distD[0] = tw.g.EuclidTime(rt.Loc, req.Dest)
+				c.fillLower(b)
+				c.distD[0] = b.at(rt.Loc, req.Dest)
 			}
 			lin, naive := linearDP(&c), naiveDP(&c)
 			c.distD[0] = math.NaN()
 			if got := linearDP(&c); !sameInsertion(got, lin) {
-				t.Fatalf("trial %d (exact %v): linearDP with NaN distD[0] %+v, want %+v", trial, exact, got, lin)
+				t.Fatalf("trial %d (fill %d): linearDP with NaN distD[0] %+v, want %+v", trial, fill, got, lin)
 			}
 			if got := naiveDP(&c); !sameInsertion(got, naive) {
-				t.Fatalf("trial %d (exact %v): naiveDP with NaN distD[0] %+v, want %+v", trial, exact, got, naive)
+				t.Fatalf("trial %d (fill %d): naiveDP with NaN distD[0] %+v, want %+v", trial, fill, got, naive)
 			}
 			if lin.OK {
 				feasible++

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"time"
-
-	"repro/internal/roadnet"
 )
 
 // Result records the outcome of handling one request.
@@ -63,14 +61,16 @@ type Config struct {
 	// when serving it would raise the unified cost more than its penalty.
 	// The paper's Algorithm 5 stops at the decision-phase lower-bound
 	// check; PostCheck is the natural strengthening and is on by default
-	// (see DESIGN.md §6). Set it false for strictly-paper behavior.
+	// (see DESIGN.md §6). Set it false for strictly-paper behavior. With it
+	// on, the decision phase also tightens its bounds with the graph's
+	// landmark rows (DESIGN.md §10.7).
 	PostCheck bool
 	// Insertion is the insertion operator; nil means (*Scratch).LinearDP.
 	Insertion InsertionFunc
 }
 
 // Greedy is the two-phase solution of §5: a decision phase driven by
-// Euclidean lower bounds and a planning phase that inserts the request
+// zero-query lower bounds and a planning phase that inserts the request
 // into the best worker. With Prune on it is pruneGreedyDP (Algorithm 5);
 // off it is the GreedyDP ablation.
 //
@@ -90,6 +90,12 @@ type Greedy struct {
 	// LinearDP, whose Δ* for an idle worker emptyRouteDelta reproduces bit
 	// for bit (the basic operator's Δ rounds differently).
 	idleUB bool
+	// landmarks tightens the decision phase's pair bound with the graph's
+	// landmark rows (DESIGN.md §10.7). Only with PostCheck: there a tighter
+	// bound can only move a reject that PostCheck or "no feasible
+	// insertion" makes anyway, while without it Algorithm 4's own test
+	// would reject requests the paper's planner serves.
+	landmarks bool
 	// obs and tr are the introspection hook: tr is the planner-owned
 	// arena record (reused across requests, so observation allocates
 	// nothing), populated and handed to obs only when obs is non-nil.
@@ -113,7 +119,7 @@ func NewGreedy(fleet *Fleet, cfg Config, name string) *Greedy {
 	if cfg.Insertion == nil {
 		cfg.Insertion = (*Scratch).LinearDP
 	}
-	return &Greedy{fleet: fleet, cfg: cfg, name: name, idleUB: idleUB}
+	return &Greedy{fleet: fleet, cfg: cfg, name: name, idleUB: idleUB, landmarks: cfg.PostCheck}
 }
 
 // Name implements Planner.
@@ -183,17 +189,22 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 	}
 
 	// Phase 1: decision (Algorithm 4), leaving out the idle workers the
-	// Lemma 8 scan provably never reaches.
+	// Lemma 8 scan provably never reaches. The bound reads the fleet's
+	// current snapshot, whose metric f.Dist answers in.
+	b := pairBound{g: f.Graph}
+	if p.landmarks {
+		b = landmarkBound(f.Graph)
+	}
 	ub := math.Inf(1)
 	if p.idleUB {
-		ub = idleUpperBound(cands, req, f.Graph, L, f.Dist)
+		ub = idleUpperBound(cands, req, &b, L, f.Dist)
 	}
-	lbs, reject := p.sc.decide(p.cfg.Alpha, cands, req, f.Graph, L, ub)
+	lbs, reject := p.sc.decide(p.cfg.Alpha, cands, req, &b, L, ub)
 	if reject {
 		if tr != nil {
 			if ub < math.Inf(1) {
 				// The record lists every feasible worker in candidate order.
-				lbs, _ = p.sc.Decide(p.cfg.Alpha, cands, req, f.Graph, L)
+				lbs, _ = p.sc.decide(p.cfg.Alpha, cands, req, &b, L, math.Inf(1))
 			}
 			tr.setBounds(lbs)
 			tr.Reason = ReasonDecisionBound
@@ -214,7 +225,7 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 	bestW, bestIns := EvalCandidatesSerial(&p.sc, p.cfg.Insertion, p.cfg.Prune, lbs, req, L, f.Dist, st)
 	if tr != nil {
 		if p.cfg.Prune { // the trace reports the whole scan order
-			lbs = p.appendLeftOut(lbs, cands, req, L, ub)
+			lbs = p.appendLeftOut(lbs, cands, req, &b, L, ub)
 			SortWorkerBounds(lbs)
 		}
 		tr.setBounds(lbs)
@@ -242,7 +253,8 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 // most ub once w* is evaluated. An idle worker with a bound above ub is
 // scanned after w*, whose bound is at most ub, and so after the scan has
 // stopped: decide leaves it out (DESIGN.md §10.6).
-func idleUpperBound(cands []*Worker, req *Request, g *roadnet.Graph, L float64, dist DistFunc) float64 {
+func idleUpperBound(cands []*Worker, req *Request, b *pairBound, L float64, dist DistFunc) float64 {
+	g := b.g
 	o := g.Point(req.Origin)
 	var star *Worker
 	nearest := math.Inf(1)
@@ -260,9 +272,10 @@ func idleUpperBound(cands []*Worker, req *Request, g *roadnet.Graph, L float64, 
 	}
 	rt := &star.Route
 	ub := emptyRouteDelta(rt, star.Capacity, req, dist(rt.Loc, req.Origin), L)
-	// Straight line ≤ road keeps w*'s own bound within ub; should rounding
-	// ever say otherwise, decide would drop w* itself, so leave none out.
-	if emptyRouteDelta(rt, star.Capacity, req, g.EuclidTime(rt.Loc, req.Origin), L) > ub {
+	// The pair bound is at most the road distance, which keeps w*'s own
+	// bound within ub; should rounding ever say otherwise, decide would drop
+	// w* itself, so leave none out.
+	if emptyRouteDelta(rt, star.Capacity, req, b.at(rt.Loc, req.Origin), L) > ub {
 		return math.Inf(1)
 	}
 	return ub
@@ -271,15 +284,17 @@ func idleUpperBound(cands []*Worker, req *Request, g *roadnet.Graph, L float64, 
 // appendLeftOut appends to lbs (decide's result, permuted by the scan) the
 // bounds decide left out under ub, so an observer's record lists every
 // feasible worker: the idle candidates with a finite bound above ub.
-func (p *Greedy) appendLeftOut(lbs []WorkerBound, cands []*Worker, req *Request, L, ub float64) []WorkerBound {
+func (p *Greedy) appendLeftOut(lbs []WorkerBound, cands []*Worker, req *Request, b *pairBound, L, ub float64) []WorkerBound {
 	if math.IsInf(ub, 1) {
 		return lbs
 	}
+	p.sc.acquire()
+	defer p.sc.release()
 	for _, w := range cands {
 		if w.Route.Len() != 0 {
 			continue
 		}
-		if lb := p.sc.LowerBound(&w.Route, w.Capacity, req, p.fleet.Graph, L); lb > ub && !math.IsInf(lb, 1) {
+		if lb := p.sc.lowerBound(&w.Route, w.Capacity, req, b, L); lb > ub && !math.IsInf(lb, 1) {
 			lbs = append(lbs, WorkerBound{LB: lb, Worker: w})
 		}
 	}

@@ -102,25 +102,35 @@ func (sc *Scratch) Basic(rt *Route, kw int, req *Request, dist DistFunc) Inserti
 func (sc *Scratch) LowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph, L float64) float64 {
 	sc.acquire()
 	defer sc.release()
-	return sc.lowerBound(rt, kw, req, g, L)
+	return sc.lowerBound(rt, kw, req, &pairBound{g: g}, L)
 }
 
-// lowerBound is LowerBound without the ownership guard, for callers that
-// already hold the scratch (Decide's candidate loop). An idle worker's
-// empty route takes linearDP's closed form and never touches the context.
-func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph, L float64) float64 {
+// lowerBound is LowerBound on the pair bound b and without the ownership
+// guard, for callers that already hold the scratch (Decide's candidate
+// loop). An idle worker's empty route takes linearDP's closed form and
+// never touches the context.
+func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, b *pairBound, L float64) float64 {
 	if rt.Len() == 0 {
-		return emptyRouteDelta(rt, kw, req, g.EuclidTime(rt.Loc, req.Origin), L)
+		return emptyRouteDelta(rt, kw, req, b.at(rt.Loc, req.Origin), L)
 	}
 	c := &sc.ctx
 	c.reset(rt, kw, req, L)
-	c.fillEuclid(g)
+	c.fillLower(b)
 	ins := linearDP(c)
 	if !ins.OK {
 		return math.Inf(1)
 	}
-	// Euclidean "detours" can be negative; the true Δ* is never below 0.
-	return max(0, ins.Delta)
+	lb := ins.Delta
+	if b.rows != nil {
+		// Insertion.better keeps an earlier position over a value up to
+		// feasEps smaller, so the DP may return up to feasEps per candidate
+		// above the least value it was offered. The Euclidean bound is
+		// slack by far more; a landmark bound can be tight enough for the
+		// window to matter, so it is given back (DESIGN.md §10.7).
+		lb -= float64(2*c.n+4) * feasEps
+	}
+	// Lower-bound "detours" can be negative; the true Δ* is never below 0.
+	return max(0, lb)
 }
 
 // Decide is Algorithm 4 on this scratch: compute LBΔ* for every candidate
@@ -129,29 +139,30 @@ func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph,
 // returned slice feeds the planning phase in candidate order
 // (pruneGreedyDP's scan orders it lazily, only as far as Lemma 8 lets it
 // go; GreedyDP needs no order) and aliases the scratch — it is valid
-// until the scratch's next Decide call.
+// until the scratch's next Decide call. The bounds are the paper's
+// Euclidean ones.
 func (sc *Scratch) Decide(alpha float64, cands []*Worker, req *Request, g *roadnet.Graph, L float64) (lbs []WorkerBound, reject bool) {
-	return sc.decide(alpha, cands, req, g, L, math.Inf(1))
+	return sc.decide(alpha, cands, req, &pairBound{g: g}, L, math.Inf(1))
 }
 
-// decide is Decide that also leaves out every idle worker whose bound
-// exceeds ub, the exact Δ* of some idle candidate (Greedy.plan's
-// idleUpperBound; +Inf leaves out none). Such a worker could never be
-// evaluated by the Lemma 8 scan (DESIGN.md §10.6), and with the candidate
-// that set ub still in the slice the minimum bound is unchanged.
-func (sc *Scratch) decide(alpha float64, cands []*Worker, req *Request, g *roadnet.Graph, L, ub float64) (lbs []WorkerBound, reject bool) {
+// decide is Decide on the pair bound b that also leaves out every idle
+// worker whose bound exceeds ub, the exact Δ* of some idle candidate
+// (Greedy.plan's idleUpperBound; +Inf leaves out none). Such a worker could
+// never be evaluated by the Lemma 8 scan (DESIGN.md §10.6), and with the
+// candidate that set ub still in the slice the minimum bound is unchanged.
+func (sc *Scratch) decide(alpha float64, cands []*Worker, req *Request, b *pairBound, L, ub float64) (lbs []WorkerBound, reject bool) {
 	sc.acquire()
 	defer sc.release()
 	lbs = sc.lbs[:0]
 	minLB := math.Inf(1)
-	o := g.Point(req.Origin)
+	o := b.g.Point(req.Origin)
 	cutSq := idleCutSq(ub, L)
 	for _, w := range cands {
 		idle := w.Route.Len() == 0
-		if idle && g.Point(w.Route.Loc).DistSq(o) > cutSq {
+		if idle && b.g.Point(w.Route.Loc).DistSq(o) > cutSq {
 			continue // its bound exceeds ub: skip the square root
 		}
-		lb := sc.lowerBound(&w.Route, w.Capacity, req, g, L)
+		lb := sc.lowerBound(&w.Route, w.Capacity, req, b, L)
 		if math.IsInf(lb, 1) || idle && lb > ub {
 			continue // provably infeasible, or provably never scanned
 		}
@@ -170,12 +181,12 @@ func (sc *Scratch) decide(alpha float64, cands []*Worker, req *Request, g *roadn
 }
 
 // idleCutSq is the squared straight-line distance, in meters, beyond which
-// an idle worker's bound EuclidTime(l₀, o_r) + L is certain to exceed ub:
-// (ub − L + feasEps)·v_max, squared. The feasEps of slack is tens of
-// thousands of ulps at route time scales (≤ 10⁵ s), far more than the
-// rounding of the square, the root and the sums, so this prefilter never
-// drops a worker the exact lb > ub test keeps; below the cut, that test
-// decides.
+// an idle worker's bound — at least EuclidTime(l₀, o_r) + L under every
+// pair bound — is certain to exceed ub: (ub − L + feasEps)·v_max, squared.
+// The feasEps of slack is tens of thousands of ulps at route time scales
+// (≤ 10⁵ s), far more than the rounding of the square, the root and the
+// sums, so this prefilter never drops a worker the exact lb > ub test
+// keeps; below the cut, that test decides.
 func idleCutSq(ub, L float64) float64 {
 	r := (ub - L + feasEps) * geo.MaxSpeed()
 	return r * r

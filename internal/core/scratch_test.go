@@ -143,6 +143,7 @@ type countingObserver struct {
 	starts, dones    int
 	served, rejected int
 	lastEvaluated    int32
+	evaluated        int64 // summed over every plan
 }
 
 func (o *countingObserver) PlanStart(now float64, req *Request) { o.starts++ }
@@ -155,4 +156,5 @@ func (o *countingObserver) PlanDone(tr *PlanTrace) {
 		o.rejected++
 	}
 	o.lastEvaluated = tr.Stats.Evaluated
+	o.evaluated += int64(tr.Stats.Evaluated)
 }

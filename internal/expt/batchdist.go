@@ -73,7 +73,7 @@ func (r *Runner) batchDistMode(b int, batched bool) ([]core.Result, *BatchDistPo
 			cands = cands[:0]
 			for _, req := range batch {
 				table.AddRequest(req)
-				lb := fleet.TravelTimeLB(req.Origin, req.Dest)
+				lb := fleet.Graph.EuclidTime(req.Origin, req.Dest)
 				cands = fleet.CandidatesAppend(cands, req, batch[0].Release, lb)
 			}
 			for _, w := range cands {

@@ -47,6 +47,9 @@ type Graph struct {
 	// weightEpoch identifies the traffic-overlay epoch this snapshot's
 	// costs belong to (traffic.go); 0 for a freshly built graph.
 	weightEpoch uint64
+	// lm holds this snapshot's landmark rows (landmark.go), built on first
+	// use; every snapshot has its own.
+	lm *landmarkTable
 }
 
 // NumVertices returns |V|.
@@ -71,12 +74,6 @@ func (g *Graph) Euclid(u, v VertexID) float64 { return g.pts[u].Dist(g.pts[v]) }
 // is what the decision phase of pruneGreedyDP requires (paper §5.1).
 func (g *Graph) EuclidTime(u, v VertexID) float64 {
 	return g.pts[u].Dist(g.pts[v]) / geo.MaxSpeed()
-}
-
-// EuclidTimePoint is EuclidTime with an arbitrary source point instead of a
-// vertex; used when lower-bounding from a worker position.
-func (g *Graph) EuclidTimePoint(p geo.Point, v VertexID) float64 {
-	return p.Dist(g.pts[v]) / geo.MaxSpeed()
 }
 
 // Degree returns the number of incident arcs of v.
@@ -304,6 +301,7 @@ func (b *Builder) Build() (*Graph, error) {
 		adjClass: make([]geo.RoadClass, len(arcs)),
 		numEdges: m,
 		bbox:     geo.NewBBox(b.pts),
+		lm:       new(landmarkTable),
 	}
 	for _, a := range arcs {
 		g.adjStart[a.from+1]++

@@ -285,11 +285,14 @@ func edgeKey(u, v VertexID) uint64 {
 }
 
 // reweighted returns a snapshot of g with the given arc costs, sharing
-// every other array. costs must be parallel to g's arc order.
+// every other array but the landmark table: g's rows are distances in g's
+// metric, so the snapshot builds its own. costs must be parallel to g's
+// arc order.
 func (g *Graph) reweighted(costs []float64, epoch uint64) *Graph {
 	ng := *g
 	ng.adjCost = costs
 	ng.weightEpoch = epoch
+	ng.lm = new(landmarkTable)
 	return &ng
 }
 

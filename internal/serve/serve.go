@@ -907,7 +907,7 @@ func (s *Server) prefetchLocked(batch []*pending) bool {
 	s.prefCands = s.prefCands[:0]
 	for _, p := range batch {
 		s.table.AddRequest(p.req)
-		lb := s.fleet.TravelTimeLB(p.req.Origin, p.req.Dest)
+		lb := s.fleet.Graph.EuclidTime(p.req.Origin, p.req.Dest)
 		s.prefCands = s.fleet.CandidatesAppend(s.prefCands, p.req, s.simTime, lb)
 	}
 	for _, w := range s.prefCands {

@@ -133,20 +133,14 @@ func (d *Dijkstra) extractPath(s, t roadnet.VertexID) []roadnet.VertexID {
 	return path
 }
 
-// numLandmarks is how many landmark distance rows BiDijkstra.Path keeps.
-// A constant, not a knob: eight float64 are the one cache line a relaxed
-// vertex costs, every row bounds every query, and the count was measured
-// (DESIGN.md §5.1: 4 rows settle a third more vertices, 16 a fifth fewer
-// at the same time per query for twice the build and memory).
-const numLandmarks = 8
-
 // BiDijkstra is the fallback oracle tier and the simulator's leg-path
 // engine. Dist is a bidirectional Dijkstra search, roughly half the search
 // space of plain Dijkstra on road networks. Path is a goal-directed A*
 // search whose potential is the landmark (triangle-inequality) lower bound
-// max_L |d(L,v) − d(L,t)|; the landmark rows are built by the first Path
-// call, so an engine that only answers Dist never pays for them, and an
-// engine bound to a traffic snapshot bounds with that snapshot's weights.
+// max_L |d(L,v) − d(L,t)| over the graph's landmark rows
+// (roadnet.Graph.Landmarks). The graph builds them for its first reader,
+// so an engine that only answers Dist never asks for them, and an engine
+// bound to a traffic snapshot bounds with that snapshot's own rows.
 // The potential is consistent, so Path settles each vertex once and
 // returns a shortest path — the same one the bidirectional search finds
 // wherever shortest paths are unique.
@@ -154,9 +148,6 @@ type BiDijkstra struct {
 	fwd, bwd *Dijkstra
 	// Settled counts vertices settled by the most recent query.
 	Settled int
-	// lm[v*numLandmarks+l] is the distance from landmark l to v (+Inf in
-	// another component); nil until the first Path call.
-	lm []float64
 }
 
 // NewBiDijkstra returns an engine bound to g. The graph is undirected so
@@ -171,41 +162,11 @@ func (b *BiDijkstra) Dist(s, t roadnet.VertexID) float64 {
 	return d
 }
 
-// buildLandmarks picks numLandmarks vertices farthest-first (each the
-// vertex farthest from those already chosen, lowest ID on ties) and stores
-// one-to-all distances from each. An unreached vertex is infinitely far, so
-// every component gets a landmark before any component gets its second.
-func (b *BiDijkstra) buildLandmarks() {
-	d := b.fwd
-	n := d.g.NumVertices()
-	b.lm = make([]float64, n*numLandmarks)
-	far := make([]float64, n) // distance to the nearest chosen landmark
-	for v := range far {
-		far[v] = Inf
-	}
-	for l := 0; l < numLandmarks; l++ {
-		next := 0
-		for v, f := range far {
-			if f > far[next] {
-				next = v
-			}
-		}
-		d.RunAll(roadnet.VertexID(next))
-		for v := range far {
-			dv := d.DistTo(roadnet.VertexID(v))
-			b.lm[v*numLandmarks+l] = dv
-			far[v] = math.Min(far[v], dv)
-		}
-	}
-}
-
 // Path returns a shortest s→t vertex path, or nil if unreachable.
 func (b *BiDijkstra) Path(s, t roadnet.VertexID) []roadnet.VertexID {
-	if b.lm == nil {
-		b.buildLandmarks()
-	}
-	ls := b.lm[int(s)*numLandmarks:][:numLandmarks]
-	lt := b.lm[int(t)*numLandmarks:][:numLandmarks]
+	d := b.fwd
+	lm := d.g.Landmarks()
+	ls, lt := &lm[s], &lm[t]
 	b.Settled = 0
 	// A landmark that reaches exactly one endpoint proves t unreachable.
 	// One that reaches neither reaches no vertex of this search either.
@@ -214,7 +175,6 @@ func (b *BiDijkstra) Path(s, t roadnet.VertexID) []roadnet.VertexID {
 			return nil
 		}
 	}
-	d := b.fwd
 	d.reset()
 	d.relax(s, 0, -1)
 	for d.heap.Len() > 0 {
@@ -237,7 +197,7 @@ func (b *BiDijkstra) Path(s, t roadnet.VertexID) []roadnet.VertexID {
 			// component that is |Inf − Inf| = NaN, which no comparison
 			// admits: it contributes 0, never a NaN heap key.
 			h := 0.0
-			for l, x := range b.lm[int(u)*numLandmarks:][:numLandmarks] {
+			for l, x := range &lm[u] {
 				if a := math.Abs(x - lt[l]); a > h {
 					h = a
 				}

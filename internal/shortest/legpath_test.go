@@ -118,21 +118,6 @@ func TestLegPathIdentical(t *testing.T) {
 	}
 }
 
-// TestLandmarksBuiltByFirstPath pins who pays for the landmark rows: an
-// engine that only answers Dist (the Versioned live tier) never builds them.
-func TestLandmarksBuiltByFirstPath(t *testing.T) {
-	g := testGraph(t, 10, 10, 3)
-	b := NewBiDijkstra(g)
-	b.Dist(0, 57)
-	if b.lm != nil {
-		t.Fatal("Dist built the landmark rows")
-	}
-	b.Path(0, 57)
-	if len(b.lm) != numLandmarks*g.NumVertices() {
-		t.Fatalf("after Path: %d landmark cells, want %d", len(b.lm), numLandmarks*g.NumVertices())
-	}
-}
-
 // TestLegPathOneAllocation: a leg is the returned path and nothing else.
 func TestLegPathOneAllocation(t *testing.T) {
 	g := testGraph(t, 20, 20, 9)
@@ -231,7 +216,7 @@ func legPairs(g *roadnet.Graph, n int) [][2]roadnet.VertexID {
 
 // BenchmarkLegPath decomposes the leg-search win on the plan-offline city:
 // the bidirectional search against the landmark search over the same
-// leg-length pairs, and what the landmark rows cost to build.
+// leg-length pairs, and what a snapshot's landmark rows cost to build.
 func BenchmarkLegPath(b *testing.B) {
 	g, err := roadnet.Generate(workload.ChengduLike(0.5).Net)
 	if err != nil {
@@ -259,8 +244,15 @@ func BenchmarkLegPath(b *testing.B) {
 	}
 	b.Run("landmark-build", func(b *testing.B) {
 		b.ReportAllocs()
+		ov := roadnet.NewOverlay(g)
 		for i := 0; i < b.N; i++ {
-			eng.buildLandmarks()
+			b.StopTimer()
+			snap, _, _, err := ov.Apply([]roadnet.TrafficUpdate{{Factor: 1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			snap.Landmarks()
 		}
 	})
 }

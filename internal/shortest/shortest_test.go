@@ -199,15 +199,19 @@ func TestHubLabelsTriangleInequality(t *testing.T) {
 	}
 }
 
+// TestEuclidTimeLowerBoundsNetworkDistance pins the Lemma 7 bound and the
+// batch prefetch's superset argument (DESIGN.md §16.3): the Euclidean
+// travel time never exceeds the oracle distance, so a candidate radius
+// computed from it is never too small.
 func TestEuclidTimeLowerBoundsNetworkDistance(t *testing.T) {
 	g := testGraph(t, 12, 12, 7)
 	hub := BuildHubLabels(g)
 	rng := rand.New(rand.NewSource(21))
 	n := g.NumVertices()
-	for q := 0; q < 500; q++ {
+	for q := 0; q < 2000; q++ {
 		s := roadnet.VertexID(rng.Intn(n))
 		tt := roadnet.VertexID(rng.Intn(n))
-		if lb := g.EuclidTime(s, tt); lb > hub.Dist(s, tt)+1e-6 {
+		if lb := g.EuclidTime(s, tt); lb > hub.Dist(s, tt)+1e-9 {
 			t.Fatalf("euclid lower bound %v exceeds network distance %v for (%d,%d)",
 				lb, hub.Dist(s, tt), s, tt)
 		}
