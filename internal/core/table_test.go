@@ -207,3 +207,21 @@ func TestBatchPlanZeroAllocs(t *testing.T) {
 		t.Fatal("plan path never read a table cell")
 	}
 }
+
+// TestTravelTimeLBIsLowerBound pins the prefetch superset argument at the
+// fleet level: the travel-time lower bound the batch prefetch reads,
+// fleet.Graph.EuclidTime, never exceeds the fleet's oracle distance, so a
+// candidate radius computed from it is never too small.
+func TestTravelTimeLBIsLowerBound(t *testing.T) {
+	tw, _ := hubWorld(t, 9, 9, 7)
+	rng := rand.New(rand.NewSource(7))
+	fleet := tw.newTestFleet(t, rng, 10, 4)
+	n := tw.g.NumVertices()
+	for i := 0; i < 2000; i++ {
+		u := roadnet.VertexID(rng.Intn(n))
+		v := roadnet.VertexID(rng.Intn(n))
+		if lb, d := fleet.Graph.EuclidTime(u, v), fleet.Dist(u, v); lb > d+1e-9 {
+			t.Fatalf("EuclidTime(%d,%d)=%g exceeds Dist=%g", u, v, lb, d)
+		}
+	}
+}
