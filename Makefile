@@ -18,7 +18,7 @@ race:
 
 # Quick benchmark pass: compiles every benchmark and runs one iteration.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/...
 
 # Full benchmark suite (regenerates the paper's tables and figures), then
 # the developer benchmarks that decompose the simulator's leg search, the

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/geo"
 	"repro/internal/roadnet"
 )
 
@@ -41,43 +42,96 @@ func Decide(alpha float64, cands []*Worker, req *Request, g *roadnet.Graph, L fl
 	return lbs, reject
 }
 
-// pairBound is the decision phase's lower bound on dis(u, v), the one
-// Lemma 7 puts in place of every distance to o_r or d_r. With rows nil it
-// is the paper's: the straight-line distance at the network's top speed.
-// With rows set to the graph's landmark rows it is the larger of that and
-// the ALT bound max_l |d(l,u) − d(l,v)| less a rounding margin, which on a
-// road network lies far closer to dis(u, v) (DESIGN.md §10.7).
-type pairBound struct {
-	g    *roadnet.Graph
-	rows [][8]float64
+// reqBound is the decision phase's lower bound on dis(u, o_r) and
+// dis(u, d_r) for one request: every distance Lemma 7 bounds has o_r or d_r
+// as an endpoint, so the bound holds both targets' points and rows and
+// reads a stop's own row once for both. With no rows it is the paper's:
+// the straight-line distance at the network's top speed. With the graph's
+// landmark rows it is the larger of that and the ALT bound
+// max_l |d(l,u) − d(l,t)| less a rounding margin, which on a road network
+// lies far closer to dis(u, t) (DESIGN.md §10.7).
+type reqBound struct {
+	g      *roadnet.Graph
+	po, pd geo.Point
+	rows   [][8]float64
+	ro, rd *[8]float64 // o_r's and d_r's rows; nil without landmarks
 	// rel scales the margin with the rows' distances: it absorbs the
 	// rounding of the rows' Dijkstra folds and of the oracle's own sums.
 	rel float64
+	// cut enables decide's one-pair deadline cut of busy workers
+	// (DESIGN.md §10.8); its slack needs rel, so only a landmark bound
+	// may set it.
+	cut bool
 }
 
-// landmarkBound returns the pair bound tightened by g's landmark rows.
-func landmarkBound(g *roadnet.Graph) pairBound {
-	return pairBound{g: g, rows: g.Landmarks(), rel: float64(g.NumVertices()+4) * 0x1p-51}
+// euclidBound returns the paper's Euclidean bound for req on g.
+func euclidBound(g *roadnet.Graph, req *Request) reqBound {
+	return reqBound{g: g, po: g.Point(req.Origin), pd: g.Point(req.Dest)}
 }
 
-// at returns the bound on dis(u, v); +Inf when a landmark reaches exactly
-// one of u and v, which proves the pair unreachable.
-func (b *pairBound) at(u, v roadnet.VertexID) float64 {
-	lb := b.g.EuclidTime(u, v)
-	if b.rows == nil {
+// landmarkBound returns req's bound tightened by g's landmark rows.
+func landmarkBound(g *roadnet.Graph, req *Request) reqBound {
+	b := euclidBound(g, req)
+	b.rows = g.Landmarks()
+	b.ro, b.rd = &b.rows[req.Origin], &b.rows[req.Dest]
+	b.rel = float64(g.NumVertices()+4) * 0x1p-51
+	return b
+}
+
+// toOrigin returns the bound on dis(u, o_r); +Inf when a landmark reaches
+// exactly one of u and o_r, which proves the pair unreachable.
+func (b *reqBound) toOrigin(u roadnet.VertexID) float64 {
+	lb := b.g.Point(u).Dist(b.po) / geo.MaxSpeed()
+	if b.ro == nil {
 		return lb
 	}
-	y := &b.rows[v]
-	for l, x := range &b.rows[u] {
-		d := math.Abs(x - y[l])
-		if d == math.Inf(1) {
-			return d
-		}
-		// A landmark that reaches neither gives Inf − Inf = NaN, which the
-		// comparison never admits.
-		if a := d - b.rel*(x+y[l]); a > lb {
-			lb = a
-		}
+	x := &b.rows[u]
+	for l := range x {
+		lb = lift(lb, x[l], b.ro[l], b.rel)
 	}
 	return lb
+}
+
+// toBoth returns the bounds on dis(u, o_r) and dis(u, d_r), each bit for
+// bit what toOrigin computes for its target, from one read of u's row.
+func (b *reqBound) toBoth(u roadnet.VertexID) (toO, toD float64) {
+	p := b.g.Point(u)
+	toO, toD = p.Dist(b.po)/geo.MaxSpeed(), p.Dist(b.pd)/geo.MaxSpeed()
+	if b.ro == nil {
+		return toO, toD
+	}
+	x := &b.rows[u]
+	for l := range x {
+		toO = lift(toO, x[l], b.ro[l], b.rel)
+		toD = lift(toD, x[l], b.rd[l], b.rel)
+	}
+	return toO, toD
+}
+
+// lift raises lb to landmark l's bound |x − y| − rel·(x + y), where x and y
+// are l's distances to the two endpoints. A landmark that reaches exactly
+// one endpoint makes it +Inf, which no later landmark lowers; one that
+// reaches neither gives Inf − Inf = NaN, which the comparison never admits.
+func lift(lb, x, y, rel float64) float64 {
+	d := math.Abs(x - y)
+	if d == math.Inf(1) {
+		return d
+	}
+	if a := d - rel*(x+y); a > lb {
+		return a
+	}
+	return lb
+}
+
+// busyCut reports whether the cut is on and toO = b(l₀, o_r) alone proves
+// every insertion into the busy route rt late: any insertion reaches d_r no
+// earlier than Now + dis(l₀, o_r) + L. The slack, 2·rel of the times'
+// magnitude, covers the rounding of the oracle's sums and of the cached
+// arrivals (DESIGN.md §10.8).
+func (b *reqBound) busyCut(rt *Route, deadline, toO, L float64) bool {
+	if !b.cut {
+		return false
+	}
+	slack := 2 * b.rel * (math.Abs(rt.Now) + math.Abs(deadline))
+	return rt.Now+toO+L > deadline+feasEps+slack
 }

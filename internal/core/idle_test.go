@@ -14,7 +14,8 @@ import (
 func dpBound(rt *Route, kw int, req *Request, g *roadnet.Graph, L float64) float64 {
 	var c insCtx
 	c.reset(rt, kw, req, L)
-	c.fillLower(&pairBound{g: g})
+	b := euclidBound(g, req)
+	c.fillLower(&b, b.toOrigin(rt.Loc))
 	ins := linearDP(&c)
 	if !ins.OK {
 		return math.Inf(1)

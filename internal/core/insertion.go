@@ -117,14 +117,13 @@ func (c *insCtx) fillExact(dist DistFunc) {
 	}
 }
 
-// fillLower populates the same entries as fillExact with the pair bound
-// b: zero distance queries (Lemma 7).
-func (c *insCtx) fillLower(b *pairBound) {
-	c.distO[0] = b.at(c.rt.Loc, c.req.Origin)
+// fillLower populates the same entries as fillExact with the request's
+// bound b, given toO = b's bound on dis(l₀, o_r): zero distance queries
+// (Lemma 7).
+func (c *insCtx) fillLower(b *reqBound, toO float64) {
+	c.distO[0] = toO
 	for k := 1; k <= c.n; k++ {
-		v := c.rt.Stops[k-1].Vertex
-		c.distO[k] = b.at(v, c.req.Origin)
-		c.distD[k] = b.at(v, c.req.Dest)
+		c.distO[k], c.distD[k] = b.toBoth(c.rt.Stops[k-1].Vertex)
 	}
 }
 

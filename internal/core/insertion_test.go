@@ -237,7 +237,6 @@ func TestApplyPreservesInvariants(t *testing.T) {
 func TestLowerBoundSound(t *testing.T) {
 	tw := newTestWorld(t, 10, 10, 17)
 	rng := rand.New(rand.NewSource(8))
-	lm := landmarkBound(tw.g)
 	var sc Scratch
 	trials := 1200
 	if testing.Short() {
@@ -255,8 +254,14 @@ func TestLowerBoundSound(t *testing.T) {
 		L := tw.dist(req.Origin, req.Dest)
 		lb := LowerBoundInsertion(&rt, kw, req, tw.g, L)
 		exact := LinearDPInsertion(&rt, kw, req, L, tw.dist)
-		if lmLB := sc.lowerBound(&rt, kw, req, &lm, L); exact.OK && !(lmLB <= exact.Delta) {
+		lm := landmarkBound(tw.g, req)
+		lm.cut = true
+		toO := lm.toOrigin(rt.Loc)
+		if lmLB := sc.lowerBound(&rt, kw, req, &lm, toO, L); exact.OK && !(lmLB <= exact.Delta) {
 			t.Fatalf("trial %d: landmark LB %v exceeds exact delta %v", trial, lmLB, exact.Delta)
+		}
+		if rt.Len() > 0 && exact.OK && lm.busyCut(&rt, req.Deadline, toO, L) {
+			t.Fatalf("trial %d: the deadline cut drops a route with exact delta %v", trial, exact.Delta)
 		}
 		if math.IsInf(lb, 1) {
 			if exact.OK {
@@ -379,7 +384,6 @@ func TestDPsNeverReadDistD0(t *testing.T) {
 	tw := newTestWorld(t, 10, 10, 19)
 	rng := rand.New(rand.NewSource(6))
 	var c insCtx
-	lm := landmarkBound(tw.g)
 	feasible := 0
 	for trial := 0; trial < 400; trial++ {
 		kw := 2 + rng.Intn(4)
@@ -390,14 +394,15 @@ func TestDPsNeverReadDistD0(t *testing.T) {
 			req.Deadline = now + tw.dist(req.Origin, req.Dest)*(1+rng.Float64()*0.2)
 		}
 		L := tw.dist(req.Origin, req.Dest)
-		for fill, b := range []*pairBound{nil, {g: tw.g}, &lm} {
+		eu, lm := euclidBound(tw.g, req), landmarkBound(tw.g, req)
+		for fill, b := range []*reqBound{nil, &eu, &lm} {
 			c.reset(&rt, kw, req, L)
 			if b == nil {
 				c.fillExact(tw.dist)
 				c.distD[0] = tw.dist(rt.Loc, req.Dest)
 			} else {
-				c.fillLower(b)
-				c.distD[0] = b.at(rt.Loc, req.Dest)
+				c.fillLower(b, b.toOrigin(rt.Loc))
+				_, c.distD[0] = b.toBoth(rt.Loc)
 			}
 			lin, naive := linearDP(&c), naiveDP(&c)
 			c.distD[0] = math.NaN()

@@ -96,6 +96,11 @@ type Greedy struct {
 	// insertion" makes anyway, while without it Algorithm 4's own test
 	// would reject requests the paper's planner serves.
 	landmarks bool
+	// busyCut turns on, with landmarks, decide's one-pair deadline cut of
+	// busy workers (DESIGN.md §10.8). It only drops workers no insertion
+	// can serve, yet it raises the minimum bound, which PostCheck makes
+	// harmless just as it does for the landmark bound itself.
+	busyCut bool
 	// obs and tr are the introspection hook: tr is the planner-owned
 	// arena record (reused across requests, so observation allocates
 	// nothing), populated and handed to obs only when obs is non-nil.
@@ -119,7 +124,7 @@ func NewGreedy(fleet *Fleet, cfg Config, name string) *Greedy {
 	if cfg.Insertion == nil {
 		cfg.Insertion = (*Scratch).LinearDP
 	}
-	return &Greedy{fleet: fleet, cfg: cfg, name: name, idleUB: idleUB, landmarks: cfg.PostCheck}
+	return &Greedy{fleet: fleet, cfg: cfg, name: name, idleUB: idleUB, landmarks: cfg.PostCheck, busyCut: cfg.PostCheck}
 }
 
 // Name implements Planner.
@@ -191,9 +196,10 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 	// Phase 1: decision (Algorithm 4), leaving out the idle workers the
 	// Lemma 8 scan provably never reaches. The bound reads the fleet's
 	// current snapshot, whose metric f.Dist answers in.
-	b := pairBound{g: f.Graph}
+	b := euclidBound(f.Graph, req)
 	if p.landmarks {
-		b = landmarkBound(f.Graph)
+		b = landmarkBound(f.Graph, req)
+		b.cut = p.busyCut
 	}
 	ub := math.Inf(1)
 	if p.idleUB {
@@ -202,9 +208,11 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 	lbs, reject := p.sc.decide(p.cfg.Alpha, cands, req, &b, L, ub)
 	if reject {
 		if tr != nil {
-			if ub < math.Inf(1) {
+			if ub < math.Inf(1) || p.sc.cut > 0 {
 				// The record lists every feasible worker in candidate order.
-				lbs, _ = p.sc.decide(p.cfg.Alpha, cands, req, &b, L, math.Inf(1))
+				all := b
+				all.cut = false
+				lbs, _ = p.sc.decide(p.cfg.Alpha, cands, req, &all, L, math.Inf(1))
 			}
 			tr.setBounds(lbs)
 			tr.Reason = ReasonDecisionBound
@@ -253,9 +261,7 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 // most ub once w* is evaluated. An idle worker with a bound above ub is
 // scanned after w*, whose bound is at most ub, and so after the scan has
 // stopped: decide leaves it out (DESIGN.md §10.6).
-func idleUpperBound(cands []*Worker, req *Request, b *pairBound, L float64, dist DistFunc) float64 {
-	g := b.g
-	o := g.Point(req.Origin)
+func idleUpperBound(cands []*Worker, req *Request, b *reqBound, L float64, dist DistFunc) float64 {
 	var star *Worker
 	nearest := math.Inf(1)
 	for _, w := range cands {
@@ -263,7 +269,7 @@ func idleUpperBound(cands []*Worker, req *Request, b *pairBound, L float64, dist
 		if rt.Len() != 0 || rt.Onboard > w.Capacity-req.Capacity {
 			continue
 		}
-		if d := g.Point(rt.Loc).DistSq(o); d < nearest {
+		if d := b.g.Point(rt.Loc).DistSq(b.po); d < nearest {
 			nearest, star = d, w
 		}
 	}
@@ -275,26 +281,31 @@ func idleUpperBound(cands []*Worker, req *Request, b *pairBound, L float64, dist
 	// The pair bound is at most the road distance, which keeps w*'s own
 	// bound within ub; should rounding ever say otherwise, decide would drop
 	// w* itself, so leave none out.
-	if emptyRouteDelta(rt, star.Capacity, req, b.at(rt.Loc, req.Origin), L) > ub {
+	if emptyRouteDelta(rt, star.Capacity, req, b.toOrigin(rt.Loc), L) > ub {
 		return math.Inf(1)
 	}
 	return ub
 }
 
 // appendLeftOut appends to lbs (decide's result, permuted by the scan) the
-// bounds decide left out under ub, so an observer's record lists every
-// feasible worker: the idle candidates with a finite bound above ub.
-func (p *Greedy) appendLeftOut(lbs []WorkerBound, cands []*Worker, req *Request, b *pairBound, L, ub float64) []WorkerBound {
-	if math.IsInf(ub, 1) {
+// finite bounds decide left out, so an observer's record lists every
+// feasible worker: the idle candidates with a bound above ub, and the busy
+// ones the deadline cut dropped, at the bound their full fill gives.
+func (p *Greedy) appendLeftOut(lbs []WorkerBound, cands []*Worker, req *Request, b *reqBound, L, ub float64) []WorkerBound {
+	if math.IsInf(ub, 1) && p.sc.cut == 0 {
 		return lbs
 	}
 	p.sc.acquire()
 	defer p.sc.release()
 	for _, w := range cands {
-		if w.Route.Len() != 0 {
-			continue
+		rt := &w.Route
+		idle := rt.Len() == 0
+		toO := b.toOrigin(rt.Loc)
+		if !idle && !b.busyCut(rt, req.Deadline, toO, L) {
+			continue // decide kept it or proved it infeasible
 		}
-		if lb := p.sc.lowerBound(&w.Route, w.Capacity, req, b, L); lb > ub && !math.IsInf(lb, 1) {
+		lb := p.sc.lowerBound(rt, w.Capacity, req, b, toO, L)
+		if !math.IsInf(lb, 1) && (!idle || lb > ub) {
 			lbs = append(lbs, WorkerBound{LB: lb, Worker: w})
 		}
 	}

@@ -28,6 +28,7 @@ type Scratch struct {
 	ctx   insCtx
 	lbs   []WorkerBound
 	cands []*Worker
+	cut   int     // busy workers decide's deadline cut left out
 	seq   []visit // BasicInsertion's candidate-route walk buffer
 }
 
@@ -102,26 +103,27 @@ func (sc *Scratch) Basic(rt *Route, kw int, req *Request, dist DistFunc) Inserti
 func (sc *Scratch) LowerBound(rt *Route, kw int, req *Request, g *roadnet.Graph, L float64) float64 {
 	sc.acquire()
 	defer sc.release()
-	return sc.lowerBound(rt, kw, req, &pairBound{g: g}, L)
+	b := euclidBound(g, req)
+	return sc.lowerBound(rt, kw, req, &b, b.toOrigin(rt.Loc), L)
 }
 
-// lowerBound is LowerBound on the pair bound b and without the ownership
-// guard, for callers that already hold the scratch (Decide's candidate
-// loop). An idle worker's empty route takes linearDP's closed form and
-// never touches the context.
-func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, b *pairBound, L float64) float64 {
+// lowerBound is LowerBound on the request's bound b, given toO = b's bound
+// on dis(l₀, o_r), and without the ownership guard, for callers that
+// already hold the scratch (Decide's candidate loop). An idle worker's
+// empty route takes linearDP's closed form and never touches the context.
+func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, b *reqBound, toO, L float64) float64 {
 	if rt.Len() == 0 {
-		return emptyRouteDelta(rt, kw, req, b.at(rt.Loc, req.Origin), L)
+		return emptyRouteDelta(rt, kw, req, toO, L)
 	}
 	c := &sc.ctx
 	c.reset(rt, kw, req, L)
-	c.fillLower(b)
+	c.fillLower(b, toO)
 	ins := linearDP(c)
 	if !ins.OK {
 		return math.Inf(1)
 	}
 	lb := ins.Delta
-	if b.rows != nil {
+	if b.ro != nil {
 		// Insertion.better keeps an earlier position over a value up to
 		// feasEps smaller, so the DP may return up to feasEps per candidate
 		// above the least value it was offered. The Euclidean bound is
@@ -142,27 +144,41 @@ func (sc *Scratch) lowerBound(rt *Route, kw int, req *Request, b *pairBound, L f
 // until the scratch's next Decide call. The bounds are the paper's
 // Euclidean ones.
 func (sc *Scratch) Decide(alpha float64, cands []*Worker, req *Request, g *roadnet.Graph, L float64) (lbs []WorkerBound, reject bool) {
-	return sc.decide(alpha, cands, req, &pairBound{g: g}, L, math.Inf(1))
+	b := euclidBound(g, req)
+	return sc.decide(alpha, cands, req, &b, L, math.Inf(1))
 }
 
-// decide is Decide on the pair bound b that also leaves out every idle
-// worker whose bound exceeds ub, the exact Δ* of some idle candidate
-// (Greedy.plan's idleUpperBound; +Inf leaves out none). Such a worker could
-// never be evaluated by the Lemma 8 scan (DESIGN.md §10.6), and with the
-// candidate that set ub still in the slice the minimum bound is unchanged.
-func (sc *Scratch) decide(alpha float64, cands []*Worker, req *Request, b *pairBound, L, ub float64) (lbs []WorkerBound, reject bool) {
+// decide is Decide on the request's bound b that also leaves out two kinds
+// of worker the Lemma 8 scan could never choose:
+//   - every idle worker whose bound exceeds ub, the exact Δ* of some idle
+//     candidate (Greedy.plan's idleUpperBound; +Inf leaves out none). Such
+//     a worker could never be evaluated (DESIGN.md §10.6), and with the
+//     candidate that set ub still in the slice the minimum bound is
+//     unchanged;
+//   - with b's cut on, every busy worker whose one pair bound b(l₀, o_r)
+//     already misses e_r: no insertion into its route is feasible
+//     (DESIGN.md §10.8).
+//
+// It records in sc.cut how many busy workers the cut left out.
+func (sc *Scratch) decide(alpha float64, cands []*Worker, req *Request, b *reqBound, L, ub float64) (lbs []WorkerBound, reject bool) {
 	sc.acquire()
 	defer sc.release()
 	lbs = sc.lbs[:0]
+	sc.cut = 0
 	minLB := math.Inf(1)
-	o := b.g.Point(req.Origin)
 	cutSq := idleCutSq(ub, L)
 	for _, w := range cands {
-		idle := w.Route.Len() == 0
-		if idle && b.g.Point(w.Route.Loc).DistSq(o) > cutSq {
+		rt := &w.Route
+		idle := rt.Len() == 0
+		if idle && b.g.Point(rt.Loc).DistSq(b.po) > cutSq {
 			continue // its bound exceeds ub: skip the square root
 		}
-		lb := sc.lowerBound(&w.Route, w.Capacity, req, b, L)
+		toO := b.toOrigin(rt.Loc)
+		if !idle && b.busyCut(rt, req.Deadline, toO, L) {
+			sc.cut++
+			continue // provably infeasible before the 2n+1 fill
+		}
+		lb := sc.lowerBound(rt, w.Capacity, req, b, toO, L)
 		if math.IsInf(lb, 1) || idle && lb > ub {
 			continue // provably infeasible, or provably never scanned
 		}

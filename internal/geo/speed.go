@@ -1,6 +1,9 @@
 package geo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RoadClass categorizes an edge of the road network. Classes determine the
 // travel speed used to convert edge length (meters) into travel time
@@ -71,19 +74,15 @@ func (c RoadClass) Speed() float64 {
 	return classSpeeds[c]
 }
 
+// maxSpeed is the largest entry of classSpeeds, computed once: nothing
+// mutates the table, and EuclidTime reads it once per pair.
+var maxSpeed = slices.Max(classSpeeds[:])
+
 // MaxSpeed is the fastest speed any road class allows, in m/s. Euclidean
 // travel-time lower bounds divide straight-line distance by MaxSpeed, which
 // guarantees euc(u,v)/MaxSpeed ≤ dis(u,v) when dis is a shortest travel
 // time, as required by the decision phase (paper §5.1).
-func MaxSpeed() float64 {
-	max := classSpeeds[0]
-	for _, s := range classSpeeds[1:] {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
+func MaxSpeed() float64 { return maxSpeed }
 
 // TravelTime converts a length in meters on a road of class c into seconds.
 func (c RoadClass) TravelTime(meters float64) float64 {
