@@ -126,7 +126,9 @@ func TestCapacity(t *testing.T) {
 }
 
 // TestRandomAgainstSort pushes random priorities (with random decrease-key
-// updates) and checks that pops come out in the final sorted order.
+// updates) and checks that pops come out in the final sorted order. Every
+// other trial draws from eight priorities, so ties are everywhere, and
+// they must leave in ID order.
 func TestRandomAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -136,6 +138,9 @@ func TestRandomAgainstSort(t *testing.T) {
 		for i := 0; i < 3*n; i++ {
 			id := int32(rng.Intn(n))
 			p := rng.Float64() * 1000
+			if trial%2 == 1 {
+				p = float64(rng.Intn(8))
+			}
 			h.Push(id, p)
 			final[id] = p
 		}
@@ -156,21 +161,10 @@ func TestRandomAgainstSort(t *testing.T) {
 		if h.Len() != len(want) {
 			t.Fatalf("len=%d want %d", h.Len(), len(want))
 		}
-		var prev float64 = -1
-		seen := make(map[int32]bool)
-		for h.Len() > 0 {
-			id, p := h.Pop()
-			if p < prev {
-				t.Fatalf("non-monotone pop: %v after %v", p, prev)
+		for k := 0; h.Len() > 0; k++ {
+			if id, p := h.Pop(); id != want[k].id || p != want[k].p {
+				t.Fatalf("pop %d: (%d, %v), want (%d, %v)", k, id, p, want[k].id, want[k].p)
 			}
-			if final[id] != p {
-				t.Fatalf("item %d popped with %v want %v", id, p, final[id])
-			}
-			if seen[id] {
-				t.Fatalf("item %d popped twice", id)
-			}
-			seen[id] = true
-			prev = p
 		}
 	}
 }

@@ -110,15 +110,6 @@ func (d *Dijkstra) DistTo(v roadnet.VertexID) float64 {
 // Reached reports whether v was reached by the last run.
 func (d *Dijkstra) Reached(v roadnet.VertexID) bool { return d.seen(v) }
 
-// Path returns a shortest s→t vertex path (inclusive), or nil if t is
-// unreachable.
-func (d *Dijkstra) Path(s, t roadnet.VertexID) []roadnet.VertexID {
-	if d.Dist(s, t) == Inf {
-		return nil
-	}
-	return d.extractPath(s, t)
-}
-
 // extractPath reads the s→t path off the parent pointers of the last
 // search. It counts the hops first so the path costs one allocation.
 func (d *Dijkstra) extractPath(s, t roadnet.VertexID) []roadnet.VertexID {
@@ -146,7 +137,8 @@ func (d *Dijkstra) extractPath(s, t roadnet.VertexID) []roadnet.VertexID {
 // wherever shortest paths are unique.
 type BiDijkstra struct {
 	fwd, bwd *Dijkstra
-	// Settled counts vertices settled by the most recent query.
+	// Settled counts vertices settled by the most recent query (by both
+	// searches of a Path that searched again).
 	Settled int
 }
 
@@ -162,26 +154,64 @@ func (b *BiDijkstra) Dist(s, t roadnet.VertexID) float64 {
 	return d
 }
 
-// Path returns a shortest s→t vertex path, or nil if unreachable.
-func (b *BiDijkstra) Path(s, t roadnet.VertexID) []roadnet.VertexID {
-	d := b.fwd
-	lm := d.g.Landmarks()
+// Path returns a shortest s→t vertex path, or nil if t is unreachable.
+// within bounds dis(s, t) from above (Inf: no bound) and the search pushes
+// no key above it. If within covers every key the unbounded search pops,
+// the search pops exactly those and returns the same path (DESIGN.md §5.1);
+// if it ends short of t, Path searches again without the bound.
+func (b *BiDijkstra) Path(s, t roadnet.VertexID, within float64) []roadnet.VertexID {
+	lm := b.fwd.g.Landmarks()
 	ls, lt := &lm[s], &lm[t]
 	b.Settled = 0
 	// A landmark that reaches exactly one endpoint proves t unreachable.
-	// One that reaches neither reaches no vertex of this search either.
+	// One that reaches neither reaches no vertex of this search either:
+	// mask 0 drops its NaN. The rest keep all bits but the sign.
+	var mask [len(lt)]uint64
 	for l := range lt {
 		if (ls[l] == Inf) != (lt[l] == Inf) {
 			return nil
 		}
+		if lt[l] < Inf {
+			mask[l] = math.MaxInt64
+		}
 	}
+	p := b.astar(s, t, within, lm, &mask)
+	b.Settled = b.fwd.Settled
+	if p == nil && within < Inf {
+		p = b.astar(s, t, Inf, lm, &mask)
+		b.Settled += b.fwd.Settled
+	}
+	return p
+}
+
+// LegSlack is LegBound's rounding slack, derived in DESIGN.md §5.1 for any
+// graph an int32 VertexID indexes. Not a tunable: wider only prunes less.
+const LegSlack = 0x1p-16
+
+// LegBound bounds dis(·, t) for a leg from time now planned to reach t at
+// arr: arr − now, widened by LegSlack times what was rounded on the way —
+// both clocks and t's landmark distances, which scale the potential's.
+func LegBound(g *roadnet.Graph, t roadnet.VertexID, now, arr float64) float64 {
+	r := 0.0
+	for _, x := range &g.Landmarks()[t] {
+		if x < Inf {
+			r = max(r, x)
+		}
+	}
+	return arr - now + LegSlack*(math.Abs(now)+math.Abs(arr)+r)
+}
+
+// astar is one A* search from s to t with potential max_L |d(L,u) − d(L,t)|
+// over the landmarks mask keeps, pushing no key above within.
+func (b *BiDijkstra) astar(s, t roadnet.VertexID, within float64, lm [][8]float64, mask *[8]uint64) []roadnet.VertexID {
+	d := b.fwd
+	lt := &lm[t]
 	d.reset()
 	d.relax(s, 0, -1)
 	for d.heap.Len() > 0 {
 		v, _ := d.heap.Pop()
 		d.Settled++
 		if v == t {
-			b.Settled = d.Settled
 			return d.extractPath(s, t)
 		}
 		dv := d.dist[v]
@@ -193,22 +223,25 @@ func (b *BiDijkstra) Path(s, t roadnet.VertexID) []roadnet.VertexID {
 			if d.seen(u) && (du >= d.dist[u] || !d.heap.Contains(u)) {
 				continue
 			}
-			// h(u) = max_L |d(L,u) − d(L,t)|. For a landmark in another
-			// component that is |Inf − Inf| = NaN, which no comparison
-			// admits: it contributes 0, never a NaN heap key.
-			h := 0.0
-			for l, x := range &lm[u] {
-				if a := math.Abs(x - lt[l]); a > h {
-					h = a
-				}
+			// h(u) without a branch: non-negative floats order as their
+			// bits do, so the masked differences meet in an integer max.
+			x := &lm[u]
+			var hb uint64
+			for l := range x {
+				hb = max(hb, math.Float64bits(x[l]-lt[l])&mask[l])
+			}
+			h := math.Float64frombits(hb)
+			// A pruned vertex stays unseen: a shorter offer may push it.
+			key := du + h
+			if key > within {
+				continue
 			}
 			d.version[u] = d.cur
 			d.dist[u] = du
 			d.parent[u] = v
-			d.heap.Push(u, du+h)
+			d.heap.Push(u, key)
 		}
 	}
-	b.Settled = d.Settled
 	return nil
 }
 

@@ -23,10 +23,12 @@ type Oracle interface {
 }
 
 // PathOracle additionally reconstructs a shortest path as a vertex
-// sequence including both endpoints. A nil slice means unreachable.
+// sequence including both endpoints. A nil slice means unreachable. within
+// is an upper bound on dis(s, t) the caller already knows, Inf for none;
+// an engine may prune with it but must return the same path either way.
 type PathOracle interface {
 	Oracle
-	Path(s, t roadnet.VertexID) []roadnet.VertexID
+	Path(s, t roadnet.VertexID, within float64) []roadnet.VertexID
 }
 
 // Counting wraps an Oracle and counts queries. The paper's §6 reports

@@ -100,7 +100,7 @@ func TestEnginesAgree(t *testing.T) {
 		s := roadnet.VertexID(rng.Intn(n))
 		tt := roadnet.VertexID(rng.Intn(n))
 		want := dij.Dist(s, tt)
-		if got := pathCost(t, g, bi.Path(s, tt)); math.Abs(got-want) > 1e-6 {
+		if got := pathCost(t, g, bi.Path(s, tt, Inf)); math.Abs(got-want) > 1e-6 {
 			t.Fatalf("landmark path (%d,%d) costs %v want %v", s, tt, got, want)
 		}
 		if got := bi.Dist(s, tt); math.Abs(got-want) > 1e-6 {
@@ -138,7 +138,7 @@ func TestPathsAreValidAndOptimal(t *testing.T) {
 		want := dij.Dist(s, tt)
 		for name, path := range map[string][]roadnet.VertexID{
 			"dijkstra": dij.Path(s, tt),
-			"landmark": bi.Path(s, tt),
+			"landmark": bi.Path(s, tt, Inf),
 			"bi":       bi.bidiPath(s, tt),
 		} {
 			if len(path) == 0 || path[0] != s || path[len(path)-1] != tt {
@@ -157,7 +157,7 @@ func TestBiDijkstraTrivial(t *testing.T) {
 	if d := bi.Dist(3, 3); d != 0 {
 		t.Fatalf("self distance=%v", d)
 	}
-	p := bi.Path(3, 3)
+	p := bi.Path(3, 3, Inf)
 	if len(p) != 1 || p[0] != 3 {
 		t.Fatalf("self path=%v", p)
 	}

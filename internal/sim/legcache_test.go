@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/roadnet"
+	"repro/internal/shortest"
 )
 
 func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -225,4 +226,125 @@ func BenchmarkEngineRunChunked(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// legRecorder passes leg searches through to a path engine and records
+// each call with the graph it searched.
+type legRecorder struct {
+	inner shortest.PathOracle
+	g     *roadnet.Graph
+	legs  []recordedLeg
+}
+
+type recordedLeg struct {
+	g      *roadnet.Graph
+	s, t   roadnet.VertexID
+	within float64
+}
+
+func (r *legRecorder) Dist(s, t roadnet.VertexID) float64 { return r.inner.Dist(s, t) }
+
+func (r *legRecorder) Path(s, t roadnet.VertexID, within float64) []roadnet.VertexID {
+	r.legs = append(r.legs, recordedLeg{r.g, s, t, within})
+	return r.inner.Path(s, t, within)
+}
+
+// TestWorldLegBoundHolds records the bound World passes with every leg of a
+// 2k-request run that crosses a traffic epoch and then restarts from a
+// snapshot of its fleet (routes mid-flight, every leg dirty). Each bound
+// must be finite, at least the Dijkstra distance of its leg and within
+// LegSlack of it, and the bounded search must settle exactly what the
+// unbounded one settles — a second search would add to the count. A bound
+// that silently fell back to Inf would keep every digest and only lose
+// speed; this test is the guard against it.
+func TestWorldLegBoundHolds(t *testing.T) {
+	side, requests := 40, 2000
+	if testing.Short() {
+		side, requests = 24, 500
+	}
+	p := newTrafficPipelineSized(t, 7, side, 60, requests)
+	reqs := p.inst.Requests
+	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Release < reqs[j].Release })
+	p.tc.SetProfile(roadnet.TrafficProfile{Events: []roadnet.TrafficEvent{
+		{At: reqs[len(reqs)/3].Release, Updates: []roadnet.TrafficUpdate{{Factor: 2.5, Class: "arterial"}, {Factor: 1.3}}},
+	}})
+	wd, planner := p.eng.World(), p.eng.Planner
+	rec := &legRecorder{inner: wd.Paths, g: p.fleet.Graph}
+	wd.Paths = rec
+	restoredAt := 0
+	for i, r := range reqs {
+		if i == 2*len(reqs)/3 {
+			// Restart as a snapshot restore does: the same routes, bit for
+			// bit, in a fresh fleet and world.
+			workers := make([]*core.Worker, len(p.fleet.Workers))
+			for k, w := range p.fleet.Workers {
+				cw := *w
+				cw.Route = w.Route.Clone()
+				workers[k] = &cw
+			}
+			fleet, err := core.NewFleet(p.fleet.Graph, p.fleet.Dist, workers, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.inner = shortest.NewBiDijkstra(fleet.Graph)
+			wd, planner, restoredAt = NewWorld(fleet, rec), core.NewPruneGreedyDP(fleet, 1), len(rec.legs)
+		} else if i < 2*len(reqs)/3 {
+			before := p.tc.EventsApplied()
+			if err := p.tc.PollUntil(r.Release); err != nil {
+				t.Fatal(err)
+			}
+			if p.tc.EventsApplied() != before {
+				rec.inner, rec.g = wd.Paths, p.fleet.Graph
+				wd.Paths = rec
+			}
+		}
+		wd.AdvanceAll(r.Release)
+		if res := planner.OnRequest(r.Release, r); res.Served {
+			wd.MarkDirty(res.Worker)
+		}
+	}
+	// No clock the run reaches passes the last planned arrival.
+	horizon := 0.0
+	for _, w := range wd.Fleet.Workers {
+		horizon = math.Max(horizon, w.Route.Now)
+		if n := len(w.Route.Arr); n > 0 {
+			horizon = math.Max(horizon, w.Route.Arr[n-1])
+		}
+	}
+	wd.CompleteAll()
+	if p.tc.EventsApplied() != 1 || restoredAt == 0 || restoredAt == len(rec.legs) {
+		t.Fatalf("%d traffic events, %d legs before the restore of %d", p.tc.EventsApplied(), restoredAt, len(rec.legs))
+	}
+	dij := map[*roadnet.Graph]*shortest.Dijkstra{}
+	free, epochs, widest := rec.legs[0].g, 0, 0.0
+	for i, l := range rec.legs {
+		if dij[l.g] == nil {
+			dij[l.g] = shortest.NewDijkstra(l.g)
+		}
+		if l.g != free {
+			epochs++
+		}
+		d := dij[l.g].Dist(l.s, l.t)
+		r := 0.0
+		for _, x := range &l.g.Landmarks()[l.t] {
+			if x < math.Inf(1) {
+				r = math.Max(r, x)
+			}
+		}
+		slack := shortest.LegSlack * (2*horizon + r)
+		if !(l.within >= d && l.within <= d+slack) {
+			t.Fatalf("leg %d (%d→%d): bound %v, Dijkstra %v, slack %v", i, l.s, l.t, l.within, d, slack)
+		}
+		widest = math.Max(widest, l.within-d)
+		bounded, unbounded := shortest.NewBiDijkstra(l.g), shortest.NewBiDijkstra(l.g)
+		bounded.Path(l.s, l.t, l.within)
+		unbounded.Path(l.s, l.t, math.Inf(1))
+		if bounded.Settled != unbounded.Settled {
+			t.Fatalf("leg %d (%d→%d) within %v: settled %d, unbounded %d", i, l.s, l.t, l.within, bounded.Settled, unbounded.Settled)
+		}
+	}
+	if epochs == 0 {
+		t.Fatal("no leg searched the traffic snapshot")
+	}
+	t.Logf("%d legs, %d under traffic, %d after the restore; bounds at most %.3g s above the distance", len(rec.legs), epochs, len(rec.legs)-restoredAt, widest)
 }

@@ -240,9 +240,10 @@ func loadDelta(s core.Stop) int {
 	return -s.Cap
 }
 
-// computeLeg finds the vertex path of the worker's first leg and its
-// per-vertex arrival times, normalizing the final time to the cached
-// arrival so float drift cannot accumulate. The times buffer (and the
+// computeLeg finds the vertex path of the worker's first leg — a search
+// bounded by the planned arrival, shortest.LegBound — and its per-vertex
+// arrival times, normalizing the final time to the cached arrival so float
+// drift cannot accumulate. The times buffer (and the
 // trivial self-leg) are reused across legs; only the path engine's own
 // result is freshly allocated per leg.
 func (wd *World) computeLeg(ws *workerState) {
@@ -263,7 +264,7 @@ func (wd *World) computeLeg(ws *workerState) {
 		ws.dirty = false
 		return
 	}
-	path := wd.Paths.Path(rt.Loc, target)
+	path := wd.Paths.Path(rt.Loc, target, shortest.LegBound(wd.Fleet.Graph, target, rt.Now, rt.Arr[0]))
 	if path == nil {
 		panic(fmt.Sprintf("sim: no path from %d to %d on a connected network", rt.Loc, target))
 	}
