@@ -22,11 +22,12 @@ bench-smoke:
 
 # Full benchmark suite (regenerates the paper's tables and figures), then
 # the developer benchmarks that decompose the simulator's leg search, the
-# distance cache's per-epoch flush, the CCH skeleton build and the
-# planner on a mostly idle and on a half busy fleet.
+# distance cache's per-epoch flush, the CCH skeleton build, customization
+# and point query, and the planner on a mostly idle and on a half busy
+# fleet.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-	$(GO) test -run xxx -bench 'BenchmarkLegPath|BenchmarkLRUFlush|BenchmarkCCHSkeletonBuild' -benchmem ./internal/shortest
+	$(GO) test -run xxx -bench 'BenchmarkLegPath|BenchmarkLRUFlush|BenchmarkCCHSkeletonBuild|BenchmarkCCHCustomize|BenchmarkCCHQuery' -benchmem ./internal/shortest
 	$(GO) test -run xxx -bench 'BenchmarkEngineRunChunked' -benchmem ./internal/sim
 	$(GO) test -run xxx -bench 'BenchmarkPlanIdleFleet|BenchmarkPlanBusyFleet' -benchmem ./internal/core
 
@@ -52,7 +53,8 @@ golden:
 # Short fuzz pass over the untrusted-input parsers (roadnet text, DIMACS,
 # traffic profiles, workload stream, trip CSV, serve snapshot + request
 # bodies), the CCH skeleton build against its map-based reference, the CCH
-# customization equivalence invariant, the landmark leg search and the
+# customization equivalence invariant, the pruned CCH query against exact
+# Dijkstra and the unpruned query, the landmark leg search and the
 # landmark pair bound against every oracle tier. `go test` alone replays
 # only the seed corpus.
 fuzz:
@@ -65,6 +67,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRequestBody -fuzztime 10s ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzCCHSkeleton -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzCCHCustomize -fuzztime 10s ./internal/shortest
+	$(GO) test -run xxx -fuzz FuzzCCHPrunedDist -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzLegPath -fuzztime 10s ./internal/shortest
 	$(GO) test -run xxx -fuzz FuzzLandmarkBound -fuzztime 10s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzReadWAL -fuzztime 10s ./internal/wal

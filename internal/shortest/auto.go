@@ -10,12 +10,11 @@ import "repro/internal/roadnet"
 //	               memory grows with graph diameter; affordable up to a few
 //	               tens of thousands of vertices.
 //	CCH          — queries off cached elimination-tree labels (~0.5µs
-//	               warm, ~40µs for a pair never seen: two label builds,
-//	               each one walk over the per-arc upDepth/upW runs;
-//	               5.9k-vertex city) over a metric-independent skeleton;
-//	               contraction runs once per topology and a traffic epoch
-//	               re-derives shortcut weights in milliseconds (cch.go),
-//	               so it is the preferred mid tier under live weights.
+//	               warm, ~20µs cold on the 5.9k-vertex city, each label one
+//	               walk over the arcs perfect customization kept) over a
+//	               metric-independent skeleton; a traffic epoch re-derives
+//	               the weights in milliseconds (cch.go), so it is the
+//	               preferred mid tier under live weights.
 //	CH           — ~6-15µs queries after a witness-limited contraction pass
 //	               (near-linear on road networks); slightly sparser than
 //	               CCH but every weight change costs a full rebuild.

@@ -6,10 +6,8 @@ package shortest
 // topology and a cheap metric customization re-run per weight epoch.
 //
 // The classic CH (ch.go) entangles the two: witness searches consult the
-// current edge weights to suppress unnecessary shortcuts, so a traffic
-// update invalidates the whole hierarchy and PR 5's epoch front paid a
-// full BuildCH per update, serving ~55x-slower live-Dijkstra queries
-// meanwhile. Here the contraction order and the shortcut skeleton are
+// current edge weights, so a traffic update invalidates the whole
+// hierarchy. Here the contraction order and the shortcut skeleton are
 // functions of the topology alone — contracting a vertex adds a shortcut
 // between EVERY pair of its uncontracted neighbors (no witness search),
 // yielding the chordal supergraph of the contraction order. A weight
@@ -20,12 +18,10 @@ package shortest
 //
 // Determinism is load-bearing (DESIGN.md §12): the skeleton is built in a
 // canonical order (order-free fill-in counts, vertex-ID tie-breaks,
-// rank-sorted upward arcs), every
-// customization seeds and relaxes arcs in the same fixed order, and a
-// query composes a shortest-path sum over the same arcs every epoch — so
-// two processes that built the skeleton independently return bit-identical
-// distances, which is what lets the customize fast path preserve the
-// repo's replay-equivalence guarantee across traffic epochs.
+// rank-sorted upward arcs), every customization seeds and relaxes arcs in
+// the same fixed order, and a query composes a shortest-path sum over the
+// same arcs every epoch — so independently built skeletons return
+// bit-identical distances across traffic epochs.
 
 import (
 	"cmp"
@@ -67,11 +63,8 @@ type CCHSkeleton struct {
 	// its upward neighbors a clique, so by induction all of them are
 	// ancestors of v: v's upward search space is exactly its root path,
 	// which is what CCH's depth-indexed labels rest on (DESIGN.md §12.4).
-	// upDepth[i] = depth[upTo[i]], so a label build reads head depths in
-	// sequence beside upW; metric-independent, shared by every epoch's CCH.
 	parent   []roadnet.VertexID
 	depth    []int32
-	upDepth  []int32
 	maxDepth int32
 
 	// LCA index over the elimination forest, metric-independent like the
@@ -118,8 +111,7 @@ const cchCustomizeShards = 32
 const cchParallelMinTriples = 3 * 65536
 
 // cchParallelMinLevel is the per-level element count below which one
-// level is swept inline by the coordinating goroutine instead of being
-// fanned out.
+// level is swept inline instead of being fanned out.
 const cchParallelMinLevel = 3 * 4096
 
 // cchArc is an edge of the contraction graph as seen from one endpoint:
@@ -344,10 +336,6 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 			sk.maxDepth = max(sk.maxDepth, sk.depth[v])
 		}
 	}
-	sk.upDepth = make([]int32, total)
-	for i, x := range sk.upTo {
-		sk.upDepth[i] = sk.depth[x]
-	}
 	sk.buildLCA()
 
 	// Contraction levels over the chordal graph: level(v) = 1 + max level
@@ -546,18 +534,19 @@ func (sk *CCHSkeleton) Triangles() int { return len(sk.tri) / 3 }
 func (sk *CCHSkeleton) MemoryBytes() int64 {
 	return int64(len(sk.upTo))*4 + int64(len(sk.upVia))*4 + int64(len(sk.upBase))*4 +
 		int64(len(sk.upStart))*4 + int64(len(sk.tri))*4 + int64(len(sk.triOff))*4 +
-		int64(sk.n)*8 + int64(len(sk.parent))*4 + int64(len(sk.depth))*4 + int64(len(sk.upDepth))*4 +
+		int64(sk.n)*8 + int64(len(sk.parent))*4 + int64(len(sk.depth))*4 +
 		int64(len(sk.first))*4 + int64(len(sk.tree))*4 + int64(len(sk.sparse))*4
 }
 
 // Customize derives the epoch's shortcut weights over the fixed skeleton:
 // original arcs are seeded from costs (the graph's CSR arc-cost array,
 // see roadnet.Graph.ArcCosts), shortcut arcs start at +Inf, and one
-// in-order sweep of the precomputed lower triangles settles every weight.
-// Because the skeleton, the seeding order and the sweep order are all
-// fixed, the same costs always produce bit-identical weights — and
-// therefore bit-identical query results — no matter when or where the
-// customization ran.
+// in-order sweep of the precomputed lower triangles settles every weight;
+// labels walk only the arcs a perfect sweep shows a shortest path can use
+// (DESIGN.md §12.4, "Perfect pruning"). Because the skeleton, the seeding
+// order and the sweep orders are all fixed, the same costs always produce
+// bit-identical weights — and therefore bit-identical query results — no
+// matter when or where the customization ran.
 //
 // Customize is safe to call concurrently on a shared skeleton; each call
 // returns an independent CCH with its own, empty label arena (wrap in
@@ -575,6 +564,14 @@ func (sk *CCHSkeleton) Customize(costs []float64) *CCH {
 // the serial sweep). Any worker count produces bit-identical weights; the
 // knob exists for the equivalence tests and the customize benchmarks.
 func (sk *CCHSkeleton) CustomizeParallel(costs []float64, workers int) *CCH {
+	basic := sk.basicWeights(costs, workers)
+	perfect := slices.Clone(basic)
+	sk.perfectSweep(perfect)
+	return sk.prune(basic, perfect, sk.pruneMargin(costs))
+}
+
+// basicWeights runs the basic customization, bottom up over lower triangles.
+func (sk *CCHSkeleton) basicWeights(costs []float64, workers int) []float64 {
 	if len(costs) != sk.baseArcs {
 		panic(fmt.Sprintf("shortest: Customize got %d arc costs, skeleton topology has %d arcs",
 			len(costs), sk.baseArcs))
@@ -596,18 +593,73 @@ func (sk *CCHSkeleton) CustomizeParallel(costs []float64, workers int) *CCH {
 	} else {
 		sk.sweepParallel(w, workers)
 	}
-	// Label budget: what the hierarchy itself occupies, which on road
-	// networks keeps every label resident (DESIGN.md §12.4). The clamps
-	// make sure two labels always fit after a reset.
-	budget := int((sk.MemoryBytes() + int64(len(w))*8) / 8)
-	slabLen := max(min(cchSlabFloats, budget/2), int(sk.maxDepth)+1)
-	return &CCH{
-		skel:     sk,
-		upW:      w,
-		lab:      make([][]float64, sk.n),
-		slabLen:  slabLen,
-		maxSlabs: max(budget/slabLen, 2),
+	return w
+}
+
+// perfectSweep lowers basic weights w in place to each arc's true length:
+// triangles by apex level, top down, each relaxing the apex's two arcs
+// through the third. It is serial, since a level's shards split an apex's
+// arcs; every value it writes is the float length of a real walk.
+func (sk *CCHSkeleton) perfectSweep(w []float64) {
+	tri := sk.tri
+	for t := len(tri) - 3; t >= 0; t -= 3 {
+		c, a, b := tri[t], tri[t+1], tri[t+2]
+		if s := w[a] + w[c]; s < w[b] {
+			w[b] = s
+		}
+		if s := w[b] + w[c]; s < w[a] {
+			w[a] = s
+		}
 	}
+}
+
+// pruneMargin is τ = 2·γ_K·B, K = |upward arcs| + 4·maxDepth + 2, γ_K =
+// K·u/(1−K·u), u = 2⁻⁵³, B the sum of the finite costs: no arc whose basic
+// weight exceeds its perfect one by more attains a Dist (DESIGN.md §12.4).
+func (sk *CCHSkeleton) pruneMargin(costs []float64) float64 {
+	b := 0.0
+	for _, x := range costs {
+		if x < Inf {
+			b += x
+		}
+	}
+	ku := 0x1p-53 * float64(len(sk.upTo)+4*int(sk.maxDepth)+2) // K·u
+	return 2 * ku / (1 - ku) * b
+}
+
+// prune returns the CCH whose labels walk the arcs with basic−perfect ≤ tau.
+func (sk *CCHSkeleton) prune(basic, perfect []float64, tau float64) *CCH {
+	kept := 0
+	for i, w := range basic {
+		if w-perfect[i] <= tau {
+			kept++
+		}
+	}
+	c := &CCH{
+		skel:  sk,
+		start: make([]int32, sk.n+1),
+		head:  make([]int32, kept),
+		w:     make([]float64, kept),
+		lab:   make([][]float64, sk.n),
+	}
+	pos := int32(0)
+	for v := 0; v < sk.n; v++ {
+		for i := sk.upStart[v]; i < sk.upStart[v+1]; i++ {
+			if basic[i]-perfect[i] <= tau {
+				c.head[pos] = sk.depth[sk.upTo[i]]
+				c.w[pos] = basic[i]
+				pos++
+			}
+		}
+		c.start[v+1] = pos
+	}
+	// Label budget: the hierarchy's own footprint (the arena is empty),
+	// which keeps every road-network label resident (DESIGN.md §12.4);
+	// the clamps make two labels always fit after a reset.
+	budget := int(c.MemoryBytes() / 8)
+	c.slabLen = max(min(cchSlabFloats, budget/2), int(sk.maxDepth)+1)
+	c.maxSlabs = max(budget/c.slabLen, 2)
+	return c
 }
 
 // sweepRange relaxes the triangles in triple-index range [lo, hi).
@@ -667,10 +719,15 @@ const cchSlabFloats = 1 << 15
 // CCH is a customized contraction hierarchy: one epoch's metric laid over
 // a shared CCHSkeleton. Point queries read lazily built elimination-tree
 // labels out of a per-instance arena, so a shared instance needs Locked;
-// the skeleton and upW underneath are immutable and free to share.
+// the skeleton and kept arcs underneath are immutable and free to share.
 type CCH struct {
 	skel *CCHSkeleton
-	upW  []float64
+
+	// The kept upward arcs in CSR: start[v]..start[v+1] leave v in rank
+	// order; head[i] is arc i's head depth, w[i] its basic weight.
+	start []int32
+	head  []int32
+	w     []float64
 
 	// lab[v][i] is the upward distance from v to its ancestor at depth i
 	// (nil until v is first queried, and again after a reset). Labels live
@@ -734,9 +791,10 @@ func (c *CCH) Dist(s, t roadnet.VertexID) float64 {
 }
 
 // label returns v's label, building it on first use: one heap-free walk
-// up the root path in rank order, each ancestor relaxing its upward arcs
+// up the root path in rank order, each ancestor relaxing its kept arcs
 // into the label itself (every arc head is a higher ancestor, so it is
-// final by the time the walk reaches it).
+// final by the time the walk reaches it). An unreached (+Inf) ancestor
+// is skipped: it could improve no entry.
 func (c *CCH) label(v roadnet.VertexID) []float64 {
 	if l := c.lab[v]; l != nil {
 		return l
@@ -749,9 +807,12 @@ func (c *CCH) label(v roadnet.VertexID) []float64 {
 	l[len(l)-1] = 0
 	for u := v; u >= 0; u = sk.parent[u] {
 		du := l[sk.depth[u]]
-		lo, hi := sk.upStart[u], sk.upStart[u+1]
-		ws := c.upW[lo:hi]
-		for i, k := range sk.upDepth[lo:hi] {
+		if du == Inf {
+			continue
+		}
+		lo, hi := c.start[u], c.start[u+1]
+		ws := c.w[lo:hi]
+		for i, k := range c.head[lo:hi] {
 			if d := du + ws[i]; d < l[k] {
 				l[k] = d
 			}
@@ -783,9 +844,9 @@ func (c *CCH) grab(k int) []float64 {
 }
 
 // MemoryBytes reports the customized hierarchy's footprint: its share of
-// the skeleton, the weights, and the label arena at its current capacity.
+// the skeleton, the kept arcs, and the label arena at its current capacity.
 func (c *CCH) MemoryBytes() int64 {
-	return c.skel.MemoryBytes() + int64(len(c.upW))*8 +
+	return c.skel.MemoryBytes() + int64(len(c.start))*4 + int64(len(c.head))*12 +
 		int64(len(c.lab))*24 + int64(len(c.slabs))*int64(c.slabLen)*8
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -205,10 +206,6 @@ func buildCCHSkeletonMaps(g *roadnet.Graph) *CCHSkeleton {
 			sk.maxDepth = max(sk.maxDepth, sk.depth[v])
 		}
 	}
-	sk.upDepth = make([]int32, total)
-	for i, x := range sk.upTo {
-		sk.upDepth[i] = sk.depth[x]
-	}
 	sk.buildLCA()
 
 	level := make([]int32, n)
@@ -380,9 +377,10 @@ func TestCCHCustomizeMatchesFreshBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fast := skel.Customize(cur.ArcCosts())
+		costs := cur.ArcCosts()
+		fast := skel.Customize(costs)
 		fresh := BuildCCH(cur)
-		if !reflect.DeepEqual(fast.upW, fresh.upW) {
+		if !reflect.DeepEqual(skel.basicWeights(costs, 1), fresh.skel.basicWeights(costs, 1)) {
 			t.Fatalf("epoch %d: customized weights differ from fresh build", epoch)
 		}
 		n := g.NumVertices()
@@ -596,7 +594,7 @@ func FuzzCCHCustomize(f *testing.F) {
 		// and the heap search the labels replaced.
 		tiny := skel.Customize(cur.ArcCosts())
 		shrinkArena(tiny, 1+rng.Intn(3))
-		old := oldCCHQuery(cch)
+		old := oldCCHQuery(skel, cur.ArcCosts())
 		ref := NewDijkstra(cur)
 		n := g.NumVertices()
 		for q := 0; q < 20; q++ {
@@ -617,12 +615,14 @@ func FuzzCCHCustomize(f *testing.F) {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // oldCCHQuery is the point query this tier ran before it had labels:
-// CH's bidirectional heap search over the same customized arrays. It is
-// the reference the label query must reproduce bit for bit.
-func oldCCHQuery(c *CCH) func(s, t roadnet.VertexID) float64 {
-	f, b := newCHSearch(c.skel.n), newCHSearch(c.skel.n)
+// CH's bidirectional heap search over every upward arc, weighted by the
+// basic customization of costs. It is the reference the pruned label
+// query must reproduce bit for bit.
+func oldCCHQuery(sk *CCHSkeleton, costs []float64) func(s, t roadnet.VertexID) float64 {
+	f, b := newCHSearch(sk.n), newCHSearch(sk.n)
+	w := sk.basicWeights(costs, 1)
 	return func(s, t roadnet.VertexID) float64 {
-		return upwardDist(&f, &b, c.skel.upStart, c.skel.upTo, c.upW, s, t)
+		return upwardDist(&f, &b, sk.upStart, sk.upTo, w, s, t)
 	}
 }
 
@@ -699,7 +699,7 @@ func TestCCHLabelQueryBitIdentical(t *testing.T) {
 		metrics := map[string][]float64{"free": g.ArcCosts(), "traffic": scaled.ArcCosts(), "closed": closed}
 		for mname, costs := range metrics {
 			c := skel.Customize(costs)
-			old := oldCCHQuery(c)
+			old := oldCCHQuery(skel, costs)
 			n, infs := g.NumVertices(), 0
 			for q := 0; q < 3000; q++ {
 				s := roadnet.VertexID(rng.Intn(n))
@@ -824,36 +824,224 @@ func TestCCHQueryAllocs(t *testing.T) {
 	}
 }
 
-// TestCCHMemoryBytesCountsQueryState: the elimination tree (with its
-// per-arc head depths) and the label arena's capacity are part of the
-// tier's footprint.
+// TestCCHMemoryBytesCountsQueryState: the elimination tree, the kept
+// arcs (with their head depths) and the label arena's capacity are part
+// of the tier's footprint.
 func TestCCHMemoryBytesCountsQueryState(t *testing.T) {
 	g := testGraph(t, 12, 12, 8)
 	c := BuildCCH(g)
 	sk, n := c.Skeleton(), int64(g.NumVertices())
-	if len(sk.upDepth) != len(sk.upTo) {
-		t.Fatalf("upDepth has %d entries for %d upward arcs", len(sk.upDepth), len(sk.upTo))
+	if len(c.head) != len(c.w) || len(c.start) != int(n)+1 || int(c.start[n]) != len(c.head) {
+		t.Fatalf("kept CSR: %d starts, %d head depths, %d weights", len(c.start), len(c.head), len(c.w))
 	}
-	for i, x := range sk.upTo {
-		if sk.upDepth[i] != sk.depth[x] {
-			t.Fatalf("upDepth[%d] = %d, head %d sits at depth %d", i, sk.upDepth[i], x, sk.depth[x])
+	for v := 0; v < int(n); v++ {
+		// The kept arcs of v are a subsequence of its upward arcs, whose
+		// heads are distinct ancestors: a depth names one of them.
+		j := sk.upStart[v]
+		for i := c.start[v]; i < c.start[v+1]; i++ {
+			for j < sk.upStart[v+1] && sk.depth[sk.upTo[j]] != c.head[i] {
+				j++
+			}
+			if j == sk.upStart[v+1] {
+				t.Fatalf("kept arc %d of vertex %d: head depth %d is no upward neighbor's, in order", i, v, c.head[i])
+			}
+			j++
 		}
 	}
 	if m := int64(sk.eulerLen); m != 2*n-1 || int64(len(sk.sparse)) < m*int64(bits.Len(uint(m))) {
 		t.Fatalf("connected network: Euler tour %d long (want %d), sparse table %d entries", m, 2*n-1, len(sk.sparse))
 	}
 	lcaIndex := int64(len(sk.first))*4 + int64(len(sk.tree))*4 + int64(len(sk.sparse))*4
-	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*16+int64(len(sk.tri))*4+n*16+lcaIndex; got < floor {
-		t.Fatalf("skeleton reports %d bytes, arcs+head depths+triangles+order+elimination tree+LCA index alone are %d", got, floor)
+	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*12+int64(len(sk.tri))*4+n*16+lcaIndex; got < floor {
+		t.Fatalf("skeleton reports %d bytes, arcs+triangles+order+elimination tree+LCA index alone are %d", got, floor)
+	}
+	if got, floor := c.MemoryBytes(), sk.MemoryBytes()+int64(len(c.head))*12+(n+1)*4; got < floor {
+		t.Fatalf("CCH reports %d bytes, skeleton+kept arcs with head depths alone are %d", got, floor)
 	}
 	empty := c.MemoryBytes()
 	c.Dist(0, roadnet.VertexID(n-1))
 	if grew := c.MemoryBytes() - empty; grew != int64(c.slabLen)*8 {
 		t.Fatalf("first query grew the reported footprint by %d bytes, want one slab (%d)", grew, c.slabLen*8)
 	}
-	if budget := sk.MemoryBytes() + int64(len(c.upW))*8; int64(c.maxSlabs)*int64(c.slabLen)*8 > budget {
+	if budget := empty; int64(c.maxSlabs)*int64(c.slabLen)*8 > budget {
 		t.Fatalf("arena may grow to %d bytes, over the %d-byte hierarchy", int64(c.maxSlabs)*int64(c.slabLen)*8, budget)
 	}
+}
+
+// basicCCH is the label query as it ran before pruning: labels over every
+// finite upward arc. With perfect = basic no gap is positive, so prune
+// keeps them all.
+func basicCCH(sk *CCHSkeleton, costs []float64) *CCH {
+	w := sk.basicWeights(costs, 1)
+	return sk.prune(w, w, 0)
+}
+
+// TestCCHPerfectPruning guards both ways on the plan-offline city: fewer
+// than 70 % of the arcs survive (a sweep that prunes nothing fails), and
+// 100k random pairs keep the unpruned query's bits, the first 2 000 also
+// checked against the heap search (a sweep that prunes too much fails).
+func TestCCHPerfectPruning(t *testing.T) {
+	g := chengduGraph(t, 0.5)
+	sk := BuildCCHSkeleton(g)
+	costs := g.ArcCosts()
+	c, ref, old := sk.Customize(costs), basicCCH(sk, costs), oldCCHQuery(sk, costs)
+	if frac := float64(len(c.w)) / float64(len(sk.upTo)); frac >= 0.7 {
+		t.Fatalf("kept %d of %d upward arcs (%.3f), want < 0.7", len(c.w), len(sk.upTo), frac)
+	}
+	if len(ref.w) != len(sk.upTo) {
+		t.Fatalf("unpruned reference keeps %d of %d arcs", len(ref.w), len(sk.upTo))
+	}
+	rng := rand.New(rand.NewSource(48))
+	for q := 0; q < 100000; q++ {
+		s, d := roadnet.VertexID(rng.Intn(sk.n)), roadnet.VertexID(rng.Intn(sk.n))
+		got, want := c.Dist(s, d), ref.Dist(s, d)
+		if !sameBits(got, want) || q < 2000 && !sameBits(got, old(s, d)) {
+			t.Fatalf("Dist(%d,%d): pruned %v, unpruned %v, heap search %v", s, d, got, want, old(s, d))
+		}
+	}
+}
+
+// TestCCHPruneMarginIsNeeded is a network where pruning every arc whose
+// perfect weight is below its basic weight (τ = 0) changes a Dist bit.
+// Route 0-1-2-4 is longer than 0-1-3-4 in real numbers (by 8.3e-17 s) but
+// folds to 3 where the shorter one folds to 3.0000000000000004. Arc (4,1)
+// carries the longer route's tail 4-2-1; its perfect weight 0.1+0.7 is an
+// ulp below its basic 0.3+0.5, so τ = 0 drops it and Dist(0,4) rises an
+// ulp. The derived margin keeps it, and every pair keeps its bits.
+func TestCCHPruneMarginIsNeeded(t *testing.T) {
+	edges := []struct {
+		u, v roadnet.VertexID
+		cost float64
+	}{
+		{0, 1, 2.2}, {1, 2, 0.5}, {1, 3, 0.7}, {2, 4, 0.30000000000000004}, {3, 5, 0.7},
+		{2, 3, 0.7}, {0, 3, 3.3}, {3, 4, 0.1}, {1, 5, 0.2},
+	}
+	b := roadnet.NewBuilder(6, len(edges))
+	for v := 0; v < 6; v++ {
+		b.AddVertex(geo.Point{X: float64(v)})
+	}
+	for _, e := range edges {
+		if err := b.AddEdge(e.u, e.v, 10, geo.Residential); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := make([]float64, len(g.ArcCosts()))
+	for _, e := range edges {
+		costs[g.ArcIndex(e.u, e.v)], costs[g.ArcIndex(e.v, e.u)] = e.cost, e.cost
+	}
+	sk := BuildCCHSkeleton(g)
+	basic := sk.basicWeights(costs, 1)
+	perfect := slices.Clone(basic)
+	sk.perfectSweep(perfect)
+	old := oldCCHQuery(sk, costs)
+	if got, want := sk.prune(basic, perfect, 0).Dist(0, 4), old(0, 4); want != 3 || sameBits(got, want) {
+		t.Fatalf("τ = 0: Dist(0,4) = %v, heap search %v; want 3 against an ulp above", got, want)
+	}
+	c := sk.Customize(costs)
+	for s := roadnet.VertexID(0); s < 6; s++ {
+		for d := roadnet.VertexID(0); d < 6; d++ {
+			if got, want := c.Dist(s, d), old(s, d); !sameBits(got, want) {
+				t.Fatalf("derived τ = %g: Dist(%d,%d) = %v, heap search %v", sk.pruneMargin(costs), s, d, got, want)
+			}
+		}
+	}
+}
+
+// FuzzCCHPrunedDist holds the pruned query to its spec on FuzzLegPath's
+// tie-riddled 6×6 grid: small-integer lengths (a zero byte removes the
+// edge), random closures (+Inf both ways) and a traffic factor. Below 128
+// the factor is 1 + k/16, so every sum is exact and Dist must equal
+// Floyd–Warshall exactly; above, it is 1 + k/10 and rounds. Either way
+// every pair must have the bits of the heap search over the basic weights,
+// and an unreachable pair must be +Inf.
+func FuzzCCHPrunedDist(f *testing.F) {
+	f.Add([]byte{1}, int64(0), uint8(0))
+	f.Add([]byte{3, 0, 7, 1, 9, 0, 2}, int64(5), uint8(17))
+	f.Add([]byte{0, 0, 1, 0}, int64(2), uint8(200))
+	f.Add([]byte("jittered \x01\xff\x80 costs"), int64(7), uint8(131))
+	f.Add([]byte{2, 5, 1, 1, 4}, int64(1), uint8(255))
+	f.Fuzz(func(t *testing.T, lens []byte, seed int64, factor uint8) {
+		if len(lens) == 0 {
+			t.Skip()
+		}
+		const side, n = 6, 36
+		bld := roadnet.NewBuilder(n, 2*n)
+		for i := 0; i < n; i++ {
+			bld.AddVertex(geo.Point{X: float64(i%side) * 100, Y: float64(i/side) * 100})
+		}
+		type edge struct {
+			u, v roadnet.VertexID
+			l    float64
+		}
+		var edges []edge
+		k := 0
+		for i := 0; i < n; i++ {
+			for _, j := range []int{i + 1, i + side} {
+				if j == i+1 && j%side == 0 || j >= n {
+					continue
+				}
+				l := lens[k%len(lens)]
+				k++
+				if l == 0 {
+					continue
+				}
+				edges = append(edges, edge{roadnet.VertexID(i), roadnet.VertexID(j), float64(l)})
+				if err := bld.AddEdge(roadnet.VertexID(i), roadnet.VertexID(j), 10*float64(l), geo.Residential); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g, err := bld.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := factor < 128
+		scale := 1 + float64(factor%64)/16
+		if !exact {
+			scale = 1 + float64(factor%64)/10
+		}
+		rng := rand.New(rand.NewSource(seed))
+		costs := make([]float64, len(g.ArcCosts()))
+		var dist [n][n]float64
+		for i := range dist {
+			for j := range dist[i] {
+				dist[i][j] = Inf
+			}
+			dist[i][i] = 0
+		}
+		for _, e := range edges {
+			c := e.l * scale
+			if rng.Intn(8) == 0 {
+				c = Inf
+			}
+			costs[g.ArcIndex(e.u, e.v)], costs[g.ArcIndex(e.v, e.u)] = c, c
+			dist[e.u][e.v], dist[e.v][e.u] = c, c
+		}
+		for k := 0; k < n; k++ {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					dist[i][j] = min(dist[i][j], dist[i][k]+dist[k][j])
+				}
+			}
+		}
+		sk := BuildCCHSkeleton(g)
+		c, old := sk.Customize(costs), oldCCHQuery(sk, costs)
+		for s := roadnet.VertexID(0); s < n; s++ {
+			for d := roadnet.VertexID(0); d < n; d++ {
+				got, want := c.Dist(s, d), dist[s][d]
+				if b := old(s, d); !sameBits(got, b) {
+					t.Fatalf("Dist(%d,%d) = %v, heap search over basic weights %v", s, d, got, b)
+				}
+				if exact && got != want || !exact && math.Abs(got-want) > 1e-9*(1+want) || want == Inf && got != Inf {
+					t.Fatalf("Dist(%d,%d) = %v, Floyd–Warshall %v (scale %v)", s, d, got, want, scale)
+				}
+			}
+		}
+	})
 }
 
 // lcaByParentWalk is how CCH.Dist found the lowest common ancestor before
@@ -931,8 +1119,13 @@ func BenchmarkCCHQuery(b *testing.B) {
 	n := g.NumVertices()
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	vert := func(i int) roadnet.VertexID { return roadnet.VertexID(perm[i%n]) }
+	relaxed := 0
+	for c, v := skel.Customize(g.ArcCosts()), 0; v < n; v++ {
+		relaxed += arcsRelaxed(c, roadnet.VertexID(v))
+	}
 	report := func(b *testing.B, built uint64) {
 		b.ReportMetric(float64(built)/float64(b.N), "labels-built/op")
+		b.ReportMetric(float64(relaxed)/float64(n), "arcs-relaxed/label")
 	}
 
 	b.Run("cold", func(b *testing.B) {
@@ -972,16 +1165,40 @@ func BenchmarkCCHQuery(b *testing.B) {
 	})
 }
 
+// arcsRelaxed counts the arcs building v's label relaxes: the kept arcs
+// of every ancestor its label reaches.
+func arcsRelaxed(c *CCH, v roadnet.VertexID) int {
+	sk, l, k := c.skel, c.label(v), 0
+	for u := v; u >= 0; u = sk.parent[u] {
+		if l[sk.depth[u]] < Inf {
+			k += int(c.start[u+1] - c.start[u])
+		}
+	}
+	return k
+}
+
 // BenchmarkCCHCustomize is the headline number: recustomizing the shared
 // skeleton per traffic epoch versus contracting a hierarchy from scratch
-// (compare BenchmarkCHBuild and the skeleton build below).
+// (compare BenchmarkCHBuild and the skeleton build below). Each epoch pays
+// the basic sweep, the perfect sweep and the compaction; the two city
+// rungs are serve-churn's and plan-offline's.
 func BenchmarkCCHCustomize(b *testing.B) {
-	g := testGraph(b, 25, 25, 1)
-	skel := BuildCCHSkeleton(g)
-	costs := g.ArcCosts()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		skel.Customize(costs)
+	nets := []struct {
+		name string
+		g    *roadnet.Graph
+	}{
+		{"grid25x25", testGraph(b, 25, 25, 1)},
+		{"chengdu0.2", chengduGraph(b, 0.2)},
+		{"chengdu0.5", chengduGraph(b, 0.5)},
+	}
+	for _, nt := range nets {
+		skel := BuildCCHSkeleton(nt.g)
+		costs := nt.g.ArcCosts()
+		b.Run(nt.name, func(b *testing.B) {
+			for b.Loop() {
+				skel.Customize(costs)
+			}
+		})
 	}
 }
 

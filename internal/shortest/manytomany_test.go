@@ -193,10 +193,10 @@ func TestCustomizeParallelBitExact(t *testing.T) {
 				}
 			}
 		}
-		ref := sk.CustomizeParallel(costs, 1)
+		ref := sk.basicWeights(costs, 1)
 		for _, workers := range []int{2, 3, 8, 32, 64} {
-			got := sk.CustomizeParallel(costs, workers)
-			if !slices.Equal(ref.upW, got.upW) {
+			got := sk.basicWeights(costs, workers)
+			if !slices.Equal(ref, got) {
 				t.Fatalf("epoch %d: CustomizeParallel(workers=%d) diverges from serial sweep",
 					epoch, workers)
 			}
@@ -222,10 +222,10 @@ func TestCustomizeParallelLargeSkeleton(t *testing.T) {
 	if len(sk.tri) < cchParallelMinTriples {
 		t.Skipf("skeleton too small to trigger the parallel path: %d elements", len(sk.tri))
 	}
-	ref := sk.CustomizeParallel(g.ArcCosts(), 1)
+	ref := sk.basicWeights(g.ArcCosts(), 1)
 	for _, workers := range []int{2, 4, 32} {
-		got := sk.CustomizeParallel(g.ArcCosts(), workers)
-		if !slices.Equal(ref.upW, got.upW) {
+		got := sk.basicWeights(g.ArcCosts(), workers)
+		if !slices.Equal(ref, got) {
 			t.Fatalf("workers=%d diverges from serial on the large skeleton", workers)
 		}
 	}
