@@ -28,9 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/roadnet"
 )
@@ -38,10 +36,10 @@ import (
 // CCHSkeleton is the metric-independent artifact: the canonical
 // contraction order, the upward chordal arcs in CSR form (each tagged
 // with the vertex whose contraction created it and with the base-graph
-// arc it descends from, if any), and the flattened lower-triangle list a
-// customization sweeps. Build once per topology with BuildCCHSkeleton;
-// it is immutable afterwards and safe to share across any number of
-// concurrent Customize calls.
+// arc it descends from, if any), and the chordal arc of every lower
+// triangle a customization sweeps. Build once per topology with
+// BuildCCHSkeleton; it is immutable afterwards and safe to share across
+// any number of concurrent Customize calls.
 type CCHSkeleton struct {
 	n        int
 	baseArcs int // len of the base graph's CSR arc arrays, for validation
@@ -80,39 +78,16 @@ type CCHSkeleton struct {
 	sparse   []roadnet.VertexID
 	eulerLen int
 
-	// tri is the lower-triangle enumeration: flat (c, a, b) arc-index
-	// triples, meaning weight[c] may be improved to weight[a]+weight[b].
-	// Triples are grouped by (apex contraction level, arc shard c mod
-	// cchCustomizeShards) with group boundaries in triOff — the layout
-	// that lets Customize sweep the levels in parallel (see
-	// sweepParallel) — and within a group they keep bottom-up apex-rank
-	// order. Sweeping the whole array front to back is still a complete,
-	// canonical basic customization: all of a level-ℓ apex's out-arcs are
-	// finalized by the levels before ℓ.
-	tri []int32
-	// triOff[lvl*cchCustomizeShards+s] is the first triple (in triangle
-	// units; multiply by 3 to index tri) of level lvl's shard s;
-	// len(triOff) == numLevels*cchCustomizeShards + 1.
-	triOff    []int32
-	numLevels int
+	// chord lists the lower triangles, one arc index each, in the order a
+	// customization sweeps them: apexes by ascending rank, and for apex w
+	// its upward-arc pairs (i, j), i < j, row by row. The triangle's other
+	// two arcs are i and j themselves, so the sweep recovers them from its
+	// loop position, and chord[t] is the arc (upTo[i], upTo[j]) whose
+	// weight may be improved to w[i]+w[j].
+	chord []int32
 
 	shortcutArcs int
 }
-
-// cchCustomizeShards is the per-level write-partition width: triangle
-// (c,a,b) lands in shard c mod cchCustomizeShards, so every write to an
-// arc weight within one level happens on a single shard — the invariant
-// that makes the parallel sweep race-free and bit-deterministic.
-const cchCustomizeShards = 32
-
-// cchParallelMinTriples is the skeleton size (in tri elements, i.e.
-// 3·triangles) below which Customize always sweeps serially: goroutine
-// and barrier overhead beats the arithmetic on small hierarchies.
-const cchParallelMinTriples = 3 * 65536
-
-// cchParallelMinLevel is the per-level element count below which one
-// level is swept inline instead of being fanned out.
-const cchParallelMinLevel = 3 * 4096
 
 // cchArc is an edge of the contraction graph as seen from one endpoint:
 // the neighbour, and the vertex whose contraction created the edge (-1 for
@@ -338,50 +313,18 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 	}
 	sk.buildLCA()
 
-	// Contraction levels over the chordal graph: level(v) = 1 + max level
-	// of v's lower upward-neighbors (0 for leaves of the hierarchy). A
-	// rank-order pass finalizes each vertex before its upward arcs are
-	// walked. Levels drive the parallel customization: every out-arc of a
-	// level-ℓ vertex is written only by triangles whose apex sits at a
-	// level < ℓ, so a sweep that barriers between levels reads only
-	// finalized weights.
-	level := make([]int32, n)
-	maxLevel := int32(0)
-	for r := 0; r < n; r++ {
-		v := sk.order[r]
-		lv := level[v] + 1
-		for i := sk.upStart[v]; i < sk.upStart[v+1]; i++ {
-			if x := sk.upTo[i]; level[x] < lv {
-				level[x] = lv
-			}
-		}
-		if level[v] > maxLevel {
-			maxLevel = level[v]
-		}
-	}
-	sk.numLevels = int(maxLevel) + 1
-
 	// Lower-triangle enumeration in bottom-up apex order: when the sweep
 	// reaches apex w, every arc leaving a vertex ranked below w is final,
 	// so relaxing (upTo[i], upTo[j]) via w is sound. Apex w has
-	// C(updeg(w), 2) triangles, which sizes every array exactly. The first
-	// pass finds each triangle's chordal arc c and counts the (level,
-	// shard) groups; the second replays the same (apex, i, j) order and
-	// places each triple at its group's cursor — a stable counting sort,
-	// so within a group the apex-rank order is preserved and the layout,
-	// and therefore every sweep over it, stays canonical.
+	// C(updeg(w), 2) triangles, which sizes the array exactly.
 	ntri := 0
 	for v := 0; v < n; v++ {
 		d := int(sk.upStart[v+1] - sk.upStart[v])
 		ntri += d * (d - 1) / 2
 	}
-	ngroups := sk.numLevels * cchCustomizeShards
-	sk.triOff = make([]int32, ngroups+1)
-	chord := make([]int32, 0, ntri)
-	for r := 0; r < n; r++ {
-		w := sk.order[r]
+	sk.chord = make([]int32, 0, ntri)
+	for _, w := range sk.order {
 		lo, hi := sk.upStart[w], sk.upStart[w+1]
-		base := level[w] * cchCustomizeShards
 		for i := lo; i < hi; i++ {
 			// up(upTo[i]) and upTo[i+1:hi] are both in rank order and the
 			// second is a subset of the first (chordal completion), so one
@@ -397,30 +340,7 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 					// than silently customizing a broken skeleton.
 					panic(fmt.Sprintf("shortest: CCH skeleton missing chordal arc (%d,%d)", u, sk.upTo[j]))
 				}
-				chord = append(chord, p)
-				sk.triOff[base+p%cchCustomizeShards+1]++
-			}
-		}
-	}
-	for i := 1; i <= ngroups; i++ {
-		sk.triOff[i] += sk.triOff[i-1]
-	}
-	cursor := make([]int32, ngroups)
-	copy(cursor, sk.triOff[:ngroups])
-	sk.tri = make([]int32, 3*ntri)
-	t := 0
-	for r := 0; r < n; r++ {
-		w := sk.order[r]
-		lo, hi := sk.upStart[w], sk.upStart[w+1]
-		base := level[w] * cchCustomizeShards
-		for i := lo; i < hi; i++ {
-			for j := i + 1; j < hi; j++ {
-				c := chord[t]
-				t++
-				k := base + c%cchCustomizeShards
-				p := 3 * cursor[k]
-				cursor[k]++
-				sk.tri[p], sk.tri[p+1], sk.tri[p+2] = c, i, j
+				sk.chord = append(sk.chord, p)
 			}
 		}
 	}
@@ -528,12 +448,12 @@ func (sk *CCHSkeleton) NumVertices() int { return sk.n }
 func (sk *CCHSkeleton) Shortcuts() int { return sk.shortcutArcs }
 
 // Triangles is the number of lower triangles one customization sweeps.
-func (sk *CCHSkeleton) Triangles() int { return len(sk.tri) / 3 }
+func (sk *CCHSkeleton) Triangles() int { return len(sk.chord) }
 
 // MemoryBytes reports the skeleton's storage footprint.
 func (sk *CCHSkeleton) MemoryBytes() int64 {
 	return int64(len(sk.upTo))*4 + int64(len(sk.upVia))*4 + int64(len(sk.upBase))*4 +
-		int64(len(sk.upStart))*4 + int64(len(sk.tri))*4 + int64(len(sk.triOff))*4 +
+		int64(len(sk.upStart))*4 + int64(len(sk.chord))*4 +
 		int64(sk.n)*8 + int64(len(sk.parent))*4 + int64(len(sk.depth))*4 +
 		int64(len(sk.first))*4 + int64(len(sk.tree))*4 + int64(len(sk.sparse))*4
 }
@@ -541,37 +461,32 @@ func (sk *CCHSkeleton) MemoryBytes() int64 {
 // Customize derives the epoch's shortcut weights over the fixed skeleton:
 // original arcs are seeded from costs (the graph's CSR arc-cost array,
 // see roadnet.Graph.ArcCosts), shortcut arcs start at +Inf, and one
-// in-order sweep of the precomputed lower triangles settles every weight;
-// labels walk only the arcs a perfect sweep shows a shortest path can use
-// (DESIGN.md §12.4, "Perfect pruning"). Because the skeleton, the seeding
-// order and the sweep orders are all fixed, the same costs always produce
-// bit-identical weights — and therefore bit-identical query results — no
-// matter when or where the customization ran.
+// bottom-up sweep of the lower triangles settles every weight; labels
+// walk only the arcs a top-down perfect sweep shows a shortest path can
+// use (DESIGN.md §12.4, "Perfect pruning"). Because the skeleton, the
+// seeding order and the sweep orders are all fixed, the same costs always
+// produce bit-identical weights — and therefore bit-identical query
+// results — no matter when or where the customization ran.
 //
 // Customize is safe to call concurrently on a shared skeleton; each call
 // returns an independent CCH with its own, empty label arena (wrap in
 // Locked to share one instance across goroutines, as Versioned does).
-//
-// Large skeletons sweep their triangle levels in parallel across
-// GOMAXPROCS workers; the result is bit-identical to the serial sweep
-// (see sweepParallel), so callers cannot observe which path ran except
-// through latency. CustomizeParallel pins the worker count explicitly.
 func (sk *CCHSkeleton) Customize(costs []float64) *CCH {
-	return sk.CustomizeParallel(costs, runtime.GOMAXPROCS(0))
-}
-
-// CustomizeParallel is Customize with an explicit worker count (≤1 forces
-// the serial sweep). Any worker count produces bit-identical weights; the
-// knob exists for the equivalence tests and the customize benchmarks.
-func (sk *CCHSkeleton) CustomizeParallel(costs []float64, workers int) *CCH {
-	basic := sk.basicWeights(costs, workers)
+	basic := sk.basicWeights(costs)
 	perfect := slices.Clone(basic)
 	sk.perfectSweep(perfect)
 	return sk.prune(basic, perfect, sk.pruneMargin(costs))
 }
 
-// basicWeights runs the basic customization, bottom up over lower triangles.
-func (sk *CCHSkeleton) basicWeights(costs []float64, workers int) []float64 {
+// basicWeights runs the basic customization: apexes bottom up, each
+// relaxing every pair (i, j) of its upward arcs into their chord. An arc
+// leaving the apex is written only by triangles of lower-ranked apexes,
+// so both operands are final, and every arc ends at the min of its seed
+// and one fl(w[i]+w[j]) per lower triangle: the same bits under any
+// bottom-up apex order. Weights are non-negative or +Inf (no NaN, no −0),
+// so the builtin min is the compare-and-store bit for bit, and without
+// the unpredictable branch the sweep runs about twice as fast.
+func (sk *CCHSkeleton) basicWeights(costs []float64) []float64 {
 	if len(costs) != sk.baseArcs {
 		panic(fmt.Sprintf("shortest: Customize got %d arc costs, skeleton topology has %d arcs",
 			len(costs), sk.baseArcs))
@@ -584,31 +499,46 @@ func (sk *CCHSkeleton) basicWeights(costs []float64, workers int) []float64 {
 			w[i] = math.Inf(1)
 		}
 	}
-	if workers > cchCustomizeShards {
-		workers = cchCustomizeShards
-	}
-	if workers <= 1 || len(sk.tri) < cchParallelMinTriples {
-		// The reference basic customization: one in-order pass.
-		sk.sweepRange(w, 0, int32(len(sk.tri)/3))
-	} else {
-		sk.sweepParallel(w, workers)
+	chord := sk.chord
+	for _, v := range sk.order {
+		lo, hi := int(sk.upStart[v]), int(sk.upStart[v+1])
+		for i := lo; i < hi; i++ {
+			wi, ws := w[i], w[i+1:hi]
+			cs := chord[:len(ws)]
+			chord = chord[len(ws):]
+			for k, c := range cs {
+				w[c] = min(w[c], wi+ws[k])
+			}
+		}
 	}
 	return w
 }
 
 // perfectSweep lowers basic weights w in place to each arc's true length:
-// triangles by apex level, top down, each relaxing the apex's two arcs
-// through the third. It is serial, since a level's shards split an apex's
-// arcs; every value it writes is the float length of a real walk.
+// apexes top down, each triangle relaxing the apex's two arcs through the
+// chord. A chord leaves a higher-ranked vertex, so it is final when its
+// apex is reached; every value written is the float length of a real walk.
+// It keeps its branches: a min would chain every triangle of a row
+// through wi, which runs 2.6 times slower.
 func (sk *CCHSkeleton) perfectSweep(w []float64) {
-	tri := sk.tri
-	for t := len(tri) - 3; t >= 0; t -= 3 {
-		c, a, b := tri[t], tri[t+1], tri[t+2]
-		if s := w[a] + w[c]; s < w[b] {
-			w[b] = s
-		}
-		if s := w[b] + w[c]; s < w[a] {
-			w[a] = s
+	chord := sk.chord
+	for r := len(sk.order) - 1; r >= 0; r-- {
+		v := sk.order[r]
+		lo, hi := int(sk.upStart[v]), int(sk.upStart[v+1])
+		for i := hi - 1; i >= lo; i-- {
+			wi, ws := w[i], w[i+1:hi]
+			cs := chord[len(chord)-len(ws):]
+			chord = chord[:len(chord)-len(ws)]
+			for k := len(cs) - 1; k >= 0; k-- {
+				c := cs[k]
+				if s := wi + w[c]; s < ws[k] {
+					ws[k] = s
+				}
+				if s := ws[k] + w[c]; s < wi {
+					wi = s
+				}
+			}
+			w[i] = wi
 		}
 	}
 }
@@ -653,66 +583,30 @@ func (sk *CCHSkeleton) prune(basic, perfect []float64, tau float64) *CCH {
 		}
 		c.start[v+1] = pos
 	}
-	// Label budget: the hierarchy's own footprint (the arena is empty),
-	// which keeps every road-network label resident (DESIGN.md §12.4);
-	// the clamps make two labels always fit after a reset.
-	budget := int(c.MemoryBytes() / 8)
-	c.slabLen = max(min(cchSlabFloats, budget/2), int(sk.maxDepth)+1)
-	c.maxSlabs = max(budget/c.slabLen, 2)
+	// Label budget: every vertex's label at once (DESIGN.md §12.4, "The
+	// budget rule"). A label that does not fit the current slab opens the
+	// next one, abandoning a tail of at most maxDepth floats, so each slab
+	// counts as holding slabLen−maxDepth; the fewest slabs of at most
+	// cchSlabFloats (two labels, if longer) that hold Σ(depth+1) that way
+	// share it evenly. Two labels always fit after a reset: there are two
+	// slabs, or one of Σ(depth+1)+maxDepth ≥ 2·(maxDepth+1) floats.
+	m, need := int(sk.maxDepth), sk.labelFloats()
+	top := max(cchSlabFloats, 2*(m+1))
+	c.maxSlabs = max((need+top-m-1)/(top-m), 1) // 1 on an empty graph
+	c.slabLen = (need+c.maxSlabs-1)/c.maxSlabs + m
 	return c
 }
 
-// sweepRange relaxes the triangles in triple-index range [lo, hi).
-func (sk *CCHSkeleton) sweepRange(w []float64, lo, hi int32) {
-	tri := sk.tri
-	for t := int(lo) * 3; t < int(hi)*3; t += 3 {
-		c, a, b := tri[t], tri[t+1], tri[t+2]
-		if s := w[a] + w[b]; s < w[c] {
-			w[c] = s
-		}
+// labelFloats is Σ_v (depth(v)+1), what every vertex's label takes at once.
+func (sk *CCHSkeleton) labelFloats() int {
+	k := 0
+	for _, d := range sk.depth {
+		k += int(d) + 1
 	}
+	return k
 }
 
-// sweepParallel runs the customization level by level with a barrier
-// between levels, fanning each level's shards across the workers.
-//
-// Determinism argument (this must stay bit-identical to the serial pass, or
-// replay equivalence would depend on GOMAXPROCS): a level-ℓ triangle
-// reads the two arcs leaving its apex (level ℓ) and writes the arc
-// between its corners, which leaves a vertex of level > ℓ. So within a
-// level, reads touch only arcs finalized by earlier levels (the barrier)
-// and writes touch only arcs no triangle of this level reads. Two
-// triangles of one level CAN write the same arc — but they share the
-// shard c mod cchCustomizeShards by construction, and a shard is swept
-// by exactly one worker, in canonical order. Every arc therefore ends at
-// min(seed, min over its triangles of w[a]+w[b] with a, b final) — each
-// candidate a single rounded float add of scheduling-independent
-// operands, and a float min is order-independent — which is precisely
-// the serial sweep's result, bit for bit.
-func (sk *CCHSkeleton) sweepParallel(w []float64, workers int) {
-	var wg sync.WaitGroup
-	for lvl := 0; lvl < sk.numLevels; lvl++ {
-		base := lvl * cchCustomizeShards
-		lo := sk.triOff[base]
-		hi := sk.triOff[base+cchCustomizeShards]
-		if (hi-lo)*3 < cchParallelMinLevel {
-			sk.sweepRange(w, lo, hi)
-			continue
-		}
-		wg.Add(workers)
-		for wk := 0; wk < workers; wk++ {
-			go func(wk int) {
-				defer wg.Done()
-				for s := wk; s < cchCustomizeShards; s += workers {
-					sk.sweepRange(w, sk.triOff[base+s], sk.triOff[base+s+1])
-				}
-			}(wk)
-		}
-		wg.Wait()
-	}
-}
-
-// cchSlabFloats is the label arena's growth step (256 KiB, a hundred-odd
+// cchSlabFloats caps the label arena's growth step (256 KiB, a hundred-odd
 // labels): an epoch that answers few point queries touches little memory.
 const cchSlabFloats = 1 << 15
 
@@ -813,9 +707,7 @@ func (c *CCH) label(v roadnet.VertexID) []float64 {
 		lo, hi := c.start[u], c.start[u+1]
 		ws := c.w[lo:hi]
 		for i, k := range c.head[lo:hi] {
-			if d := du + ws[i]; d < l[k] {
-				l[k] = d
-			}
+			l[k] = min(l[k], du+ws[i])
 		}
 	}
 	c.lab[v] = l

@@ -77,16 +77,16 @@ func TestCCHSkeletonDeterministic(t *testing.T) {
 		!reflect.DeepEqual(a.upVia, b.upVia) || !reflect.DeepEqual(a.upBase, b.upBase) {
 		t.Fatal("upward arc arrays differ between builds")
 	}
-	if !reflect.DeepEqual(a.tri, b.tri) {
+	if !reflect.DeepEqual(a.chord, b.chord) {
 		t.Fatal("triangle enumeration differs between builds")
 	}
 }
 
 // buildCCHSkeletonMaps is the skeleton build BuildCCHSkeleton ran before it
 // had slice adjacency: map-based contraction graph, container/heap over
-// chPrioQueue, neighbours snapshotted in sorted order, an arcBetween scan
-// per triangle and a counting sort by copy. It is the reference the
-// slice-based build must reproduce field for field.
+// chPrioQueue, neighbours snapshotted in sorted order and an arcBetween
+// scan per triangle. It is the reference the slice-based build must
+// reproduce field for field.
 func buildCCHSkeletonMaps(g *roadnet.Graph) *CCHSkeleton {
 	n := g.NumVertices()
 	adj := make([]map[roadnet.VertexID]roadnet.VertexID, n)
@@ -208,23 +208,7 @@ func buildCCHSkeletonMaps(g *roadnet.Graph) *CCHSkeleton {
 	}
 	sk.buildLCA()
 
-	level := make([]int32, n)
-	maxLevel := int32(0)
-	for r := 0; r < n; r++ {
-		v := sk.order[r]
-		lv := level[v] + 1
-		for i := sk.upStart[v]; i < sk.upStart[v+1]; i++ {
-			if x := sk.upTo[i]; level[x] < lv {
-				level[x] = lv
-			}
-		}
-		if level[v] > maxLevel {
-			maxLevel = level[v]
-		}
-	}
-	sk.numLevels = int(maxLevel) + 1
-
-	var keys []int32
+	sk.chord = []int32{}
 	for r := 0; r < n; r++ {
 		w := sk.order[r]
 		for i := sk.upStart[w]; i < sk.upStart[w+1]; i++ {
@@ -233,29 +217,10 @@ func buildCCHSkeletonMaps(g *roadnet.Graph) *CCHSkeleton {
 				if c < 0 {
 					panic(fmt.Sprintf("reference CCH skeleton missing chordal arc (%d,%d)", sk.upTo[i], sk.upTo[j]))
 				}
-				sk.tri = append(sk.tri, c, i, j)
-				keys = append(keys, level[w]*cchCustomizeShards+c%cchCustomizeShards)
+				sk.chord = append(sk.chord, c)
 			}
 		}
 	}
-
-	ngroups := sk.numLevels * cchCustomizeShards
-	sk.triOff = make([]int32, ngroups+1)
-	for _, k := range keys {
-		sk.triOff[k+1]++
-	}
-	for i := 1; i <= ngroups; i++ {
-		sk.triOff[i] += sk.triOff[i-1]
-	}
-	sorted := make([]int32, len(sk.tri))
-	cursor := make([]int32, ngroups)
-	copy(cursor, sk.triOff[:ngroups])
-	for t, k := range keys {
-		p := cursor[k]
-		cursor[k] = p + 1
-		copy(sorted[p*3:p*3+3], sk.tri[t*3:t*3+3])
-	}
-	sk.tri = sorted
 	return sk
 }
 
@@ -380,7 +345,7 @@ func TestCCHCustomizeMatchesFreshBuild(t *testing.T) {
 		costs := cur.ArcCosts()
 		fast := skel.Customize(costs)
 		fresh := BuildCCH(cur)
-		if !reflect.DeepEqual(skel.basicWeights(costs, 1), fresh.skel.basicWeights(costs, 1)) {
+		if !reflect.DeepEqual(skel.basicWeights(costs), fresh.skel.basicWeights(costs)) {
 			t.Fatalf("epoch %d: customized weights differ from fresh build", epoch)
 		}
 		n := g.NumVertices()
@@ -389,6 +354,98 @@ func TestCCHCustomizeMatchesFreshBuild(t *testing.T) {
 			d := roadnet.VertexID(rng.Intn(n))
 			if a, b := fast.Dist(s, d), fresh.Dist(s, d); a != b {
 				t.Fatalf("epoch %d: Dist(%d,%d) customize %v != fresh %v", epoch, s, d, a, b)
+			}
+		}
+	}
+}
+
+// oldTriangleShards is the per-level write partition of the triangle
+// layout customization swept before the chord list: triangle (c, a, b)
+// sat in shard c mod oldTriangleShards of its apex's contraction level.
+const oldTriangleShards = 32
+
+// oldTriangleList rebuilds that layout: flat (c, a, b) arc-index triples
+// grouped by (apex level, shard), bottom-up apex-rank order within a
+// group, where a vertex's level is one above the highest level among its
+// lower-ranked neighbours (0 for leaves of the hierarchy).
+func oldTriangleList(sk *CCHSkeleton) []int32 {
+	level := make([]int32, sk.n)
+	numLevels := int32(1)
+	for _, v := range sk.order {
+		for i := sk.upStart[v]; i < sk.upStart[v+1]; i++ {
+			if x := sk.upTo[i]; level[x] <= level[v] {
+				level[x] = level[v] + 1
+			}
+		}
+		numLevels = max(numLevels, level[v]+1)
+	}
+	groups := make([][]int32, int(numLevels)*oldTriangleShards)
+	for _, w := range sk.order {
+		for i := sk.upStart[w]; i < sk.upStart[w+1]; i++ {
+			for j := i + 1; j < sk.upStart[w+1]; j++ {
+				c := sk.arcBetween(sk.upTo[i], sk.upTo[j])
+				k := level[w]*oldTriangleShards + c%oldTriangleShards
+				groups[k] = append(groups[k], c, i, j)
+			}
+		}
+	}
+	return slices.Concat(groups...)
+}
+
+// oldBasicWeights is the basic customization over oldTriangleList, swept
+// front to back as the serial path did.
+func oldBasicWeights(sk *CCHSkeleton, costs []float64) []float64 {
+	w := make([]float64, len(sk.upTo))
+	for i, b := range sk.upBase {
+		w[i] = Inf
+		if b >= 0 {
+			w[i] = costs[b]
+		}
+	}
+	tri := oldTriangleList(sk)
+	for t := 0; t < len(tri); t += 3 {
+		c, a, b := tri[t], tri[t+1], tri[t+2]
+		if s := w[a] + w[b]; s < w[c] {
+			w[c] = s
+		}
+	}
+	return w
+}
+
+// TestCCHBasicWeightsMatchOldLayout holds the chord sweep to the level and
+// shard layout it replaced: every upward arc's basic weight has the same
+// float64 bits on a grid and the benchmark's two cities, under free flow
+// and three perturbed epochs (the last with closed, +Inf, roads).
+func TestCCHBasicWeightsMatchOldLayout(t *testing.T) {
+	nets := []struct {
+		name string
+		g    *roadnet.Graph
+	}{
+		{"grid14x14", testGraph(t, 14, 14, 7)},
+		{"chengdu0.2", chengduGraph(t, 0.2)},
+		{"chengdu0.5", chengduGraph(t, 0.5)},
+	}
+	for _, nt := range nets {
+		sk := BuildCCHSkeleton(nt.g)
+		base := nt.g.ArcCosts()
+		costs := make([]float64, len(base))
+		rng := rand.New(rand.NewSource(11))
+		for epoch := 0; epoch < 4; epoch++ {
+			copy(costs, base)
+			for i := range costs {
+				switch {
+				case epoch == 0:
+				case rng.Intn(3) == 0:
+					costs[i] *= 1 + 2*rng.Float64()
+				case epoch == 3 && rng.Intn(20) == 0:
+					costs[i] = Inf
+				}
+			}
+			got, want := sk.basicWeights(costs), oldBasicWeights(sk, costs)
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("%s epoch %d: arc %d basic weight %v, old layout %v", nt.name, epoch, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -620,7 +677,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // query must reproduce bit for bit.
 func oldCCHQuery(sk *CCHSkeleton, costs []float64) func(s, t roadnet.VertexID) float64 {
 	f, b := newCHSearch(sk.n), newCHSearch(sk.n)
-	w := sk.basicWeights(costs, 1)
+	w := sk.basicWeights(costs)
 	return func(s, t roadnet.VertexID) float64 {
 		return upwardDist(&f, &b, sk.upStart, sk.upTo, w, s, t)
 	}
@@ -852,8 +909,8 @@ func TestCCHMemoryBytesCountsQueryState(t *testing.T) {
 		t.Fatalf("connected network: Euler tour %d long (want %d), sparse table %d entries", m, 2*n-1, len(sk.sparse))
 	}
 	lcaIndex := int64(len(sk.first))*4 + int64(len(sk.tree))*4 + int64(len(sk.sparse))*4
-	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*12+int64(len(sk.tri))*4+n*16+lcaIndex; got < floor {
-		t.Fatalf("skeleton reports %d bytes, arcs+triangles+order+elimination tree+LCA index alone are %d", got, floor)
+	if got, floor := sk.MemoryBytes(), int64(len(sk.upTo))*12+int64(len(sk.chord))*4+n*16+lcaIndex; got < floor {
+		t.Fatalf("skeleton reports %d bytes, arcs+chords+order+elimination tree+LCA index alone are %d", got, floor)
 	}
 	if got, floor := c.MemoryBytes(), sk.MemoryBytes()+int64(len(c.head))*12+(n+1)*4; got < floor {
 		t.Fatalf("CCH reports %d bytes, skeleton+kept arcs with head depths alone are %d", got, floor)
@@ -863,8 +920,48 @@ func TestCCHMemoryBytesCountsQueryState(t *testing.T) {
 	if grew := c.MemoryBytes() - empty; grew != int64(c.slabLen)*8 {
 		t.Fatalf("first query grew the reported footprint by %d bytes, want one slab (%d)", grew, c.slabLen*8)
 	}
-	if budget := empty; int64(c.maxSlabs)*int64(c.slabLen)*8 > budget {
-		t.Fatalf("arena may grow to %d bytes, over the %d-byte hierarchy", int64(c.maxSlabs)*int64(c.slabLen)*8, budget)
+	checkArenaCap(t, "grid12x12", c)
+}
+
+// checkArenaCap asserts the budget rule's two bounds: the arena's usable
+// part (what remains once each slab has lost a label's tail) holds
+// Σ(depth+1) floats, every label at once, and the whole arena reserves at
+// most one slab beyond that. (In general the excess is under one label's
+// tail per slab; on these networks that is less than a slab.)
+func checkArenaCap(t *testing.T, name string, c *CCH) {
+	t.Helper()
+	need, slab := int64(c.skel.labelFloats()), int64(c.slabLen)
+	if usable := int64(c.maxSlabs) * (slab - int64(c.skel.maxDepth)); usable < need {
+		t.Fatalf("%s: arena's usable part is %d floats, every label needs %d", name, usable, need)
+	}
+	if total := int64(c.maxSlabs) * slab; total > need+slab {
+		t.Fatalf("%s: arena may grow to %d floats, over the %d labels need plus one %d-float slab", name, total, need, slab)
+	}
+}
+
+// TestCCHEveryLabelFits: under the default cap, building every vertex's
+// label in a random order never resets the arena, on a grid, on two
+// islands and on the benchmark's two cities.
+func TestCCHEveryLabelFits(t *testing.T) {
+	nets := []struct {
+		name string
+		g    *roadnet.Graph
+	}{
+		{"grid30x30", testGraph(t, 30, 30, 4)},
+		{"twoIslands", twoIslands(t)},
+		{"chengdu0.2", chengduGraph(t, 0.2)},
+		{"chengdu0.5", chengduGraph(t, 0.5)},
+	}
+	for _, nt := range nets {
+		c := BuildCCH(nt.g)
+		checkArenaCap(t, nt.name, c)
+		for _, v := range rand.New(rand.NewSource(50)).Perm(nt.g.NumVertices()) {
+			c.label(roadnet.VertexID(v))
+		}
+		if c.gen != 0 || c.built != uint64(nt.g.NumVertices()) {
+			t.Fatalf("%s: every label built once took %d arena resets and %d builds for %d vertices",
+				nt.name, c.gen, c.built, nt.g.NumVertices())
+		}
 	}
 }
 
@@ -872,7 +969,7 @@ func TestCCHMemoryBytesCountsQueryState(t *testing.T) {
 // finite upward arc. With perfect = basic no gap is positive, so prune
 // keeps them all.
 func basicCCH(sk *CCHSkeleton, costs []float64) *CCH {
-	w := sk.basicWeights(costs, 1)
+	w := sk.basicWeights(costs)
 	return sk.prune(w, w, 0)
 }
 
@@ -934,7 +1031,7 @@ func TestCCHPruneMarginIsNeeded(t *testing.T) {
 		costs[g.ArcIndex(e.u, e.v)], costs[g.ArcIndex(e.v, e.u)] = e.cost, e.cost
 	}
 	sk := BuildCCHSkeleton(g)
-	basic := sk.basicWeights(costs, 1)
+	basic := sk.basicWeights(costs)
 	perfect := slices.Clone(basic)
 	sk.perfectSweep(perfect)
 	old := oldCCHQuery(sk, costs)
@@ -1204,7 +1301,10 @@ func BenchmarkCCHCustomize(b *testing.B) {
 
 // BenchmarkCCHSkeletonBuild times the metric-independent preprocessing on
 // the 625-vertex grid and on the benchmark's city at 2.4k and 5.9k
-// vertices (DESIGN.md §12.2 tabulates the last two).
+// vertices (DESIGN.md §12.2 tabulates the last two), and reports the
+// skeleton's size: skeleton-MB is MemoryBytes, B/triangle that over the
+// lower-triangle count, which tends to the chord's 4 bytes as triangles
+// come to dominate.
 func BenchmarkCCHSkeletonBuild(b *testing.B) {
 	nets := []struct {
 		name string
@@ -1217,9 +1317,12 @@ func BenchmarkCCHSkeletonBuild(b *testing.B) {
 	for _, nt := range nets {
 		b.Run(nt.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var sk *CCHSkeleton
 			for b.Loop() {
-				BuildCCHSkeleton(nt.g)
+				sk = BuildCCHSkeleton(nt.g)
 			}
+			b.ReportMetric(float64(sk.MemoryBytes())/1e6, "skeleton-MB")
+			b.ReportMetric(float64(sk.MemoryBytes())/float64(sk.Triangles()), "B/triangle")
 		})
 	}
 }
