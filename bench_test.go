@@ -632,7 +632,7 @@ func BenchmarkSaturation(b *testing.B) {
 		b.Run(fmt.Sprintf("rate=%v", rate), func(b *testing.B) {
 			srv, err := serve.NewServer(serve.Config{
 				Graph: g, Workers: inst.Workers, Oracle: oracle, OracleKind: "hub",
-				BatchWindow: 2 * time.Millisecond, BatchSize: 16, MaxQueue: 32,
+				MaxQueue: 32,
 			})
 			if err != nil {
 				b.Fatal(err)

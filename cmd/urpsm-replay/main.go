@@ -16,7 +16,7 @@
 //
 //   - -speedup S: requests are fired concurrently on the workload's own
 //     release schedule compressed by S (e.g. 60 = an hour of trace per
-//     minute), exercising the batching window under load. S = 0 streams
+//     minute), exercising group commit under load. S = 0 streams
 //     as fast as the server admits. No equivalence claim is made —
 //     concurrent delivery may reorder arrivals (see DESIGN.md §9.3).
 //

@@ -1,9 +1,11 @@
 // Command urpsm-serve is the online dispatch daemon: it loads a road
 // network and an initial fleet, then serves URPSM requests over HTTP with
-// batched admission (see internal/serve and DESIGN.md §9).
+// group-commit admission: whatever is pending when the event loop is free
+// is planned, logged and synced as one group (see internal/serve and
+// DESIGN.md §9).
 //
 //	urpsm-serve -net city.net -load city.load -oracle auto -addr :8650
-//	urpsm-serve -net city.net -load city.load -batch-window 10ms -parallel 8
+//	urpsm-serve -net city.net -load city.load -parallel 8
 //	urpsm-serve -net city.net -load city.load -snapshot state.json
 //
 // The -load file supplies the fleet (its workers); its requests, if any,
@@ -13,7 +15,7 @@
 // restart resumes exactly where the previous run stopped.
 //
 // With -wal DIR the daemon write-ahead-logs every admission, decision
-// and traffic update to DIR/wal.log (fsynced once per admission batch,
+// and traffic update to DIR/wal.log (fsynced once per commit group,
 // before any decision is acknowledged) and checkpoints to
 // DIR/checkpoint.json. After a crash — kill -9 included — a restart
 // replays the log tail through the same decide path as live traffic and
@@ -28,9 +30,9 @@
 // lowest rejection penalty p_r) with HTTP 429 + Retry-After, WAL-logged
 // so recovery and replay stay bit-exact under overload. With
 // -degrade-target D the graceful-degradation ladder watches the p95
-// per-batch plan time and sheds capacity in deterministic stages
-// (smaller batches, serial dispatch, tighter queue) after
-// -degrade-window consecutive breaches, recovering in reverse.
+// per-group plan time and sheds capacity in deterministic stages
+// (serial dispatch, then a tighter queue) after -degrade-window
+// consecutive breaches, recovering in reverse.
 //
 // API: POST /v1/requests, POST /v1/traffic, POST /v1/checkpoint,
 // GET /v1/workers/{id}/route, GET /v1/decisions/{id}, GET /v1/stats,
@@ -72,29 +74,27 @@ var version = "dev"
 
 func main() {
 	var (
-		netFile     = flag.String("net", "", "road-network file (urpsm-roadnet format, required)")
-		loadFile    = flag.String("load", "", "workload file supplying the initial fleet (urpsm-workload format, required)")
-		oracle      = cliutil.OracleFlag("auto")
-		addr        = flag.String("addr", ":8650", "HTTP listen address")
-		batchWindow = flag.Duration("batch-window", serve.DefaultBatchWindow, "max time a request waits for its admission batch")
-		batchSize   = flag.Int("batch-size", serve.DefaultBatchSize, "flush an admission batch early at this many requests")
-		maxQueue    = flag.Int("max-queue", 0, "bound the pending admission queue: beyond this many requests the lowest-value one is shed with HTTP 429 (0 = unbounded)")
-		degTarget   = flag.Duration("degrade-target", 0, "p95 per-batch plan-time SLO driving the graceful-degradation ladder (0 = ladder disabled)")
-		degWindow   = flag.Int("degrade-window", serve.DefaultDegradeWindow, "consecutive batches breaching (or clearing) the SLO before the ladder moves a stage")
-		parallel    = flag.Int("parallel", 0, "plan with a parallel dispatcher pool of this size (≤1 = serial)")
-		gridKm      = flag.Float64("grid", 2, "grid cell size g in km")
-		alpha       = flag.Float64("alpha", 1, "unified-cost weight α")
-		snapshot    = flag.String("snapshot", "", "state file: restored at startup when present, written on graceful shutdown")
-		walDir      = flag.String("wal", "", "write-ahead-log directory: crash-safe durability with replay recovery (mutually exclusive with -snapshot)")
-		walCkpt     = flag.Int64("wal-checkpoint-bytes", serve.DefaultCheckpointBytes, "auto-checkpoint once the log exceeds this size (negative = explicit POST /v1/checkpoint only)")
-		asyncRb     = flag.Bool("async-rebuild", false, "rebuild the oracle in the background after POST /v1/traffic (live-tier queries meanwhile; mid-rebuild decisions lose bit-comparability; with -oracle cch the window is a millisecond customization, see DESIGN.md §11.4/§12)")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		noPrefetch  = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16); only the hub and ch tiers have a table, cch and bidijkstra always plan from point queries")
-		traceEv     = flag.Int("trace-events", serve.DefaultTraceEvents, "flight-recorder ring capacity in events for /debug/trace and explain (0 = tracing disabled)")
-		logLevel    = cliutil.LogLevelFlag("info")
+		netFile    = flag.String("net", "", "road-network file (urpsm-roadnet format, required)")
+		loadFile   = flag.String("load", "", "workload file supplying the initial fleet (urpsm-workload format, required)")
+		oracle     = cliutil.OracleFlag("auto")
+		addr       = flag.String("addr", ":8650", "HTTP listen address")
+		maxQueue   = flag.Int("max-queue", 0, "bound the pending admission queue: beyond this many requests the lowest-value one is shed with HTTP 429 (0 = unbounded)")
+		degTarget  = flag.Duration("degrade-target", 0, "p95 per-group plan-time SLO driving the graceful-degradation ladder (0 = ladder disabled)")
+		degWindow  = flag.Int("degrade-window", serve.DefaultDegradeWindow, "consecutive groups breaching (or clearing) the SLO before the ladder moves a stage")
+		parallel   = flag.Int("parallel", 0, "plan with a parallel dispatcher pool of this size (≤1 = serial)")
+		gridKm     = flag.Float64("grid", 2, "grid cell size g in km")
+		alpha      = flag.Float64("alpha", 1, "unified-cost weight α")
+		snapshot   = flag.String("snapshot", "", "state file: restored at startup when present, written on graceful shutdown")
+		walDir     = flag.String("wal", "", "write-ahead-log directory: crash-safe durability with replay recovery (mutually exclusive with -snapshot)")
+		walCkpt    = flag.Int64("wal-checkpoint-bytes", serve.DefaultCheckpointBytes, "auto-checkpoint once the log exceeds this size (negative = explicit POST /v1/checkpoint only)")
+		asyncRb    = flag.Bool("async-rebuild", false, "rebuild the oracle in the background after POST /v1/traffic (live-tier queries meanwhile; mid-rebuild decisions lose bit-comparability; with -oracle cch the window is a millisecond customization, see DESIGN.md §11.4/§12)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
+		noPrefetch = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16); only the hub and ch tiers have a table, cch and bidijkstra always plan from point queries")
+		traceEv    = flag.Int("trace-events", serve.DefaultTraceEvents, "flight-recorder ring capacity in events for /debug/trace and explain (0 = tracing disabled)")
+		logLevel   = cliutil.LogLevelFlag("info")
 	)
 	flag.Parse()
-	if err := run(*netFile, *loadFile, *oracle, *addr, *batchWindow, *batchSize,
+	if err := run(*netFile, *loadFile, *oracle, *addr,
 		*parallel, *gridKm, *alpha, *snapshot, *walDir, *walCkpt, *pprofAddr,
 		*asyncRb, *noPrefetch, *traceEv, *logLevel,
 		overload{maxQueue: *maxQueue, target: *degTarget, window: *degWindow}); err != nil {
@@ -111,8 +111,8 @@ type overload struct {
 	window   int
 }
 
-func run(netFile, loadFile, oracleKind, addr string, batchWindow time.Duration,
-	batchSize, parallel int, gridKm, alpha float64, snapshotFile, walDir string,
+func run(netFile, loadFile, oracleKind, addr string,
+	parallel int, gridKm, alpha float64, snapshotFile, walDir string,
 	walCkptBytes int64, pprofAddr string, asyncRebuild, noPrefetch bool,
 	traceEvents int, logLevel string, ovl overload) error {
 	if netFile == "" || loadFile == "" {
@@ -158,8 +158,6 @@ func run(netFile, loadFile, oracleKind, addr string, batchWindow time.Duration,
 		OracleKind:      resolved,
 		Alpha:           alpha,
 		CellMeters:      gridKm * 1000,
-		BatchWindow:     batchWindow,
-		BatchSize:       batchSize,
 		MaxQueue:        ovl.maxQueue,
 		DegradeTarget:   ovl.target,
 		DegradeWindow:   ovl.window,
@@ -209,23 +207,22 @@ func run(netFile, loadFile, oracleKind, addr string, batchWindow time.Duration,
 	}
 	// A hardened server: a stalled or malicious peer cannot hold a
 	// connection open indefinitely (slowloris) or feed an unbounded
-	// header. The write timeout must cover a full batch window — a
-	// decision response legitimately blocks until its batch flushes —
-	// so it scales with the window instead of cutting healthy requests
-	// off. Request bodies are bounded per-handler with MaxBytesReader.
-	writeTimeout := 2*batchWindow + 30*time.Second
+	// header. The write timeout must cover a queued request's wait — a
+	// decision response legitimately blocks until its group is synced —
+	// so it is generous rather than tight. Request bodies are bounded
+	// per-handler with MaxBytesReader.
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      writeTimeout,
+		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 		MaxHeaderBytes:    1 << 16,
 	}
 
-	fmt.Printf("urpsm-serve on %s: net=%s |V|=%d |E|=%d workers=%d oracle=%s algo=%s batch-window=%s batch-size=%d max-queue=%d\n",
+	fmt.Printf("urpsm-serve on %s: net=%s |V|=%d |E|=%d workers=%d oracle=%s algo=%s admission=group-commit max-queue=%d\n",
 		ln.Addr(), netFile, g.NumVertices(), g.NumEdges(), len(inst.Workers),
-		resolved, srv.Planner(), batchWindow, batchSize, ovl.maxQueue)
+		resolved, srv.Planner(), ovl.maxQueue)
 
 	errC := make(chan error, 1)
 	go func() {

@@ -216,7 +216,6 @@ func (d *daemon) start() {
 	args := []string{
 		"-net", d.fix.netF, "-load", d.fix.loadF,
 		"-oracle", "hub", "-addr", "127.0.0.1:0",
-		"-batch-window", "2ms",
 		"-wal", d.walDir, "-wal-checkpoint-bytes", "16384"}
 	args = append(args, d.extra...)
 	cmd := exec.Command(d.fix.binPath, args...)

@@ -65,7 +65,7 @@ type Decision struct {
 	// 429. Accepted is always false and Worker -1 on a shed decision.
 	Shed bool `json:"shed,omitempty"`
 	// RetryAfterMs is the deterministic backoff hint on a shed decision:
-	// one batch window, the soonest the queue can have drained.
+	// a constant 20 ms, so a replayed verdict carries the same hint.
 	RetryAfterMs int `json:"retry_after_ms,omitempty"`
 }
 
@@ -91,9 +91,9 @@ type Stats struct {
 	// Submitted counts every request that entered the admission path
 	// (planned or shed); Shed counts those the overload policy turned
 	// away with 429 (DESIGN.md §15). QueueLimit is the *effective*
-	// pending cap (0 = unbounded) — MaxQueue unless ladder stage 3
+	// pending cap (0 = unbounded) — MaxQueue unless ladder stage 2
 	// tightened it. DegradeState is the current ladder stage (0 =
-	// healthy … 3 = shedding) and DegradeTransitions counts every stage
+	// healthy … 2 = shedding) and DegradeTransitions counts every stage
 	// change in either direction.
 	Submitted          int    `json:"submitted"`
 	Shed               int    `json:"shed"`
@@ -395,7 +395,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p("# HELP urpsm_queue_limit Effective pending-queue cap (0 = unbounded).\n")
 	p("# TYPE urpsm_queue_limit gauge\n")
 	p("urpsm_queue_limit %d\n", st.QueueLimit)
-	p("# HELP urpsm_degrade_state Degradation ladder stage (0 = healthy, 3 = shedding).\n")
+	p("# HELP urpsm_degrade_state Degradation ladder stage (0 = healthy, 2 = shedding).\n")
 	p("# TYPE urpsm_degrade_state gauge\n")
 	p("urpsm_degrade_state %d\n", st.DegradeState)
 	p("# HELP urpsm_degrade_transitions_total Degradation ladder stage changes, either direction.\n")

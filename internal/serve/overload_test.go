@@ -38,27 +38,18 @@ func overloadRequests(t *testing.T, n int) []*core.Request {
 	return out
 }
 
-// runOverload submits reqs in order against a fresh server with the
-// given pool size and a queue cap of keep, lets Shutdown's terminal
-// flush deliver every verdict, and returns all decisions by ID.
+// runOverload submits reqs in order as one held group against a fresh
+// server with the given pool size and a queue cap of keep, lets the
+// group's flush and Shutdown deliver every verdict, and returns all
+// decisions by ID.
 func runOverload(t *testing.T, reqs []*core.Request, pool, keep int) (map[int32]Decision, Stats) {
 	t.Helper()
 	g, inst := testInstance(t)
 	s := newTestServer(t, g, inst, func(c *Config) {
 		c.Pool = pool
 		c.MaxQueue = keep
-		c.BatchWindow = time.Hour // only the terminal drain may flush
-		c.BatchSize = 1 << 20
 	})
-	chans := make([]<-chan Decision, len(reqs))
-	for i, r := range reqs {
-		cp := *r
-		done, err := s.submit(&cp, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans[i] = done
-	}
+	chans := submitGroup(t, s, reqs)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -148,28 +139,10 @@ func TestOverloadWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 	const keep = 2
 
-	s := newWALServer(t, g, inst, oracle, dir, func(c *Config) {
-		c.MaxQueue = keep
-		c.BatchWindow = 50 * time.Millisecond // the cap starves size-triggered flushes
-		c.BatchSize = 1 << 20
-	})
-	chans := make([]<-chan Decision, len(reqs))
-	for i, r := range reqs {
-		cp := *r
-		done, err := s.submit(&cp, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans[i] = done
-	}
+	s := newWALServer(t, g, inst, oracle, dir, func(c *Config) { c.MaxQueue = keep })
 	got := make(map[int32]Decision, len(reqs))
-	for i, ch := range chans {
-		select {
-		case d := <-ch:
-			got[d.ID] = d
-		case <-time.After(10 * time.Second):
-			t.Fatalf("request %d never got a verdict", reqs[i].ID)
-		}
+	for _, d := range await(t, submitGroup(t, s, reqs)) {
+		got[d.ID] = d
 	}
 	before := s.Stats()
 	if before.Shed != len(reqs)-keep {
@@ -221,18 +194,20 @@ func TestOverloadWALRecovery(t *testing.T) {
 
 // TestDegradationLadder drives the hysteresis state machine directly
 // (DESIGN.md §15.3): DegradeWindow consecutive breaches step one stage
-// down, as many sub-half-target batches step back up, and anything in
+// down, as many sub-half-target groups step back up, and anything in
 // between resets both counters.
 func TestDegradationLadder(t *testing.T) {
 	g, inst := testInstance(t)
-	const maxQueue, batch = 8, 16
-	s := newTestServer(t, g, inst, func(c *Config) {
-		c.Pool = 4
-		c.MaxQueue = maxQueue
-		c.BatchSize = batch
-		c.DegradeTarget = 10 * time.Millisecond
-		c.DegradeWindow = 2
-	})
+	const maxQueue = 8
+	newLadder := func(maxQueue int) *Server {
+		return newTestServer(t, g, inst, func(c *Config) {
+			c.Pool = 4
+			c.MaxQueue = maxQueue
+			c.DegradeTarget = 10 * time.Millisecond
+			c.DegradeWindow = 2
+		})
+	}
+	s := newLadder(maxQueue)
 	feed := func(p95 float64, times int) {
 		for i := 0; i < times; i++ {
 			s.smu.Lock()
@@ -240,47 +215,49 @@ func TestDegradationLadder(t *testing.T) {
 			s.smu.Unlock()
 		}
 	}
-	check := func(stage, effBatch, effQueue int) {
+	check := func(stage, effQueue int) {
 		t.Helper()
 		if got := int(s.degradeStage.Load()); got != stage {
 			t.Fatalf("stage %d, want %d", got, stage)
-		}
-		if got := int(s.effBatch.Load()); got != effBatch {
-			t.Fatalf("effBatch %d, want %d", got, effBatch)
 		}
 		if got := int(s.effQueue.Load()); got != effQueue {
 			t.Fatalf("effQueue %d, want %d", got, effQueue)
 		}
 	}
 
-	check(0, batch, maxQueue)
+	check(0, maxQueue)
 	feed(1.0, 1) // one breach: below the window, no transition
-	check(0, batch, maxQueue)
+	check(0, maxQueue)
 	feed(0.006, 1) // neutral zone (target/2 < p95 <= target): counters reset
 	feed(1.0, 1)
-	check(0, batch, maxQueue)
-	feed(1.0, 1) // second consecutive breach: stage 1 shrinks the batch
-	check(1, batch/4, maxQueue)
-	feed(1.0, 2) // stage 2: serial dispatch
-	check(2, batch/4, maxQueue)
-	feed(1.0, 2) // stage 3: tighten the shed cap
-	check(3, batch/4, maxQueue/2)
+	check(0, maxQueue)
+	feed(1.0, 1) // second consecutive breach: stage 1 plans serially
+	check(1, maxQueue)
+	feed(1.0, 2) // stage 2: tighten the shed cap
+	check(2, maxQueue/2)
 	feed(1.0, 4) // already at the bottom: no further transitions
-	check(3, batch/4, maxQueue/2)
+	check(2, maxQueue/2)
 	feed(0.001, 2) // recovery is the reverse walk
-	check(2, batch/4, maxQueue)
-	feed(0.001, 2)
-	check(1, batch/4, maxQueue)
+	check(1, maxQueue)
 	feed(0.001, 1)
 	feed(0.006, 1) // neutral zone also resets the recovery counter
 	feed(0.001, 1)
-	check(1, batch/4, maxQueue)
+	check(1, maxQueue)
 	feed(0.001, 2)
-	check(0, batch, maxQueue)
+	check(0, maxQueue)
 
-	if st := s.Stats(); st.DegradeTransitions != 6 || st.DegradeState != 0 {
-		t.Fatalf("transitions=%d state=%d, want 6 and 0", st.DegradeTransitions, st.DegradeState)
+	if st := s.Stats(); st.DegradeTransitions != 4 || st.DegradeState != 0 {
+		t.Fatalf("transitions=%d state=%d, want 4 and 0", st.DegradeTransitions, st.DegradeState)
 	}
+
+	// With admission unbounded there is no cap to halve: stage 2 imposes
+	// degradedQueueCap, and recovery lifts it again.
+	s = newLadder(0)
+	check(0, 0)
+	feed(1.0, 4)
+	check(2, degradedQueueCap)
+	feed(0.001, 4)
+	check(0, 0)
 }
 
 // TestUnboundedQueueNeverSheds pins the default: MaxQueue 0 means no
@@ -304,11 +281,7 @@ func TestUnboundedQueueNeverSheds(t *testing.T) {
 // submission.
 func TestOverloadHTTP429(t *testing.T) {
 	g, inst := testInstance(t)
-	s := newTestServer(t, g, inst, func(c *Config) {
-		c.MaxQueue = 1
-		c.BatchWindow = 200 * time.Millisecond
-		c.BatchSize = 1 << 20
-	})
+	s := newTestServer(t, g, inst, func(c *Config) { c.MaxQueue = 1 })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -320,6 +293,9 @@ func TestOverloadHTTP429(t *testing.T) {
 		retryAfters []string
 		wg          sync.WaitGroup
 	)
+	// Hold the loop until the whole burst is admitted, so it lands in one
+	// group against the one-slot queue.
+	s.smu.Lock()
 	for _, r := range reqs {
 		wg.Add(1)
 		go func(r *core.Request) {
@@ -357,6 +333,19 @@ func TestOverloadHTTP429(t *testing.T) {
 			}
 		}(r)
 	}
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.qmu.Lock()
+		n := s.submitted
+		s.qmu.Unlock()
+		if n == burst {
+			break
+		}
+		if time.Now().After(deadline) {
+			s.smu.Unlock()
+			t.Fatalf("only %d of %d burst requests were admitted", n, burst)
+		}
+	}
+	s.smu.Unlock()
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
@@ -398,6 +387,95 @@ func TestOverloadHTTP429(t *testing.T) {
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("/metrics missing %q", want)
+		}
+	}
+}
+
+// appendVerdicts renders decisions (shed verdicts included) in request
+// order onto the canonical comparison stream.
+func appendVerdicts(buf *bytes.Buffer, ds []Decision) {
+	for _, d := range ds {
+		fmt.Fprintf(buf, "%d %t %t %d %016x %016x %d\n",
+			d.ID, d.Accepted, d.Shed, d.Worker,
+			math.Float64bits(d.Delta), math.Float64bits(d.SimTime), d.RetryAfterMs)
+	}
+}
+
+// TestOverloadCrashEquivalence is the overload kill point: a WAL-backed
+// server with a bounded queue is driven into shedding and crashed
+// (Abort) with a full burst admitted — its victims parked, nothing of
+// it durable — then recovered and re-driven. The complete verdict
+// stream, sheds included, must be byte-identical to an uninterrupted
+// server's: whatever the WAL holds is truth, whatever it does not never
+// happened and is resent.
+func TestOverloadCrashEquivalence(t *testing.T) {
+	g, inst := testInstance(t)
+	oracle := shortest.BuildHubLabels(g)
+	const maxQueue, burstN = 3, 8
+	reqs := overloadRequests(t, 3*burstN)
+	bursts := [][]*core.Request{reqs[:burstN], reqs[burstN : 2*burstN], reqs[2*burstN:]}
+	mut := func(c *Config) { c.MaxQueue = maxQueue }
+
+	run := func(kill bool) (*bytes.Buffer, Stats) {
+		dir := t.TempDir()
+		s := newWALServer(t, g, inst, oracle, dir, mut)
+		var stream bytes.Buffer
+		appendVerdicts(&stream, await(t, submitGroup(t, s, bursts[0])))
+		if kill {
+			// Hold the loop while the burst fills the queue and parks its
+			// victims, then crash before any flush can take it.
+			s.smu.Lock()
+			for _, r := range bursts[1] {
+				cp := *r
+				if _, err := s.submit(&cp, false); err != nil {
+					s.smu.Unlock()
+					t.Fatal(err)
+				}
+			}
+			aborted := make(chan struct{})
+			go func() { s.Abort(); close(aborted) }()
+			<-s.killC
+			s.smu.Unlock()
+			<-aborted
+
+			s = newWALServer(t, g, inst, oracle, dir, mut)
+			for _, r := range bursts[1] {
+				if d, ok := s.DecisionFor(int32(r.ID)); ok {
+					t.Fatalf("request %d survived the crash (%+v): the kill point did not hold the burst undurable", r.ID, d)
+				}
+			}
+			if st := s.Stats(); st.Submitted != burstN {
+				t.Fatalf("recovered %d submissions, want the first burst's %d", st.Submitted, burstN)
+			}
+		}
+		appendVerdicts(&stream, await(t, submitGroup(t, s, bursts[1])))
+		appendVerdicts(&stream, await(t, submitGroup(t, s, bursts[2])))
+		return &stream, s.Stats()
+	}
+
+	refStream, ref := run(false)
+	killStream, killed := run(true)
+	if ref.Shed == 0 {
+		t.Fatal("the bounded queue never shed: the test is not generating overload")
+	}
+	if !bytes.Equal(refStream.Bytes(), killStream.Bytes()) {
+		t.Fatalf("verdict streams diverge:\nuninterrupted:\n%skilled:\n%s", refStream, killStream)
+	}
+	for _, c := range []struct {
+		name string
+		a, b any
+	}{
+		{"submitted", ref.Submitted, killed.Submitted},
+		{"shed", ref.Shed, killed.Shed},
+		{"requests", ref.Requests, killed.Requests},
+		{"accepted", ref.Accepted, killed.Accepted},
+		{"rejected", ref.Rejected, killed.Rejected},
+		{"penalty_sum", math.Float64bits(ref.PenaltySum), math.Float64bits(killed.PenaltySum)},
+		{"total_distance", math.Float64bits(ref.TotalDistance), math.Float64bits(killed.TotalDistance)},
+		{"sim_time", math.Float64bits(ref.SimTime), math.Float64bits(killed.SimTime)},
+	} {
+		if c.a != c.b {
+			t.Errorf("final stats diverge on %s: uninterrupted %v, killed %v", c.name, c.a, c.b)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package serve
 
 // Batch-prefetch equivalence: the server's flush-time distance table must
 // be invisible in decisions (DESIGN.md §16). This suite drives identical
-// multi-request admission batches through a default server and a
+// multi-request admission groups through a default server and a
 // NoBatchPrefetch server and requires both to match the offline
 // reference bit-for-bit, while the stats prove the default server really
 // planned against tables on hub — and planned without any on cch, whose
@@ -11,7 +11,6 @@ package serve
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/roadnet"
@@ -19,30 +18,16 @@ import (
 	"repro/internal/workload"
 )
 
-// runWaves streams the instance through s in waves of size batch,
-// submitting each wave back-to-back (so it flushes as one admission
-// batch) and waiting for its decisions before the next wave.
+// runWaves streams the instance through s in waves of size batch, each
+// submitted as one held group, and waits for a wave's decisions before
+// the next.
 func runWaves(t *testing.T, s *Server, reqs []*core.Request, batch int) map[int32]Decision {
 	t.Helper()
 	got := make(map[int32]Decision, len(reqs))
 	for start := 0; start < len(reqs); start += batch {
 		wave := reqs[start:min(start+batch, len(reqs))]
-		chans := make([]<-chan Decision, 0, len(wave))
-		for _, r := range wave {
-			rc := *r // servers must not share request storage
-			ch, err := s.submit(&rc, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chans = append(chans, ch)
-		}
-		for _, ch := range chans {
-			select {
-			case d := <-ch:
-				got[d.ID] = d
-			case <-time.After(10 * time.Second):
-				t.Fatal("decision timed out")
-			}
+		for _, d := range await(t, submitGroup(t, s, wave)) {
+			got[d.ID] = d
 		}
 	}
 	return got
@@ -56,16 +41,12 @@ func TestBatchPrefetchEquivalence(t *testing.T) {
 	}
 	reqs := sortedRequests(inst)
 	const wave = 8
-	mut := func(c *Config) {
-		c.BatchWindow = 500 * time.Millisecond
-		c.BatchSize = wave // flush exactly when a wave is fully enqueued
-	}
 
-	on := newTestServer(t, g, inst, mut)
+	on := newTestServer(t, g, inst, nil)
 	gotOn := runWaves(t, on, reqs, wave)
 	checkEquivalence(t, gotOn, want)
 
-	off := newTestServer(t, g, inst, func(c *Config) { mut(c); c.NoBatchPrefetch = true })
+	off := newTestServer(t, g, inst, func(c *Config) { c.NoBatchPrefetch = true })
 	gotOff := runWaves(t, off, reqs, wave)
 	checkEquivalence(t, gotOff, want)
 
@@ -118,8 +99,6 @@ func TestCCHServePlansFromLabels(t *testing.T) {
 	run := func(noPrefetch bool) (map[int32]Decision, Stats) {
 		s := newWALServer(t, g, inst, shortest.BuildCCH(g), t.TempDir(), func(c *Config) {
 			c.OracleKind = "cch"
-			c.BatchWindow = 100 * time.Millisecond
-			c.BatchSize = wave
 			c.NoBatchPrefetch = noPrefetch
 		})
 		got := make(map[int32]Decision, len(reqs))

@@ -1,6 +1,6 @@
 // Package serve is the online dispatch service: a long-running wrapper
 // around the planner/oracle/fleet stack that accepts URPSM requests over
-// HTTP, admits them through a batching window, and plans them with the
+// HTTP, admits them by group commit, and plans them with the
 // exact same code path as the offline simulator.
 //
 // # Architecture
@@ -12,14 +12,15 @@
 // requests and wait for their decision, so the planner never observes a
 // half-advanced world.
 //
-// Admission is batched: a request waits at most Config.BatchWindow from
-// the moment it is enqueued, and a batch is flushed early when it reaches
-// Config.BatchSize. Within a batch, requests are processed in
-// (release, arrival-sequence) order — the same order sim.Engine's stable
-// sort produces — and the world is advanced to each request's release
-// before planning it. Batching is purely an admission mechanism: it
-// amortizes loop wakeups and lets the parallel dispatcher see deeper
-// queues, but it never changes an individual decision.
+// Admission is group commit: whenever the event loop is free it takes
+// everything pending as one group, plans it in (release, arrival-sequence)
+// order — the same order sim.Engine's stable sort produces, advancing the
+// world to each request's release before planning it — appends the
+// group's WAL records, syncs once and acknowledges. Nothing waits for
+// company: at low load a group is one request, and whatever arrives
+// during a flush forms the next group, so groups grow with load by
+// themselves. Grouping is purely an admission mechanism: it never changes
+// an individual decision.
 //
 // # Replay equivalence
 //
@@ -36,11 +37,12 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,12 +76,6 @@ type Config struct {
 	Alpha float64
 	// CellMeters is the spatial-grid cell size; 0 means 2000.
 	CellMeters float64
-	// BatchWindow bounds how long an admitted request may wait for its
-	// batch; 0 means DefaultBatchWindow.
-	BatchWindow time.Duration
-	// BatchSize flushes a batch early once this many requests are
-	// pending; 0 means DefaultBatchSize.
-	BatchSize int
 	// MaxQueue caps the admission queue: a submission that would leave
 	// more than MaxQueue requests pending instead sheds the least
 	// valuable request in sight — the newcomer included — chosen by the
@@ -90,15 +86,14 @@ type Config struct {
 	// unbounded (the pre-overload-contract behavior). See DESIGN.md §15.
 	MaxQueue int
 	// DegradeTarget arms the graceful-degradation ladder: when the p95
-	// per-request plan time of a flushed batch exceeds this target for
-	// DegradeWindow consecutive batches the server degrades one stage —
-	// 1 shrinks the effective batch size, 2 additionally plans serially
-	// (bit-identical decisions, just no speculation), 3 additionally
-	// tightens the shed cap — and recovers one stage in reverse after
-	// DegradeWindow consecutive batches under half the target. 0
-	// disables the ladder. See DESIGN.md §15.3.
+	// per-request plan time of a flushed group exceeds this target for
+	// DegradeWindow consecutive groups the server degrades one stage —
+	// 1 plans serially (bit-identical decisions, just no speculation),
+	// 2 additionally tightens the shed cap — and recovers one stage in
+	// reverse after DegradeWindow consecutive groups under half the
+	// target. 0 disables the ladder. See DESIGN.md §15.3.
 	DegradeTarget time.Duration
-	// DegradeWindow is the consecutive-batch hysteresis window of the
+	// DegradeWindow is the consecutive-group hysteresis window of the
 	// ladder; 0 means DefaultDegradeWindow.
 	DegradeWindow int
 	// Pool > 1 plans with the parallel dispatcher (bit-identical
@@ -106,7 +101,7 @@ type Config struct {
 	Pool int
 	// WALDir enables the write-ahead log: every externally visible event
 	// (admission batches, decisions, traffic updates, checkpoints) is
-	// appended to WALDir/wal.log and fsynced once per admission batch
+	// appended to WALDir/wal.log and fsynced once per commit group
 	// before any decision is acknowledged. On startup the server recovers
 	// from WALDir/checkpoint.json plus the log tail, replayed through the
 	// same event-loop code path as live traffic, then checkpoints and
@@ -168,20 +163,24 @@ type Config struct {
 // uses unless -trace-events overrides it (~300 bytes per slot).
 const DefaultTraceEvents = 4096
 
-// DefaultBatchWindow is the default admission-window bound.
-const DefaultBatchWindow = 20 * time.Millisecond
-
 // DefaultCheckpointBytes is the default WAL auto-checkpoint threshold.
 const DefaultCheckpointBytes = 8 << 20
 
-// DefaultBatchSize is the default early-flush batch size.
-const DefaultBatchSize = 64
-
 // DefaultDegradeWindow is the default ladder hysteresis: stage changes
-// need this many consecutive breaching (or recovered) batches.
+// need this many consecutive breaching (or recovered) groups.
 const DefaultDegradeWindow = 4
 
-// pending is one enqueued request waiting for its batch.
+// retryAfterMs is the backoff hint attached to every shed verdict. It is
+// a constant so recovery reconstructs the hint from a shed record, and it
+// is 20 ms because logs written with the old default 20 ms admission
+// window must replay to the verdicts their clients already saw.
+const retryAfterMs = 20
+
+// degradedQueueCap is the shed cap ladder stage 2 imposes when admission
+// is unbounded (MaxQueue 0) and there is no configured cap to halve.
+const degradedQueueCap = 32
+
+// pending is one enqueued request waiting for its group.
 type pending struct {
 	req *core.Request
 	seq int64 // admission sequence, tie-break for equal releases
@@ -197,14 +196,12 @@ type pending struct {
 // Server is the online dispatch service. Create with NewServer, expose
 // with Handler, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	alpha   float64
-	window  time.Duration
-	maxSize int
+	cfg   Config
+	alpha float64
 
 	fleet   *core.Fleet
 	planner core.Planner
-	// serialPlanner is the non-speculative fallback the ladder's stage 2
+	// serialPlanner is the non-speculative fallback the ladder's stage 1
 	// switches to; nil when the server already plans serially. Both
 	// planners drive the same fleet and produce bit-identical decisions
 	// (internal/dispatch's equivalence guarantee), so the switch is
@@ -231,9 +228,11 @@ type Server struct {
 
 	// qmu guards the admission queue (and the ID counter, so the POST
 	// path never waits on planning); smu guards platform state and
-	// decision counters. flush holds smu for a whole batch, so reads
-	// (stats, routes, snapshots) see batch-atomic state. The only
-	// permitted nesting is qmu briefly inside smu (snapshotLocked reads
+	// decision counters. flush holds smu for a whole group, from before
+	// it swaps the queue until the group is acknowledged, so reads
+	// (stats, routes, snapshots) see group-atomic state, and whoever holds
+	// smu decides what the next group is. The only permitted nesting is
+	// qmu briefly inside smu (flush swaps the queue, snapshotLocked reads
 	// nextID); the reverse never occurs, so the order is deadlock-free.
 	qmu      sync.Mutex
 	pending  []*pending
@@ -246,13 +245,15 @@ type Server struct {
 	// entered the admission pipeline (decided + shed + still pending).
 	shedQ     []*pending
 	submitted int
+	// spare and spareShed are the previous group's drained queues, handed
+	// back to the admission path by the next swap, so a group costs no
+	// allocation. Touched only by flush (under smu).
+	spare, spareShed []*pending
 
-	// Effective admission limits, read lock-free by the event loop and
-	// the submit path and rewritten (under smu) by the degradation
-	// ladder: effBatch is the early-flush batch size, effQueue the
+	// Effective admission limits, read lock-free by the submit path and
+	// rewritten (under smu) by the degradation ladder: effQueue is the
 	// pending-queue cap (0 = unbounded), degradeStage the ladder stage
-	// 0–3.
-	effBatch     atomic.Int64
+	// 0–2.
 	effQueue     atomic.Int64
 	degradeStage atomic.Int32
 
@@ -329,12 +330,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.CellMeters == 0 {
 		cfg.CellMeters = 2000
-	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = DefaultBatchWindow
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = DefaultBatchSize
 	}
 	if cfg.CheckpointBytes == 0 {
 		cfg.CheckpointBytes = DefaultCheckpointBytes
@@ -424,8 +419,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg,
 		alpha:          cfg.Alpha,
-		window:         cfg.BatchWindow,
-		maxSize:        cfg.BatchSize,
 		fleet:          fleet,
 		planner:        planner,
 		serialPlanner:  serialPlanner,
@@ -445,7 +438,6 @@ func NewServer(cfg Config) (*Server, error) {
 		doneC:          make(chan struct{}),
 		killC:          make(chan struct{}),
 	}
-	s.effBatch.Store(int64(cfg.BatchSize))
 	s.effQueue.Store(int64(cfg.MaxQueue))
 	if !cfg.NoBatchPrefetch {
 		s.table = core.NewDistTable(cfg.Graph.NumVertices(), dist)
@@ -636,92 +628,55 @@ func (s *Server) kick() {
 	}
 }
 
-// run is the event loop: it sleeps until a batch is due (size reached or
-// window expired) and flushes it.
+// run is the event loop: every submission kicks it, and whenever it is
+// free it flushes whatever is pending as one group. Whatever arrives
+// during a flush leaves a kick behind and becomes the next group.
 func (s *Server) run() {
 	defer close(s.doneC)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	disarm := func() {
-		if armed && !timer.Stop() {
-			<-timer.C
-		}
-		armed = false
-	}
 	for {
 		select {
 		case <-s.wakeC:
-		case <-timer.C:
-			armed = false
+			s.flush()
 		case <-s.stopC:
-			disarm()
 			s.flush() // drain everything still pending
 			return
 		case <-s.killC:
 			// Crash simulation (Abort): stop without draining, exactly as
 			// if the process had been killed mid-flight.
-			disarm()
 			return
-		}
-		for {
-			s.qmu.Lock()
-			n := len(s.pending)
-			nShed := len(s.shedQ)
-			var oldest time.Time
-			if n > 0 {
-				oldest = s.pending[0].enq
-			}
-			s.qmu.Unlock()
-			if n == 0 && nShed == 0 {
-				disarm()
-				break
-			}
-			if n == 0 {
-				// Only shed verdicts are waiting (cannot normally happen — a
-				// shed implies a full queue — but a ladder transition can
-				// tighten the cap); deliver them without a batch.
-				s.flush()
-				continue
-			}
-			// The early-flush threshold is the ladder's *effective* batch
-			// size, which stage 1 shrinks; read lock-free because the ladder
-			// rewrites it under smu while this loop holds no lock.
-			if n >= int(s.effBatch.Load()) || time.Since(oldest) >= s.window {
-				s.flush()
-				continue
-			}
-			disarm()
-			timer.Reset(time.Until(oldest.Add(s.window)))
-			armed = true
-			break
 		}
 	}
 }
 
-// flush takes the whole pending queue as one batch and plans it in
+// flush takes the whole pending queue as one group and plans it in
 // (release, admission-sequence) order — the order sim.Engine's stable
 // release sort would process the same requests in. Overload victims
 // parked on the shed queue ride along: their 429 verdicts open the
-// batch's WAL commit group (stamped with the pre-batch event clock, so
+// group's WAL commit group (stamped with the pre-group event clock, so
 // recovery can apply them verbatim) and are delivered only after the
 // group's fsync — the sync-before-ack invariant covers sheds exactly
-// like decisions.
+// like decisions. smu is taken before the queue is swapped, so a caller
+// holding smu while it submits fixes the next group exactly; once Abort
+// has been called, flush returns without taking anything.
 func (s *Server) flush() {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	select {
+	case <-s.killC:
+		return
+	default:
+	}
 	s.qmu.Lock()
-	batch := s.pending
-	s.pending = nil
-	sheds := s.shedQ
-	s.shedQ = nil
+	batch, sheds := s.pending, s.shedQ
+	s.pending, s.shedQ = s.spare, s.spareShed
 	s.qmu.Unlock()
+	// The drained queues are the next swap's spares: only the next flush
+	// reads them, after this one has acknowledged and cleared them.
+	s.spare, s.spareShed = batch[:0], sheds[:0]
 	if len(batch) == 0 && len(sheds) == 0 {
 		return
 	}
 
-	s.smu.Lock()
-	defer s.smu.Unlock()
 	flushStart := time.Now()
 	// A defaulted release means "now": resolve it against the event clock
 	// at flush time, so the clock's progress since admission is not
@@ -731,12 +686,14 @@ func (s *Server) flush() {
 			p.req.Release = s.simTime
 		}
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].req.Release != batch[j].req.Release {
-			return batch[i].req.Release < batch[j].req.Release
-		}
-		return batch[i].seq < batch[j].seq
-	})
+	if len(batch) > 1 {
+		slices.SortFunc(batch, func(a, b *pending) int {
+			if c := cmp.Compare(a.req.Release, b.req.Release); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+	}
 	if len(batch) > 0 {
 		s.batches++
 		if len(batch) > s.maxBatch {
@@ -756,7 +713,7 @@ func (s *Server) flush() {
 			SimTime:      s.simTime,
 			Batch:        s.batches,
 			Shed:         true,
-			RetryAfterMs: s.retryAfterMs(),
+			RetryAfterMs: retryAfterMs,
 		}
 		s.shed++
 		// Eq. 2 accounting: an unserved request costs its rejection
@@ -842,6 +799,8 @@ func (s *Server) flush() {
 			s.rec.Ack(s.simTime, int64(p.req.ID), ackDur)
 		}
 	}
+	clear(batch)
+	clear(sheds)
 	s.flushScratch = ds[:0]
 	s.shedScratch = shedDs[:0]
 	flushDur := time.Since(flushStart)
@@ -939,11 +898,11 @@ func (s *Server) decideLocked(req *core.Request) Decision {
 	s.simTime = t
 	s.simTimeBits.Store(math.Float64bits(t))
 	s.world.AdvanceAll(t)
-	// Ladder stage 2 plans serially: same fleet, same algorithm, no
+	// Ladder stage 1 plans serially: same fleet, same algorithm, no
 	// speculation — internal/dispatch guarantees the decisions are
 	// bit-identical, so the switch never shows up in a replay.
 	pl := s.planner
-	if s.serialPlanner != nil && s.degradeStage.Load() >= 2 {
+	if s.serialPlanner != nil && s.degradeStage.Load() >= 1 {
 		pl = s.serialPlanner
 	}
 	res := pl.OnRequest(t, req)
@@ -967,22 +926,11 @@ func (s *Server) decideLocked(req *core.Request) Decision {
 	return d
 }
 
-// retryAfterMs is the backoff hint attached to shed verdicts: one batch
-// window — the soonest the queue can have drained a batch. A pure
-// function of configuration, so recovery reconstructs the same hint.
-func (s *Server) retryAfterMs() int {
-	ms := int(s.window / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
-}
-
 // ladderLocked advances the graceful-degradation state machine after a
-// flush (DESIGN.md §15.3). p95 is the batch's 95th-percentile
+// flush (DESIGN.md §15.3). p95 is the group's 95th-percentile
 // per-request plan time in seconds; breaching the target for
-// DegradeWindow consecutive batches degrades one stage, staying under
-// half the target for as many batches recovers one. The half-target
+// DegradeWindow consecutive groups degrades one stage, staying under
+// half the target for as many groups recovers one. The half-target
 // recovery band is deliberate hysteresis — a p95 hovering at the target
 // would otherwise flap the ladder every window. Caller holds smu.
 func (s *Server) ladderLocked(p95 float64) {
@@ -992,7 +940,7 @@ func (s *Server) ladderLocked(p95 float64) {
 	case p95 > target:
 		s.degradeBreach++
 		s.degradeOK = 0
-		if s.degradeBreach >= s.cfg.DegradeWindow && stage < 3 {
+		if s.degradeBreach >= s.cfg.DegradeWindow && stage < 2 {
 			s.setStageLocked(stage+1, "degrade")
 			s.degradeBreach = 0
 		}
@@ -1009,31 +957,20 @@ func (s *Server) ladderLocked(p95 float64) {
 	}
 }
 
-// setStageLocked moves the ladder to stage and rewrites the effective
-// admission limits the event loop and submit path read lock-free:
-// stage ≥ 1 quarters the early-flush batch size (smaller batches, more
-// frequent event-clock catch-up), stage ≥ 2 switches decideLocked to
-// the serial planner, stage 3 tightens the shed cap — halving
-// MaxQueue, or imposing twice the effective batch size when admission
-// was unbounded. Caller holds smu.
+// setStageLocked moves the ladder to stage and rewrites the shed cap the
+// submit path reads lock-free: stage ≥ 1 switches decideLocked to the
+// serial planner, stage 2 tightens the shed cap — halving MaxQueue, or
+// imposing degradedQueueCap when admission was unbounded. Caller holds
+// smu.
 func (s *Server) setStageLocked(stage int, dir string) {
 	s.degradeStage.Store(int32(stage))
 	s.degradeTransitions++
-	eb := s.cfg.BatchSize
-	if stage >= 1 {
-		if eb /= 4; eb < 1 {
-			eb = 1
-		}
-	}
-	s.effBatch.Store(int64(eb))
 	limit := s.cfg.MaxQueue
-	if stage >= 3 {
+	if stage >= 2 {
 		if limit > 0 {
-			if limit /= 2; limit < 1 {
-				limit = 1
-			}
+			limit = max(limit/2, 1)
 		} else {
-			limit = 2 * eb
+			limit = degradedQueueCap
 		}
 	}
 	s.effQueue.Store(int64(limit))
@@ -1041,9 +978,7 @@ func (s *Server) setStageLocked(stage int, dir string) {
 		s.rec.Degrade(s.simTime, stage, dir)
 	}
 	s.log.Warn("degradation ladder transition",
-		"dir", dir, "stage", stage, "eff_batch", eb, "eff_queue", limit)
-	// A shrunken batch size may make the pending queue immediately due.
-	s.kick()
+		"dir", dir, "stage", stage, "eff_queue", limit)
 }
 
 // stopETAs finds the planned arrival times at the request's pickup and
@@ -1166,7 +1101,7 @@ func (s *Server) Abort() {
 	}
 }
 
-// Stats returns a batch-atomic snapshot of the serving metrics.
+// Stats returns a group-atomic snapshot of the serving metrics.
 func (s *Server) Stats() Stats {
 	s.qmu.Lock()
 	pendingN := len(s.pending)

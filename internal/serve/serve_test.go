@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -46,12 +45,10 @@ func sortedRequests(inst *workload.Instance) []*core.Request {
 func newTestServer(t *testing.T, g *roadnet.Graph, inst *workload.Instance, mut func(*Config)) *Server {
 	t.Helper()
 	cfg := Config{
-		Graph:       g,
-		Workers:     inst.Workers,
-		Oracle:      shortest.BuildHubLabels(g),
-		OracleKind:  "hub",
-		BatchWindow: time.Millisecond,
-		BatchSize:   16,
+		Graph:      g,
+		Workers:    inst.Workers,
+		Oracle:     shortest.BuildHubLabels(g),
+		OracleKind: "hub",
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -155,77 +152,124 @@ func TestLockstepEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchFlushBySize checks that a full batch is decided without
-// waiting for the window.
-func TestBatchFlushBySize(t *testing.T) {
-	g, inst := testInstance(t)
-	const n = 8
-	s := newTestServer(t, g, inst, func(c *Config) {
-		c.BatchWindow = time.Hour // only the size bound may trigger
-		c.BatchSize = n
-	})
-	reqs := sortedRequests(inst)[:n]
-	var wg sync.WaitGroup
-	decisions := make([]Decision, n)
-	start := time.Now()
+// submitGroup submits copies of reqs while holding smu. flush takes smu
+// before it swaps the pending queue, so the event loop cannot split the
+// submissions: they form exactly one group (its sheds included, if the
+// queue overflows).
+func submitGroup(t *testing.T, s *Server, reqs []*core.Request) []<-chan Decision {
+	t.Helper()
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	return submitAll(t, s, reqs)
+}
+
+// submitAll submits copies of reqs in order.
+func submitAll(t *testing.T, s *Server, reqs []*core.Request) []<-chan Decision {
+	t.Helper()
+	chans := make([]<-chan Decision, len(reqs))
 	for i, r := range reqs {
-		done, err := s.submit(r, false)
+		cp := *r // servers must not share request storage
+		done, err := s.submit(&cp, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(i int, done <-chan Decision) {
-			defer wg.Done()
-			decisions[i] = <-done
-		}(i, done)
+		chans[i] = done
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("size-triggered flush took %v", elapsed)
-	}
-	for _, d := range decisions[1:] {
-		if d.Batch != decisions[0].Batch {
-			t.Fatalf("requests spread over batches %d and %d", decisions[0].Batch, d.Batch)
+	return chans
+}
+
+// await collects one verdict per channel, in order.
+func await(t *testing.T, chans []<-chan Decision) []Decision {
+	t.Helper()
+	ds := make([]Decision, len(chans))
+	for i, ch := range chans {
+		select {
+		case ds[i] = <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("verdict %d of %d never arrived", i, len(chans))
 		}
 	}
+	return ds
 }
 
-// TestBatchFlushByWindow checks that a partial batch is decided once the
-// window expires.
-func TestBatchFlushByWindow(t *testing.T) {
+// TestGroupIsWhatWasPending pins group commit: a group is exactly what
+// was pending when the loop took it. n requests submitted while the loop
+// is held share one Decision.Batch; lone sequential submits on an idle
+// server each get a group of their own, without waiting for company.
+func TestGroupIsWhatWasPending(t *testing.T) {
 	g, inst := testInstance(t)
-	s := newTestServer(t, g, inst, func(c *Config) {
-		c.BatchWindow = 20 * time.Millisecond
-		c.BatchSize = 1 << 20 // only the window may trigger
-	})
-	r := sortedRequests(inst)[0]
-	done, err := s.submit(r, false)
-	if err != nil {
-		t.Fatal(err)
+	s := newTestServer(t, g, inst, nil)
+	reqs := sortedRequests(inst)
+	const n = 8
+
+	// Hold the loop, submit one request and wait until the loop has taken
+	// its kick: it is now in flush, and must not have taken the queue yet,
+	// so the rest of the group still joins the first request.
+	chans := func() []<-chan Decision {
+		s.smu.Lock()
+		defer s.smu.Unlock()
+		chans := submitAll(t, s, reqs[:1])
+		for len(s.wakeC) > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		return append(chans, submitAll(t, s, reqs[1:n])...)
+	}()
+	held := await(t, chans)
+	for _, d := range held[1:] {
+		if d.Batch != held[0].Batch {
+			t.Fatalf("held requests spread over groups %d and %d", held[0].Batch, d.Batch)
+		}
 	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("window flush never happened")
+	if st := s.Stats(); st.Batches != 1 || st.MaxBatch != n {
+		t.Fatalf("after the held group: batches=%d max_batch=%d, want 1 and %d", st.Batches, st.MaxBatch, n)
+	}
+
+	seen := map[int]bool{held[0].Batch: true}
+	for _, r := range reqs[n : 2*n] {
+		cp := *r
+		done, err := s.submit(&cp, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := await(t, []<-chan Decision{done})[0]
+		if seen[d.Batch] {
+			t.Fatalf("request %d landed in group %d, which already carried a request", d.ID, d.Batch)
+		}
+		seen[d.Batch] = true
+	}
+	if st := s.Stats(); st.Batches != 1+n || st.MaxBatch != n {
+		t.Fatalf("after lone submits: batches=%d max_batch=%d, want %d and %d", st.Batches, st.MaxBatch, 1+n, n)
 	}
 }
 
-// TestShutdownDrains checks that pending requests are decided during
-// shutdown and later submissions are refused.
+// TestShutdownDrains checks that requests pending when shutdown begins
+// are decided before it returns and later submissions are refused.
 func TestShutdownDrains(t *testing.T) {
 	g, inst := testInstance(t)
-	s := newTestServer(t, g, inst, func(c *Config) {
-		c.BatchWindow = time.Hour
-		c.BatchSize = 1 << 20
-	})
+	s := newTestServer(t, g, inst, nil)
 	reqs := sortedRequests(inst)
+	// Hold the loop so the request is still pending when the drain starts.
+	s.smu.Lock()
 	done, err := s.submit(reqs[0], false)
 	if err != nil {
+		s.smu.Unlock()
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(ctx) }()
+	for {
+		s.qmu.Lock()
+		draining := s.draining
+		s.qmu.Unlock()
+		if draining {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.smu.Unlock()
+	if err := <-shut; err != nil {
 		t.Fatal(err)
 	}
 	select {

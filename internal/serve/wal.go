@@ -177,7 +177,7 @@ func (s *Server) replayGroup(group []wal.Record, sheds int) error {
 			SimTime:      sh.SimTime,
 			Batch:        s.batches,
 			Shed:         true,
-			RetryAfterMs: s.retryAfterMs(),
+			RetryAfterMs: retryAfterMs,
 		}
 		s.decided[d.ID] = d
 		s.lastGroup = append(s.lastGroup, d.ID)

@@ -51,24 +51,16 @@ func lockstep(t *testing.T, s *Server, reqs []*core.Request, got map[int32]Decis
 	}
 }
 
-// servePairs streams requests two at a time, waiting for both decisions
-// before the next pair — with BatchSize 2 and an hour-long window every
-// commit group holds exactly two requests, which keeps the WAL layout
-// deterministic for the truncation tests.
+// servePairs streams requests two at a time as held groups, waiting for
+// both decisions before the next pair — every commit group holds exactly
+// two requests, which keeps the WAL layout deterministic for the
+// truncation tests.
 func servePairs(t *testing.T, s *Server, reqs []*core.Request, got map[int32]Decision) {
 	t.Helper()
 	for i := 0; i+1 < len(reqs); i += 2 {
-		r1, r2 := *reqs[i], *reqs[i+1]
-		c1, err := s.submit(&r1, false)
-		if err != nil {
-			t.Fatal(err)
+		for _, d := range await(t, submitGroup(t, s, reqs[i:i+2])) {
+			got[d.ID] = d
 		}
-		c2, err := s.submit(&r2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d1, d2 := <-c1, <-c2
-		got[d1.ID], got[d2.ID] = d1, d2
 	}
 }
 
@@ -174,10 +166,7 @@ func TestWALCheckpointWindow(t *testing.T) {
 	reqs := sortedRequests(inst)
 	oracle := shortest.BuildHubLabels(g)
 	dir := t.TempDir()
-	s := newWALServer(t, g, inst, oracle, dir, func(c *Config) {
-		c.BatchWindow = time.Hour
-		c.BatchSize = 2
-	})
+	s := newWALServer(t, g, inst, oracle, dir, nil)
 	got := make(map[int32]Decision)
 	servePairs(t, s, reqs[:6], got)
 
@@ -286,10 +275,7 @@ func TestWALTornWritePrefixes(t *testing.T) {
 	reqs := sortedRequests(inst)
 	oracle := shortest.BuildHubLabels(g)
 	dir := t.TempDir()
-	s := newWALServer(t, g, inst, oracle, dir, func(c *Config) {
-		c.BatchWindow = time.Hour
-		c.BatchSize = 2
-	})
+	s := newWALServer(t, g, inst, oracle, dir, nil)
 	got := make(map[int32]Decision)
 	servePairs(t, s, reqs[:4], got)
 	trafficAt := reqs[4].Release
@@ -434,10 +420,7 @@ func TestWALRecoveryErrors(t *testing.T) {
 	reqs := sortedRequests(inst)
 	oracle := shortest.BuildHubLabels(g)
 	dir := t.TempDir()
-	s := newWALServer(t, g, inst, oracle, dir, func(c *Config) {
-		c.BatchWindow = time.Hour
-		c.BatchSize = 2
-	})
+	s := newWALServer(t, g, inst, oracle, dir, nil)
 	got := make(map[int32]Decision)
 	servePairs(t, s, reqs[:2], got)
 	trafficAt := reqs[2].Release
@@ -526,7 +509,7 @@ func TestWALRecoveryErrors(t *testing.T) {
 			}
 			cfg := Config{
 				Graph: g, Workers: inst.Workers, Oracle: oracle, OracleKind: "hub",
-				BatchWindow: time.Millisecond, BatchSize: 16, WALDir: cdir,
+				WALDir: cdir,
 			}
 			_, err := NewServer(cfg)
 			if err == nil {

@@ -370,7 +370,7 @@ func (r *Recorder) Shed(now float64, req int64, penalty float64) {
 	r.Record(Event{Kind: KindShed, Now: now, Req: req, Worker: -1, Penalty: penalty, Reason: "shed"})
 }
 
-// Degrade records a degradation-ladder transition to stage (0–3); dir is
+// Degrade records a degradation-ladder transition to stage (0–2); dir is
 // "degrade" or "recover".
 func (r *Recorder) Degrade(now float64, stage int, dir string) {
 	r.Record(Event{Kind: KindDegrade, Now: now, Req: -1, Worker: -1, N: int64(stage), Reason: dir})

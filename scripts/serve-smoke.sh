@@ -39,7 +39,7 @@ echo "== fixture (chengdu preset, scale 0.1: 1500 requests, 60 workers) =="
 
 echo "== start urpsm-serve on $ADDR =="
 "$BIN/urpsm-serve" -net "$WORK/city.net" -load "$WORK/city.load" \
-    -oracle auto -addr "$ADDR" -batch-window 2ms -trace-events 16384 \
+    -oracle auto -addr "$ADDR" -trace-events 16384 \
     -snapshot "$WORK/state.json" > "$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 
@@ -125,7 +125,7 @@ at 900 scale 1.3
 at 1800 clear
 TRAFFIC
 "$BIN/urpsm-serve" -net "$WORK/city.net" -load "$WORK/city.load" \
-    -oracle auto -addr "$ADDR" -batch-window 2ms \
+    -oracle auto -addr "$ADDR" \
     > "$WORK/serve3.log" 2>&1 &
 SERVE_PID=$!
 "$BIN/urpsm-replay" -net "$WORK/city.net" -load "$WORK/city.load" \
