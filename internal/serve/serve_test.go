@@ -192,11 +192,10 @@ func await(t *testing.T, chans []<-chan Decision) []Decision {
 	return ds
 }
 
-// TestGroupIsWhatWasPending pins group commit: a group is exactly what
-// was pending when the loop took it. n requests submitted while the loop
-// is held share one Decision.Batch; lone sequential submits on an idle
-// server each get a group of their own, without waiting for company.
-func TestGroupIsWhatWasPending(t *testing.T) {
+// TestBatchFlushBySize pins the size of a group under group commit: a
+// group is exactly what was pending when the loop took it. n requests
+// submitted while the loop is held share one Decision.Batch.
+func TestBatchFlushBySize(t *testing.T) {
 	g, inst := testInstance(t)
 	s := newTestServer(t, g, inst, nil)
 	reqs := sortedRequests(inst)
@@ -223,9 +222,19 @@ func TestGroupIsWhatWasPending(t *testing.T) {
 	if st := s.Stats(); st.Batches != 1 || st.MaxBatch != n {
 		t.Fatalf("after the held group: batches=%d max_batch=%d, want 1 and %d", st.Batches, st.MaxBatch, n)
 	}
+}
 
-	seen := map[int]bool{held[0].Batch: true}
-	for _, r := range reqs[n : 2*n] {
+// TestBatchFlushByWindow pins the window of group commit, which is zero:
+// lone sequential submits on an idle server each get a group of their own
+// and are decided without waiting for company.
+func TestBatchFlushByWindow(t *testing.T) {
+	g, inst := testInstance(t)
+	s := newTestServer(t, g, inst, nil)
+	reqs := sortedRequests(inst)
+	const n = 8
+
+	seen := map[int]bool{}
+	for _, r := range reqs[:n] {
 		cp := *r
 		done, err := s.submit(&cp, false)
 		if err != nil {
@@ -237,8 +246,8 @@ func TestGroupIsWhatWasPending(t *testing.T) {
 		}
 		seen[d.Batch] = true
 	}
-	if st := s.Stats(); st.Batches != 1+n || st.MaxBatch != n {
-		t.Fatalf("after lone submits: batches=%d max_batch=%d, want %d and %d", st.Batches, st.MaxBatch, 1+n, n)
+	if st := s.Stats(); st.Batches != n || st.MaxBatch != 1 {
+		t.Fatalf("after lone submits: batches=%d max_batch=%d, want %d and 1", st.Batches, st.MaxBatch, n)
 	}
 }
 
