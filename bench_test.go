@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/expt"
 	"repro/internal/roadnet"
 	"repro/internal/serve"
@@ -301,27 +300,27 @@ func BenchmarkOracleAblation(b *testing.B) {
 	}
 }
 
-// parallelBenchState freezes a mid-simulation fleet for the serial-vs-
-// parallel planning benchmark: a figure-scale Chengdu workload whose
-// first 60% of requests were planned and driven, leaving loaded routes,
-// plus a probe set of still-unplanned requests.
-type parallelBenchState struct {
+// frozenFleetState freezes a mid-simulation fleet for the plan-path
+// benchmarks: a figure-scale Chengdu workload whose first 60% of requests
+// were planned and driven, leaving loaded routes, plus a probe set of
+// still-unplanned requests.
+type frozenFleetState struct {
 	fleet *core.Fleet
 	probe []*core.Request
 }
 
 var (
-	parallelOnce  sync.Once
-	parallelState *parallelBenchState
+	frozenOnce  sync.Once
+	frozenState *frozenFleetState
 )
 
-func parallelBench(b *testing.B) *parallelBenchState {
+func frozenFleet(b *testing.B) *frozenFleetState {
 	b.Helper()
-	parallelOnce.Do(func() {
-		// A larger fleet than benchScale: fan-out pays off only when each
-		// request has a meaningful candidate set. The full Chengdu fleet
-		// (600 workers) on a quarter-scale network keeps candidate sets in
-		// the hundreds while the setup stays laptop-sized.
+	frozenOnce.Do(func() {
+		// A larger fleet than benchScale, so each request has a meaningful
+		// candidate set. The full Chengdu fleet (600 workers) on a
+		// quarter-scale network keeps candidate sets in the hundreds while
+		// the setup stays laptop-sized.
 		p := workload.ChengduLike(0.25)
 		p.NumWorkers = 600
 		p.NumRequests = 2500
@@ -330,9 +329,7 @@ func parallelBench(b *testing.B) *parallelBenchState {
 			panic(err)
 		}
 		hub := shortest.BuildHubLabels(g)
-		// The concurrency-safe chain serves both serial and parallel
-		// planners so the comparison isolates dispatch, not caching.
-		dist := shortest.NewShardedCached(hub, 1<<18, 64).Dist
+		dist := shortest.NewCached(hub, 1<<18).Dist
 		inst, err := workload.BuildOn(p, g, dist)
 		if err != nil {
 			panic(err)
@@ -350,53 +347,9 @@ func parallelBench(b *testing.B) *parallelBenchState {
 		if len(probe) > 256 {
 			probe = probe[:256]
 		}
-		parallelState = &parallelBenchState{fleet: fleet, probe: probe}
+		frozenState = &frozenFleetState{fleet: fleet, probe: probe}
 	})
-	return parallelState
-}
-
-// BenchmarkParallelPlanning measures planning throughput of the parallel
-// dispatcher against the serial planner on identical frozen fleet state.
-// Plan never mutates routes, so every iteration sees the same state and
-// sub-benchmarks are directly comparable; the speedup-vs-serial metric on
-// the pooled runs is the dispatch subsystem's headline number (≈1x on a
-// single-core machine — the dispatcher needs real cores to pay off).
-func BenchmarkParallelPlanning(b *testing.B) {
-	st := parallelBench(b)
-	serial := core.NewPruneGreedyDP(st.fleet, 1)
-	serialNsPerOp := 0.0
-	for _, pool := range []int{1, 2, 4, 8} {
-		pool := pool
-		b.Run(fmt.Sprintf("pool%d", pool), func(b *testing.B) {
-			var planner interface {
-				Plan(now float64, req *core.Request) (*core.Worker, core.Insertion, float64)
-			} = serial
-			if pool > 1 {
-				par := dispatch.NewParallelPruneGreedyDP(st.fleet, 1, pool)
-				// Spot-check determinism before timing.
-				for _, r := range st.probe[:4] {
-					ws, is, _ := serial.Plan(r.Release, r)
-					wp, ip, _ := par.Plan(r.Release, r)
-					if (ws == nil) != (wp == nil) || (ws != nil && (ws.ID != wp.ID || is.Delta != ip.Delta)) {
-						b.Fatalf("pool %d diverged from serial on request %d", pool, r.ID)
-					}
-				}
-				planner = par
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := st.probe[i%len(st.probe)]
-				planner.Plan(r.Release, r)
-			}
-			b.StopTimer()
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if pool == 1 {
-				serialNsPerOp = nsPerOp
-			} else if serialNsPerOp > 0 && nsPerOp > 0 {
-				b.ReportMetric(serialNsPerOp/nsPerOp, "speedup-vs-serial")
-			}
-		})
-	}
+	return frozenState
 }
 
 // BenchmarkPlanWithObserver measures the flight recorder's overhead on
@@ -407,7 +360,7 @@ func BenchmarkParallelPlanning(b *testing.B) {
 // path stays 0 allocs/op (TestGreedyPlanZeroAllocs and
 // TestRecorderPlanZeroAllocs pin that; ReportAllocs shows it here).
 func BenchmarkPlanWithObserver(b *testing.B) {
-	st := parallelBench(b)
+	st := frozenFleet(b)
 	for _, traced := range []bool{false, true} {
 		name := "observer=off"
 		if traced {

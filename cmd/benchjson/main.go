@@ -10,7 +10,7 @@
 // otherwise). Every `BenchmarkX  N  v1 unit1  v2 unit2 ...` line becomes
 // {"name": "X", "iterations": N, "metrics": {unit1: v1, ...}}, which
 // captures ns/op, B/op, allocs/op and all custom b.ReportMetric units
-// (dist-queries, speedup-vs-serial, ...) uniformly.
+// (dist-queries, goodput-rps, ...) uniformly.
 //
 // With -gate, the run on stdin is instead compared against the newest
 // run in -baseline and the exit status reports whether any shared

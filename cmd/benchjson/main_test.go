@@ -15,7 +15,7 @@ pkg: repro
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkInsertionScaling/linearDP/n=8         	     100	       320.7 ns/op	       0 B/op	       0 allocs/op
 BenchmarkPruningAblation/pruneGreedyDP         	     100	   5285027 ns/op	      2450 dist-queries	16602560 B/op	   21673 allocs/op
-BenchmarkParallelPlanning/pool2                	     100	     25225 ns/op	         1.060 speedup-vs-serial	   46433 B/op	    1059 allocs/op
+BenchmarkCCHCustomize/city                     	     100	     25225 ns/op	         1.060 skeleton-MB	   46433 B/op	    1059 allocs/op
 PASS
 ok  	repro	6.035s
 `
@@ -42,7 +42,7 @@ func TestParseRun(t *testing.T) {
 			t.Errorf("metric %s = %v, want %v", unit, got, want)
 		}
 	}
-	if got := r.Benchmarks[2].Metrics["speedup-vs-serial"]; got != 1.060 {
+	if got := r.Benchmarks[2].Metrics["skeleton-MB"]; got != 1.060 {
 		t.Errorf("custom metric = %v, want 1.060", got)
 	}
 	if got := r.Benchmarks[0].Metrics["ns/op"]; got != 320.7 {

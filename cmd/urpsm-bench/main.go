@@ -5,18 +5,16 @@
 //
 //	urpsm-bench -exp fig3 -dataset chengdu -scale 0.05 -repeat 3
 //	urpsm-bench -exp all -dataset both -scale 0.02 -csv out/
-//	urpsm-bench -exp parallel -dataset chengdu -parallel 8
+//	urpsm-bench -exp batchdist -dataset chengdu -oracle hub
 //
 // Experiments: table4, fig3 (vary |W|), fig4 (vary K_w), fig5 (vary grid
 // size g, with index memory), fig6 (vary deadline e_r, with saved distance
 // queries), fig7 (vary penalty p_r), hardness (§3.3 constructions),
 // insertion (§4 operator scaling ablation), ablation (planner and oracle
-// design-choice ablations), parallel (dispatcher throughput sweep over
-// pool sizes), batchdist (point vs batched-table distance queries across
-// admission-batch sizes; -oracle hub or ch, the tiers with a table), all.
+// design-choice ablations), batchdist (point vs batched-table distance
+// queries across admission-batch sizes; -oracle hub or ch, the tiers with
+// a table), all.
 //
-// -parallel N plans pruneGreedyDP/GreedyDP with the N-goroutine parallel
-// dispatcher in any experiment (decisions stay bit-identical to serial);
 // -oracle picks the distance oracle, where "auto" selects the strongest
 // tier whose preprocessing fits the graph size (see DESIGN.md §8.3).
 package main
@@ -36,13 +34,12 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table4|fig3|fig4|fig5|fig6|fig7|hardness|insertion|ablation|parallel|batchdist|all (batchdist needs -oracle hub or ch)")
+		exp      = flag.String("exp", "all", "experiment: table4|fig3|fig4|fig5|fig6|fig7|hardness|insertion|ablation|batchdist|all (batchdist needs -oracle hub or ch)")
 		dataset  = flag.String("dataset", "both", "dataset: chengdu|nyc|both")
 		scale    = flag.Float64("scale", 0.03, "workload scale factor in (0,1]")
 		repeat   = flag.Int("repeat", 1, "repetitions per configuration (paper: 30)")
 		algos    = flag.String("algos", strings.Join(expt.Algorithms, ","), "comma-separated algorithms")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
-		parallel = flag.Int("parallel", 0, "plan pruneGreedyDP/GreedyDP with a parallel dispatcher pool of this size (0 = serial); also the largest pool of -exp parallel")
 		oracle   = cliutil.OracleFlag("hub")
 		traceOut = cliutil.TraceFlag()
 	)
@@ -51,7 +48,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "urpsm-bench:", err)
 		os.Exit(1)
 	}
-	if err := run(*exp, *dataset, *scale, *repeat, splitList(*algos), *csvDir, *parallel, *oracle, *traceOut); err != nil {
+	if err := run(*exp, *dataset, *scale, *repeat, splitList(*algos), *csvDir, *oracle, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "urpsm-bench:", err)
 		os.Exit(1)
 	}
@@ -67,7 +64,7 @@ func splitList(s string) []string {
 	return out
 }
 
-func run(exp, dataset string, scale float64, repeat int, algos []string, csvDir string, parallel int, oracle, traceFile string) error {
+func run(exp, dataset string, scale float64, repeat int, algos []string, csvDir string, oracle, traceFile string) error {
 	var presets []workload.Params
 	switch strings.ToLower(dataset) {
 	case "chengdu":
@@ -122,7 +119,6 @@ func run(exp, dataset string, scale float64, repeat int, algos []string, csvDir 
 		if err != nil {
 			return err
 		}
-		runner.Parallel = parallel
 		runner.OracleKind = oracle
 		if rec != nil {
 			runner.Observer = rec
@@ -133,19 +129,6 @@ func run(exp, dataset string, scale float64, repeat int, algos []string, csvDir 
 		}
 		fmt.Printf("   |V|=%d |E|=%d oracle=%s\n",
 			runner.G.NumVertices(), runner.G.NumEdges(), desc)
-
-		if wantFig("parallel") {
-			pools := []int{2, 4, 8}
-			if parallel > 1 && parallel != 2 && parallel != 4 && parallel != 8 {
-				pools = append(pools, parallel)
-			}
-			pts, err := runner.ParallelSweep(pools)
-			if err != nil {
-				return err
-			}
-			fmt.Print(expt.FormatParallelSweep(preset.Name, pts))
-			fmt.Println()
-		}
 
 		// Only hub and ch have a table; "all" skips the sweep elsewhere.
 		kind := strings.TrimPrefix(strings.Fields(desc)[0], "auto→")

@@ -69,7 +69,6 @@ func main() {
 		speedup  = flag.Float64("speedup", 0, "replay speed: 0 = as fast as possible, S = trace time compressed by S")
 		lockstep = flag.Bool("lockstep", false, "sequential replay + bit-identical comparison against an offline sim.Engine run")
 		n        = flag.Int("n", 0, "replay only the first n requests (0 = all)")
-		parallel = flag.Int("parallel", 0, "pool size of the offline reference planner (must match the server's -parallel; ≤1 = serial)")
 		alpha    = flag.Float64("alpha", 1, "unified-cost weight α of the offline reference (must match the server)")
 		wait     = flag.Duration("wait", 10*time.Second, "how long to wait for the server to come up")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
@@ -83,7 +82,7 @@ func main() {
 	)
 	flag.Parse()
 	sat := satOpts{rates: *rates, duration: *satDur, arrivals: *arrivals, out: *outFile}
-	if err := run(*netFile, *loadFile, *traffic, *addr, *oracle, *speedup, *n, *parallel,
+	if err := run(*netFile, *loadFile, *traffic, *addr, *oracle, *speedup, *n,
 		*alpha, *wait, *timeout, *lockstep, *explain, *retries, *seed, sat); err != nil {
 		fmt.Fprintln(os.Stderr, "urpsm-replay:", err)
 		os.Exit(1)
@@ -105,7 +104,7 @@ type outcome struct {
 	httpErr error
 }
 
-func run(netFile, loadFile, trafficFile, addr, oracleKind string, speedup float64, n, parallel int,
+func run(netFile, loadFile, trafficFile, addr, oracleKind string, speedup float64, n int,
 	alpha float64, wait, timeout time.Duration, lockstep bool, explainID int64,
 	retries int, seed int64, sat satOpts) error {
 	if netFile == "" || loadFile == "" {
@@ -255,7 +254,7 @@ func run(netFile, loadFile, trafficFile, addr, oracleKind string, speedup float6
 		return err
 	}
 	offInst := &workload.Instance{Graph: g, Workers: inst.Workers, Requests: reqs}
-	want, _, err := serve.OfflineDecisions(g, offInst, oracle, resolved, alpha, parallel, profile)
+	want, _, err := serve.OfflineDecisions(g, offInst, oracle, resolved, alpha, profile)
 	if err != nil {
 		return err
 	}

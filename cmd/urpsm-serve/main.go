@@ -5,7 +5,6 @@
 // DESIGN.md §9).
 //
 //	urpsm-serve -net city.net -load city.load -oracle auto -addr :8650
-//	urpsm-serve -net city.net -load city.load -parallel 8
 //	urpsm-serve -net city.net -load city.load -snapshot state.json
 //
 // The -load file supplies the fleet (its workers); its requests, if any,
@@ -81,7 +80,6 @@ func main() {
 		maxQueue   = flag.Int("max-queue", 0, "bound the pending admission queue: beyond this many requests the lowest-value one is shed with HTTP 429 (0 = unbounded)")
 		degTarget  = flag.Duration("degrade-target", 0, "p95 per-group plan-time SLO driving the graceful-degradation ladder (0 = ladder disabled)")
 		degWindow  = flag.Int("degrade-window", serve.DefaultDegradeWindow, "consecutive groups breaching (or clearing) the SLO before the ladder moves a stage")
-		parallel   = flag.Int("parallel", 0, "plan with a parallel dispatcher pool of this size (≤1 = serial)")
 		gridKm     = flag.Float64("grid", 2, "grid cell size g in km")
 		alpha      = flag.Float64("alpha", 1, "unified-cost weight α")
 		snapshot   = flag.String("snapshot", "", "state file: restored at startup when present, written on graceful shutdown")
@@ -95,7 +93,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*netFile, *loadFile, *oracle, *addr,
-		*parallel, *gridKm, *alpha, *snapshot, *walDir, *walCkpt, *pprofAddr,
+		*gridKm, *alpha, *snapshot, *walDir, *walCkpt, *pprofAddr,
 		*asyncRb, *noPrefetch, *traceEv, *logLevel,
 		overload{maxQueue: *maxQueue, target: *degTarget, window: *degWindow}); err != nil {
 		fmt.Fprintln(os.Stderr, "urpsm-serve:", err)
@@ -112,7 +110,7 @@ type overload struct {
 }
 
 func run(netFile, loadFile, oracleKind, addr string,
-	parallel int, gridKm, alpha float64, snapshotFile, walDir string,
+	gridKm, alpha float64, snapshotFile, walDir string,
 	walCkptBytes int64, pprofAddr string, asyncRebuild, noPrefetch bool,
 	traceEvents int, logLevel string, ovl overload) error {
 	if netFile == "" || loadFile == "" {
@@ -161,7 +159,6 @@ func run(netFile, loadFile, oracleKind, addr string,
 		MaxQueue:        ovl.maxQueue,
 		DegradeTarget:   ovl.target,
 		DegradeWindow:   ovl.window,
-		Pool:            parallel,
 		AsyncRebuild:    asyncRebuild,
 		NoBatchPrefetch: noPrefetch,
 		WALDir:          walDir,

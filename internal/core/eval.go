@@ -1,60 +1,14 @@
 package core
 
-import (
-	"math"
-	"slices"
-	"sync/atomic"
-)
-
-// This file factors the planning-phase scan of Algorithm 5 out of Greedy
-// so the parallel dispatcher (internal/dispatch) can run the identical
-// scan concurrently: candidates are yielded by a cursor (a plain counter
-// serially, a shared atomic counter in parallel) and the Lemma 8 prune
-// reads a bound that concurrent scans shrink cooperatively. The scan is
-// written so that its outcome — after the (Δ*, WorkerID) merge — is
-// bit-identical no matter how candidates are interleaved across scans.
-
-// AtomicBound is a monotonically non-increasing shared float64: the best
-// exact Δ* found so far across all scans of one planning phase. It starts
-// at +Inf and only ever shrinks, so a reader can safely use a stale value
-// — staleness makes pruning less aggressive, never incorrect.
-type AtomicBound struct{ bits atomic.Uint64 }
-
-// NewAtomicBound returns a bound initialized to +Inf.
-func NewAtomicBound() *AtomicBound {
-	b := &AtomicBound{}
-	b.bits.Store(math.Float64bits(math.Inf(1)))
-	return b
-}
-
-// Load returns the current bound.
-func (b *AtomicBound) Load() float64 { return math.Float64frombits(b.bits.Load()) }
-
-// Reset re-arms the bound to +Inf so it can be reused across planning
-// phases without reallocating. Not safe to call while scans are running.
-func (b *AtomicBound) Reset() { b.bits.Store(math.Float64bits(math.Inf(1))) }
-
-// Shrink lowers the bound to v when v is smaller; safe for any number of
-// concurrent callers.
-func (b *AtomicBound) Shrink(v float64) {
-	for {
-		old := b.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
+import "slices"
 
 // SortWorkerBounds orders lbs by (LBΔ*, WorkerID) ascending — the
 // pruneGreedyDP scan order. The worker-ID tie-break makes the order a
-// total one, so the sorted result is unique: the parallel planner's sort,
-// the serial scan's lazy heap order (EvalCandidatesSerial) and any other
-// sorting algorithm produce the identical permutation. The generic
-// slices.SortFunc avoids sort.Slice's reflection and its per-call closure
-// allocation, which the zero-allocation plan path cannot afford.
+// total one, so the sorted result is unique: the scan's lazy heap order
+// (EvalCandidatesSerial) and any sorting algorithm produce the identical
+// permutation. The generic slices.SortFunc avoids sort.Slice's reflection
+// and its per-call closure allocation, which the zero-allocation plan path
+// cannot afford.
 func SortWorkerBounds(lbs []WorkerBound) { slices.SortFunc(lbs, cmpBounds) }
 
 // cmpBounds is the (LBΔ*, WorkerID) scan order.
@@ -109,10 +63,10 @@ func siftBound(lbs []WorkerBound, i, m int) {
 	}
 }
 
-// BetterCandidate reports whether candidate (w2, ins2) beats (w1, ins1)
+// betterCandidate reports whether candidate (w2, ins2) beats (w1, ins1)
 // under the planner's deterministic (Δ*, WorkerID) tie-break. A nil w1
 // always loses, a nil w2 never wins.
-func BetterCandidate(w1 *Worker, ins1 Insertion, w2 *Worker, ins2 Insertion) bool {
+func betterCandidate(w1 *Worker, ins1 Insertion, w2 *Worker, ins2 Insertion) bool {
 	if w2 == nil {
 		return false
 	}
@@ -125,12 +79,11 @@ func BetterCandidate(w1 *Worker, ins1 Insertion, w2 *Worker, ins2 Insertion) boo
 	return w2.ID < w1.ID
 }
 
-// EvalCandidatesSerial is the serial planning-phase scan of Algorithm 5:
-// the same loop as EvalCandidates without the shared-cursor/atomic
-// machinery, so the serial planner's hot path — the paper's measured
-// response time — pays no allocations or CAS operations. The two must
-// stay in lockstep; the equivalence suite in internal/dispatch
-// machine-checks that they select identical winners.
+// EvalCandidatesSerial is the planning-phase scan of Algorithm 5: it
+// evaluates exact insertions for the candidates of lbs and returns the
+// best under the (Δ*, WorkerID) tie-break. It allocates nothing, so the
+// planner's hot path — the paper's measured response time — pays only
+// for the insertions.
 //
 // sc is the scan's insertion arena; it must be exclusive to this call
 // (Scratch asserts that), because the operator's auxiliary arrays live in
@@ -172,64 +125,10 @@ func EvalCandidatesSerial(sc *Scratch, insert InsertionFunc, prune bool, lbs []W
 		if !ins.OK {
 			continue
 		}
-		if BetterCandidate(bestW, bestIns, w, ins) {
+		if betterCandidate(bestW, bestIns, w, ins) {
 			bestW = w
 			bestIns = ins
 		}
 	}
 	return bestW, bestIns
-}
-
-// EvalCandidates evaluates exact insertions for the candidates of lbs
-// yielded by next — a cursor returning successive indices (out-of-range
-// ends the scan) — and returns the scan's local best under the
-// (Δ*, WorkerID) tie-break. Every feasible Δ* found shrinks bound; with
-// prune enabled the scan stops at the first candidate whose lower bound
-// strictly exceeds the bound (Lemma 8), which requires lbs sorted by
-// SortWorkerBounds and indices yielded in ascending order.
-//
-// The strictly-less stop keeps the scan order-independent: a candidate is
-// skipped only when bound < LB ≤ Δ, and since the bound never goes below
-// the final best Δ*, the skipped worker's exact Δ is strictly worse than
-// the final winner's — it could not even tie. Concurrent scans sharing
-// one bound and one cursor therefore select, after merging local bests
-// with BetterCandidate, exactly the worker the serial scan selects.
-//
-// sc must be exclusive to this scan: concurrent scans of one planning
-// phase share lbs, bound and next, but NEVER a Scratch — the insertion
-// operator's auxiliary arrays live in it while a candidate is evaluated,
-// and sharing would corrupt them mid-computation (Scratch panics on such
-// use; internal/dispatch's race suite exercises the contract).
-//
-// st, when non-nil, accumulates this scan's work counters; like sc it
-// must be exclusive to the scan (the dispatcher sums per-goroutine stats
-// after the merge). It never influences the scan itself.
-func EvalCandidates(sc *Scratch, insert InsertionFunc, prune bool, lbs []WorkerBound,
-	req *Request, L float64, dist DistFunc, bound *AtomicBound, next func() int, st *PlanStats) (*Worker, Insertion) {
-	var bestW *Worker
-	bestIns := Infeasible
-	for {
-		i := next()
-		if i < 0 || i >= len(lbs) {
-			return bestW, bestIns
-		}
-		wb := lbs[i]
-		if prune && bound.Load() < wb.LB {
-			// Ascending LBs: every candidate after i is prunable too.
-			return bestW, bestIns
-		}
-		w := wb.Worker
-		ins := insert(sc, &w.Route, w.Capacity, req, L, dist)
-		if st != nil {
-			st.observe(&w.Route, ins)
-		}
-		if !ins.OK {
-			continue
-		}
-		if BetterCandidate(bestW, bestIns, w, ins) {
-			bestW = w
-			bestIns = ins
-		}
-		bound.Shrink(ins.Delta)
-	}
 }

@@ -4,21 +4,16 @@ package core
 // (internal/trace) attaches to. The contract that makes observation safe
 // on this codebase's two load-bearing invariants:
 //
-//   - Zero-alloc: the planner owns one PlanTrace per arena (Greedy's
-//     scratch, dispatch's pooled planArena) and passes a pointer to it, so
-//     installing an observer adds no per-request heap allocation. A nil
-//     observer costs one predictable branch per Plan call.
+//   - Zero-alloc: the planner owns one PlanTrace in its scratch arena and
+//     passes a pointer to it, so installing an observer adds no
+//     per-request heap allocation. A nil observer costs one predictable
+//     branch per Plan call.
 //
 //   - Determinism: observation is strictly read-only — the observer sees
 //     counters and the already-selected winner, after every decision-
 //     affecting float operation has happened. Tracing on versus off
 //     cannot change a decision, an assignment or a Δ* bit
-//     (TestLockstepEquivalenceTracing pins this through the serve tier).
-//
-// The PlanStats counters (Evaluated, DPCells) describe work, not results:
-// under the parallel dispatcher they may vary run to run with goroutine
-// timing, because Lemma 8 prunes whatever the cooperative bound has not
-// yet excluded. Decisions stay bit-identical regardless (DESIGN.md §7).
+//     (TestLockstepTracingEquivalence pins this through the serve tier).
 
 // PlanStats counts the planning-phase work of one request: how many exact
 // insertions ran, how many produced a feasible candidate, and how many DP
@@ -28,14 +23,6 @@ type PlanStats struct {
 	Evaluated   int32
 	FeasibleIns int32
 	DPCells     int64
-}
-
-// Add accumulates o into st; the parallel dispatcher uses it to sum
-// per-goroutine scan counters after the merge.
-func (st *PlanStats) Add(o PlanStats) {
-	st.Evaluated += o.Evaluated
-	st.FeasibleIns += o.FeasibleIns
-	st.DPCells += o.DPCells
 }
 
 // observe charges one exact insertion evaluation to the stats.
@@ -119,8 +106,6 @@ type PlanTrace struct {
 	Reason RejectReason
 	// PlanNs is the wall time Plan took, both phases included.
 	PlanNs int64
-	// Parallel reports whether the dispatcher fanned this request out.
-	Parallel bool
 }
 
 // setBounds records the decision phase's bounds: Feasible, MinLB and LBs.
@@ -135,11 +120,9 @@ func (tr *PlanTrace) setBounds(lbs []WorkerBound) {
 }
 
 // PlanObserver receives planner introspection callbacks. Implementations
-// must be safe for concurrent use when attached to dispatch.ParallelGreedy
-// (concurrent read-only Plan calls are part of its contract) and must not
-// allocate on the PlanStart/PlanDone path if the zero-alloc plan-path
-// guarantee is to survive observation (internal/trace.Recorder is the
-// reference implementation; TestGreedyPlanZeroAllocs enforces it).
+// must not allocate on the PlanStart/PlanDone path if the zero-alloc
+// plan-path guarantee is to survive observation (internal/trace.Recorder
+// is the reference implementation; TestGreedyPlanZeroAllocs enforces it).
 type PlanObserver interface {
 	// PlanStart fires before the decision phase's first distance query.
 	PlanStart(now float64, req *Request)
@@ -149,7 +132,7 @@ type PlanObserver interface {
 }
 
 // Observable is implemented by planners that accept a PlanObserver
-// (core.Greedy, dispatch.ParallelGreedy). SetObserver(nil) detaches.
+// (core.Greedy). SetObserver(nil) detaches.
 type Observable interface {
 	SetObserver(PlanObserver)
 }

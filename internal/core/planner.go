@@ -78,8 +78,7 @@ type Config struct {
 // short warm-up, steady-state Plan calls perform zero heap allocations.
 // Consequently a Greedy instance is NOT safe for concurrent use — not
 // even for the otherwise read-only Plan (the scratch guard panics if two
-// goroutines try). Use internal/dispatch's ParallelGreedy, which draws
-// scratches from a pool, when Plan must be called concurrently.
+// goroutines try).
 type Greedy struct {
 	fleet *Fleet
 	cfg   Config
@@ -223,9 +222,7 @@ func (p *Greedy) plan(now float64, req *Request, tr *PlanTrace) (*Worker, Insert
 	// Phase 2: planning. With pruning, scan workers in ascending LBΔ*
 	// order and stop once the best exact Δ* undercuts the next lower
 	// bound (Lemma 8). The scan lives in EvalCandidatesSerial, which
-	// orders lbs only as far as it gets; the parallel dispatcher runs the
-	// concurrent twin (EvalCandidates) with a shared cursor and bound,
-	// provably selecting the same winner.
+	// orders lbs only as far as it gets.
 	var st *PlanStats
 	if tr != nil {
 		st = &tr.Stats

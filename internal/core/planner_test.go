@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/roadnet"
@@ -64,6 +65,65 @@ func TestCandidatesImpossibleDeadline(t *testing.T) {
 	if cands := f.Candidates(req, 0, L); cands != nil {
 		t.Fatalf("expected no candidates, got %d", len(cands))
 	}
+}
+
+// TestConcurrentCandidates hammers Fleet.Candidates from many goroutines
+// while another goroutine keeps moving workers through the grid index;
+// under -race it is the check on spatial.Grid's read-write lock.
+func TestConcurrentCandidates(t *testing.T) {
+	tw := newTestWorld(t, 12, 12, 78)
+	rng := rand.New(rand.NewSource(78))
+	fleet := tw.newTestFleet(t, rng, 30, 4)
+	reqs := makeStream(tw, rng, 60)
+
+	stop := make(chan struct{})
+	var writer, readers sync.WaitGroup
+	writer.Add(1)
+	go func() { // writer: churn worker positions
+		defer writer.Done()
+		i := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w := fleet.Workers[i%len(fleet.Workers)]
+			w.Route.Loc = reqs[i%len(reqs)].Origin
+			fleet.UpdateWorkerPosition(w)
+			i++
+		}
+	}()
+	for g := 0; g < 8; g++ {
+		readers.Add(1)
+		go func(seed int) { // readers: candidate retrieval under load
+			defer readers.Done()
+			for i := 0; i < 200; i++ {
+				r := reqs[(seed*31+i)%len(reqs)]
+				L := fleet.Dist(r.Origin, r.Dest)
+				for _, w := range fleet.Candidates(r, 0, L) {
+					if w == nil {
+						t.Error("nil candidate")
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() { // readers: whole-grid scans
+			defer readers.Done()
+			for i := 0; i < 100; i++ {
+				fleet.Grid.Len()
+				fleet.Grid.MemoryBytes()
+			}
+		}()
+	}
+	// Readers run against the live writer; only stop it once they finish.
+	readers.Wait()
+	close(stop)
+	writer.Wait()
 }
 
 func TestFleetRejectsMisnumberedWorkers(t *testing.T) {

@@ -8,8 +8,7 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Scratch is the reusable planning arena of one planner (or of one
-// planning goroutine in the parallel dispatcher): every buffer the
+// Scratch is the reusable planning arena of one planner: every buffer the
 // steady-state Plan path needs, grown on demand and never shrunk, so that
 // after a short warm-up the whole decision + planning pipeline — the
 // paper's measured response time — runs without a single heap allocation.
@@ -21,8 +20,8 @@ import (
 // next use. Sharing one Scratch across concurrent scans therefore
 // corrupts the §4.3 auxiliary arrays mid-computation; every entry point
 // asserts single ownership with an atomic guard and panics on concurrent
-// use (see also the race suite in internal/dispatch). The zero value is
-// ready to use.
+// use (TestScratchGuardPanicsOnConcurrentUse). The zero value is ready to
+// use.
 type Scratch struct {
 	busy  atomic.Bool
 	ctx   insCtx

@@ -579,7 +579,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile := &roadnet.TrafficProfile{Events: fix.events}
-	offline, _, err := serve.OfflineDecisions(fix.g, fix.inst, oracle, kind, 1, 1, profile)
+	offline, _, err := serve.OfflineDecisions(fix.g, fix.inst, oracle, kind, 1, profile)
 	if err != nil {
 		t.Fatalf("offline reference: %v", err)
 	}

@@ -97,43 +97,3 @@ func TestGoldenFormatInsertionScaling(t *testing.T) {
 	}
 	checkGolden(t, "insertion_scaling.golden", FormatInsertionScaling(pts))
 }
-
-func TestGoldenFormatParallelSweep(t *testing.T) {
-	pts := []ParallelPoint{
-		{Pool: 1, Served: 287, UnifiedCost: 68451.426, TotalComputeMs: 8.1,
-			AvgResponseMs: 0.027, P95ResponseMs: 0.055, ThroughputRPS: 37037.037, Speedup: 1},
-		{Pool: 8, Served: 287, UnifiedCost: 68451.426, TotalComputeMs: 2.5,
-			AvgResponseMs: 0.008, P95ResponseMs: 0.02, ThroughputRPS: 120000, Speedup: 3.24},
-	}
-	checkGolden(t, "parallel_sweep.golden", FormatParallelSweep("Chengdu", pts))
-}
-
-// TestParallelSweepTiny runs the real sweep on a tiny runner: the rows
-// must agree on served count and unified cost (the determinism guarantee
-// ParallelSweep itself enforces) and carry sane throughput numbers.
-func TestParallelSweepTiny(t *testing.T) {
-	p := workload.ChengduLike(0.01)
-	p.NumRequests = 120
-	r, err := NewRunner(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := r.ParallelSweep([]int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d points, want 3", len(pts))
-	}
-	for _, pt := range pts {
-		if pt.Served != pts[0].Served || pt.UnifiedCost != pts[0].UnifiedCost {
-			t.Fatalf("pool %d diverged: %+v vs %+v", pt.Pool, pt, pts[0])
-		}
-		if pt.TotalComputeMs <= 0 || pt.ThroughputRPS <= 0 || pt.Speedup <= 0 {
-			t.Fatalf("pool %d: non-positive timing fields: %+v", pt.Pool, pt)
-		}
-	}
-	if r.Parallel != 0 {
-		t.Fatalf("ParallelSweep leaked Parallel=%d", r.Parallel)
-	}
-}

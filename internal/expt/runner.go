@@ -15,7 +15,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/roadnet"
 	"repro/internal/shortest"
 	"repro/internal/sim"
@@ -61,16 +60,6 @@ type Runner struct {
 	// AutoBudget bounds preprocessing for OracleKind "auto"; the zero
 	// value means shortest.DefaultAutoBudget().
 	AutoBudget shortest.AutoBudget
-	// Parallel > 1 plans pruneGreedyDP/GreedyDP with the parallel
-	// dispatcher (internal/dispatch) using that many goroutines, over a
-	// concurrency-safe oracle chain (sharded LRU, atomic query counter,
-	// locked oracle where the base oracle is stateful). Decisions,
-	// assignments and unified cost are bit-identical to the serial
-	// planners; response times differ, and so may DistQueries — it
-	// counts cache misses, and the sharded cache's eviction pattern is
-	// not the serial LRU's. Other algorithms are unaffected: they keep
-	// the serial planner and the serial query chain.
-	Parallel int
 	// Traffic, when non-nil, replays a congestion trace against each
 	// run's event clock (urpsm-sim -traffic): the query chain runs
 	// through an epoch-aware oracle front (shortest.Versioned over a
@@ -203,20 +192,15 @@ type trafficWiring struct {
 }
 
 // chain assembles the per-run query chain (cache + counter) over the base
-// oracle, concurrency-safe when algo will be dispatched in parallel. With
-// a traffic profile the chain runs through a fresh epoch-aware front (the
-// overlay mutates during the run, so it can never be shared across runs);
-// the cached per-kind base oracle is adopted as its epoch-0 tier.
-func (r *Runner) chain(algo string) (core.DistFunc, shortest.QueryCounter, bool, *trafficWiring, error) {
+// oracle. With a traffic profile the chain runs through a fresh epoch-aware
+// front (the overlay mutates during the run, so it can never be shared
+// across runs); the cached per-kind base oracle is adopted as its epoch-0
+// tier.
+func (r *Runner) chain() (core.DistFunc, *shortest.Counting, *trafficWiring, error) {
 	base, kind, err := r.oracle()
 	if err != nil {
-		return nil, nil, false, nil, err
+		return nil, nil, nil, err
 	}
-	// The serial planners keep the paper's single-threaded query chain;
-	// parallel dispatch swaps in the concurrency-safe equivalents. The
-	// swap is scoped to the algorithms that actually dispatch in
-	// parallel so that -parallel cannot perturb any baseline's metrics.
-	useParallel := r.Parallel > 1 && (algo == "pruneGreedyDP" || algo == "GreedyDP")
 	var tw *trafficWiring
 	if r.Traffic != nil {
 		tw = &trafficWiring{
@@ -224,21 +208,14 @@ func (r *Runner) chain(algo string) (core.DistFunc, shortest.QueryCounter, bool,
 			versioned: shortest.AdoptVersioned(r.G, base, shortest.AutoKind(kind),
 				r.autoBudget(), false),
 		}
-		base = tw.versioned // Versioned locks stateful tiers itself
-	}
-	if useParallel {
-		if tw == nil && kind != "hub" {
-			base = shortest.NewLocked(base) // stateful oracles need the mutex
-		}
-		ac := shortest.NewAtomicCounting(base)
-		return shortest.NewShardedCached(ac, 1<<18, 64).Dist, ac, true, tw, nil
+		base = tw.versioned
 	}
 	c := shortest.NewCounting(base)
-	return shortest.NewCached(c, 1<<18).Dist, c, false, tw, nil
+	return shortest.NewCached(c, 1<<18).Dist, c, tw, nil
 }
 
 func (r *Runner) runSingle(p workload.Params, algo string) (sim.Metrics, error) {
-	dist, queries, useParallel, tw, err := r.chain(algo)
+	dist, queries, tw, err := r.chain()
 	if err != nil {
 		return sim.Metrics{}, err
 	}
@@ -246,7 +223,7 @@ func (r *Runner) runSingle(p workload.Params, algo string) (sim.Metrics, error) 
 	if err != nil {
 		return sim.Metrics{}, err
 	}
-	return r.runWith(inst, algo, dist, queries, useParallel, tw)
+	return r.runWith(inst, algo, dist, queries, tw)
 }
 
 // RunInstance runs one algorithm over a pre-materialized instance on this
@@ -261,7 +238,7 @@ func (r *Runner) RunInstance(inst *workload.Instance, algo string) (sim.Metrics,
 	if inst.Graph != r.G {
 		return sim.Metrics{}, fmt.Errorf("expt: instance graph differs from runner graph")
 	}
-	dist, queries, useParallel, tw, err := r.chain(algo)
+	dist, queries, tw, err := r.chain()
 	if err != nil {
 		return sim.Metrics{}, err
 	}
@@ -278,12 +255,12 @@ func (r *Runner) RunInstance(inst *workload.Instance, algo string) (sim.Metrics,
 		Requests: append([]*core.Request(nil), inst.Requests...),
 		Workers:  workers,
 	}
-	return r.runWith(private, algo, dist, queries, useParallel, tw)
+	return r.runWith(private, algo, dist, queries, tw)
 }
 
 // runWith wires fleet, planner and engine for one simulation run.
 func (r *Runner) runWith(inst *workload.Instance, algo string, dist core.DistFunc,
-	queries shortest.QueryCounter, useParallel bool, tw *trafficWiring) (sim.Metrics, error) {
+	queries *shortest.Counting, tw *trafficWiring) (sim.Metrics, error) {
 	fleet, err := core.NewFleet(r.G, dist, inst.Workers, r.CellMeters)
 	if err != nil {
 		return sim.Metrics{}, err
@@ -292,17 +269,9 @@ func (r *Runner) runWith(inst *workload.Instance, algo string, dist core.DistFun
 	gridMem := fleet.Grid.MemoryBytes()
 	switch algo {
 	case "pruneGreedyDP":
-		if useParallel {
-			planner = dispatch.NewParallelPruneGreedyDP(fleet, 1, r.Parallel)
-		} else {
-			planner = core.NewPruneGreedyDP(fleet, 1)
-		}
+		planner = core.NewPruneGreedyDP(fleet, 1)
 	case "GreedyDP":
-		if useParallel {
-			planner = dispatch.NewParallelGreedyDP(fleet, 1, r.Parallel)
-		} else {
-			planner = core.NewGreedyDP(fleet, 1)
-		}
+		planner = core.NewGreedyDP(fleet, 1)
 	case "pruneGreedyBasic":
 		// Ablation: the full two-phase solution but with the O(n³) basic
 		// insertion as the planning operator.

@@ -55,31 +55,6 @@ func TestRunnerTrafficDeterministicAndEffective(t *testing.T) {
 	}
 }
 
-// TestRunnerTrafficParallelMatchesSerial extends the dispatcher's
-// determinism-equivalence guarantee across epochs: the parallel
-// dispatcher over the epoch-aware sharded chain decides exactly like the
-// serial planner over the epoch-aware serial chain, traffic included.
-func TestRunnerTrafficParallelMatchesSerial(t *testing.T) {
-	serial := tinyRunner(t)
-	serial.Traffic = trafficProfileFor()
-	ms, err := serial.RunOne(serial.Base, "pruneGreedyDP")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	par := tinyRunner(t)
-	par.Traffic = trafficProfileFor()
-	par.Parallel = 3
-	mp, err := par.RunOne(par.Base, "pruneGreedyDP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Served != mp.Served || ms.TotalDistance != mp.TotalDistance || ms.UnifiedCost != mp.UnifiedCost ||
-		ms.Completions != mp.Completions || ms.LateArrivals != mp.LateArrivals {
-		t.Fatalf("parallel traffic run diverged from serial:\nserial:   %+v\nparallel: %+v", ms, mp)
-	}
-}
-
 // TestRunnerTrafficRetiersAutoOracle pins the Auto/traffic interaction:
 // with OracleKind "auto" the resolved tier is adopted at epoch 0 and the
 // front re-tiers on every epoch advance without serving stale weights

@@ -91,9 +91,9 @@ type Stats struct {
 	// Submitted counts every request that entered the admission path
 	// (planned or shed); Shed counts those the overload policy turned
 	// away with 429 (DESIGN.md §15). QueueLimit is the *effective*
-	// pending cap (0 = unbounded) — MaxQueue unless ladder stage 2
+	// pending cap (0 = unbounded) — MaxQueue unless ladder stage 1
 	// tightened it. DegradeState is the current ladder stage (0 =
-	// healthy … 2 = shedding) and DegradeTransitions counts every stage
+	// healthy, 1 = shedding) and DegradeTransitions counts every stage
 	// change in either direction.
 	Submitted          int    `json:"submitted"`
 	Shed               int    `json:"shed"`
@@ -395,7 +395,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p("# HELP urpsm_queue_limit Effective pending-queue cap (0 = unbounded).\n")
 	p("# TYPE urpsm_queue_limit gauge\n")
 	p("urpsm_queue_limit %d\n", st.QueueLimit)
-	p("# HELP urpsm_degrade_state Degradation ladder stage (0 = healthy, 2 = shedding).\n")
+	p("# HELP urpsm_degrade_state Degradation ladder stage (0 = healthy, 1 = shedding).\n")
 	p("# TYPE urpsm_degrade_state gauge\n")
 	p("urpsm_degrade_state %d\n", st.DegradeState)
 	p("# HELP urpsm_degrade_transitions_total Degradation ladder stage changes, either direction.\n")

@@ -74,7 +74,6 @@ type Explain struct {
 	// TopCandidates is the retained scan-order prefix of the candidate
 	// set with its decision-phase lower bounds.
 	TopCandidates []trace.Cand `json:"top_candidates"`
-	Parallel      bool         `json:"parallel,omitempty"`
 	PlanNs        int64        `json:"plan_ns"`
 }
 
@@ -113,7 +112,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Delta:              ev.Delta,
 		Penalty:            ev.Penalty,
 		TopCandidates:      ev.TopCands(),
-		Parallel:           ev.Parallel,
 		PlanNs:             ev.DurNs,
 	}
 	if ex.TopCandidates == nil {

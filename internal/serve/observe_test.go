@@ -329,54 +329,51 @@ func TestDebugRuntime(t *testing.T) {
 // bit-identical to the untraced offline reference, and the recorder must
 // have captured every request's lifecycle.
 func TestLockstepTracingEquivalence(t *testing.T) {
-	for _, pool := range []int{1, 4} {
-		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
-			g, inst := testInstance(t)
-			want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, pool, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := newTestServer(t, g, inst, func(c *Config) {
-				c.Pool = pool
-				c.TraceEvents = 4096
-			})
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+	// The subtest keeps its name from when the server could plan on a
+	// worker pool (DESIGN.md §7); the serial planner is the only one left.
+	t.Run("pool1", func(t *testing.T) {
+		g, inst := testInstance(t)
+		want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, g, inst, func(c *Config) { c.TraceEvents = 4096 })
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
 
-			got := make(map[int32]Decision)
-			for _, r := range sortedRequests(inst) {
-				d := postRequest(t, ts.URL, r)
-				got[d.ID] = d
-			}
-			checkEquivalence(t, got, want)
+		got := make(map[int32]Decision)
+		for _, r := range sortedRequests(inst) {
+			d := postRequest(t, ts.URL, r)
+			got[d.ID] = d
+		}
+		checkEquivalence(t, got, want)
 
-			var dump TraceDump
-			getJSON(t, ts.URL+"/debug/trace", &dump)
-			plans := 0
-			for _, ev := range dump.Events {
-				if ev.Kind == trace.KindPlan {
-					plans++
-				}
+		var dump TraceDump
+		getJSON(t, ts.URL+"/debug/trace", &dump)
+		plans := 0
+		for _, ev := range dump.Events {
+			if ev.Kind == trace.KindPlan {
+				plans++
 			}
-			if plans != len(inst.Requests) {
-				t.Fatalf("recorded %d plan events for %d requests", plans, len(inst.Requests))
-			}
+		}
+		if plans != len(inst.Requests) {
+			t.Fatalf("recorded %d plan events for %d requests", plans, len(inst.Requests))
+		}
 
-			// The explain body must agree with the decision the client got.
-			r0 := sortedRequests(inst)[0]
-			var ex Explain
-			getJSON(t, fmt.Sprintf("%s/v1/decisions/%d/explain", ts.URL, r0.ID), &ex)
-			d := got[int32(r0.ID)]
-			if ex.ID != d.ID || ex.Accepted != d.Accepted || int32(ex.Worker) != d.Worker || ex.Delta != d.Delta {
-				t.Fatalf("explain (accepted=%v worker=%d delta=%v) disagrees with decision (accepted=%v worker=%d delta=%v)",
-					ex.Accepted, ex.Worker, ex.Delta, d.Accepted, d.Worker, d.Delta)
-			}
-			if ex.Evaluated+ex.Pruned != ex.Feasible {
-				t.Fatalf("evaluated %d + pruned %d != feasible %d", ex.Evaluated, ex.Pruned, ex.Feasible)
-			}
-			if d.Accepted && (ex.Reason != "served" || ex.MarginalCost == nil || ex.MarginalGain == nil) {
-				t.Fatalf("accepted request explain lacks marginal economics: %+v", ex)
-			}
-		})
-	}
+		// The explain body must agree with the decision the client got.
+		r0 := sortedRequests(inst)[0]
+		var ex Explain
+		getJSON(t, fmt.Sprintf("%s/v1/decisions/%d/explain", ts.URL, r0.ID), &ex)
+		d := got[int32(r0.ID)]
+		if ex.ID != d.ID || ex.Accepted != d.Accepted || int32(ex.Worker) != d.Worker || ex.Delta != d.Delta {
+			t.Fatalf("explain (accepted=%v worker=%d delta=%v) disagrees with decision (accepted=%v worker=%d delta=%v)",
+				ex.Accepted, ex.Worker, ex.Delta, d.Accepted, d.Worker, d.Delta)
+		}
+		if ex.Evaluated+ex.Pruned != ex.Feasible {
+			t.Fatalf("evaluated %d + pruned %d != feasible %d", ex.Evaluated, ex.Pruned, ex.Feasible)
+		}
+		if d.Accepted && (ex.Reason != "served" || ex.MarginalCost == nil || ex.MarginalGain == nil) {
+			t.Fatalf("accepted request explain lacks marginal economics: %+v", ex)
+		}
+	})
 }

@@ -39,16 +39,13 @@ func overloadRequests(t *testing.T, n int) []*core.Request {
 }
 
 // runOverload submits reqs in order as one held group against a fresh
-// server with the given pool size and a queue cap of keep, lets the
+// server with a queue cap of keep, lets the
 // group's flush and Shutdown deliver every verdict, and returns all
 // decisions by ID.
-func runOverload(t *testing.T, reqs []*core.Request, pool, keep int) (map[int32]Decision, Stats) {
+func runOverload(t *testing.T, reqs []*core.Request, keep int) (map[int32]Decision, Stats) {
 	t.Helper()
 	g, inst := testInstance(t)
-	s := newTestServer(t, g, inst, func(c *Config) {
-		c.Pool = pool
-		c.MaxQueue = keep
-	})
+	s := newTestServer(t, g, inst, func(c *Config) { c.MaxQueue = keep })
 	chans := submitGroup(t, s, reqs)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -69,39 +66,39 @@ func runOverload(t *testing.T, reqs []*core.Request, pool, keep int) (map[int32]
 
 // TestOverloadShedDeterminism is the overload lockstep check (DESIGN.md
 // §15): a submission stream overflowing MaxQueue must produce
-// bit-identical decisions AND bit-identical shed verdicts across serial
-// and parallel dispatch, and the victims must be exactly the Eq. 2
-// choice — the lowest rejection penalties in sight.
+// bit-identical decisions AND bit-identical shed verdicts on two fresh
+// servers, and the victims must be exactly the Eq. 2 choice — the lowest
+// rejection penalties in sight.
 func TestOverloadShedDeterminism(t *testing.T) {
 	const n, keep = 16, 4
 	reqs := overloadRequests(t, n)
 
-	serial, sst := runOverload(t, reqs, 1, keep)
-	parallel, pst := runOverload(t, reqs, 4, keep)
+	first, fst := runOverload(t, reqs, keep)
+	second, sst := runOverload(t, reqs, keep)
 
-	if len(serial) != n || len(parallel) != n {
-		t.Fatalf("decision counts: serial %d parallel %d, want %d", len(serial), len(parallel), n)
+	if len(first) != n || len(second) != n {
+		t.Fatalf("decision counts: first %d second %d, want %d", len(first), len(second), n)
 	}
-	for id, sd := range serial {
-		pd, ok := parallel[id]
+	for id, fd := range first {
+		sd, ok := second[id]
 		if !ok {
-			t.Fatalf("request %d decided serially but not in parallel", id)
+			t.Fatalf("request %d decided by the first server only", id)
 		}
-		if !sameDecision(sd, pd) || sd.Shed != pd.Shed || sd.RetryAfterMs != pd.RetryAfterMs {
-			t.Fatalf("request %d diverged: serial %+v parallel %+v", id, sd, pd)
+		if !sameDecision(fd, sd) || fd.Shed != sd.Shed || fd.RetryAfterMs != sd.RetryAfterMs {
+			t.Fatalf("request %d diverged: first %+v second %+v", id, fd, sd)
 		}
 	}
-	if sst.Shed != n-keep || pst.Shed != n-keep {
-		t.Fatalf("shed counters: serial %d parallel %d, want %d", sst.Shed, pst.Shed, n-keep)
+	if fst.Shed != n-keep || sst.Shed != n-keep {
+		t.Fatalf("shed counters: first %d second %d, want %d", fst.Shed, sst.Shed, n-keep)
 	}
-	if sst.Submitted != n || pst.Submitted != n {
-		t.Fatalf("submitted counters: serial %d parallel %d, want %d", sst.Submitted, pst.Submitted, n)
+	if fst.Submitted != n || sst.Submitted != n {
+		t.Fatalf("submitted counters: first %d second %d, want %d", fst.Submitted, sst.Submitted, n)
 	}
 
 	// The survivors are the keep highest penalties (n-keep+1..n); everything
 	// below the cut sheds with a usable retry hint and no worker.
 	for _, r := range reqs {
-		d := serial[int32(r.ID)]
+		d := first[int32(r.ID)]
 		wantShed := r.Penalty <= float64(n-keep)
 		if d.Shed != wantShed {
 			t.Fatalf("request %d (penalty %g): shed=%v, want %v", r.ID, r.Penalty, d.Shed, wantShed)
@@ -115,16 +112,16 @@ func TestOverloadShedDeterminism(t *testing.T) {
 	// shed or rejected alike — the shed penalties must be in the sum.
 	var shedSum float64
 	for _, r := range reqs {
-		if serial[int32(r.ID)].Shed {
+		if first[int32(r.ID)].Shed {
 			shedSum += r.Penalty
 		}
 	}
-	if sst.PenaltySum < shedSum {
-		t.Fatalf("penalty sum %g does not cover shed penalties %g", sst.PenaltySum, shedSum)
+	if fst.PenaltySum < shedSum {
+		t.Fatalf("penalty sum %g does not cover shed penalties %g", fst.PenaltySum, shedSum)
 	}
-	if math.Float64bits(sst.PenaltySum) != math.Float64bits(pst.PenaltySum) {
-		t.Fatalf("penalty sums diverged: serial %x parallel %x",
-			math.Float64bits(sst.PenaltySum), math.Float64bits(pst.PenaltySum))
+	if math.Float64bits(fst.PenaltySum) != math.Float64bits(sst.PenaltySum) {
+		t.Fatalf("penalty sums diverged: first %x second %x",
+			math.Float64bits(fst.PenaltySum), math.Float64bits(sst.PenaltySum))
 	}
 }
 
@@ -193,15 +190,14 @@ func TestOverloadWALRecovery(t *testing.T) {
 }
 
 // TestDegradationLadder drives the hysteresis state machine directly
-// (DESIGN.md §15.3): DegradeWindow consecutive breaches step one stage
-// down, as many sub-half-target groups step back up, and anything in
+// (DESIGN.md §15.3): DegradeWindow consecutive breaches step down to
+// stage 1, as many sub-half-target groups step back up, and anything in
 // between resets both counters.
 func TestDegradationLadder(t *testing.T) {
 	g, inst := testInstance(t)
 	const maxQueue = 8
 	newLadder := func(maxQueue int) *Server {
 		return newTestServer(t, g, inst, func(c *Config) {
-			c.Pool = 4
 			c.MaxQueue = maxQueue
 			c.DegradeTarget = 10 * time.Millisecond
 			c.DegradeWindow = 2
@@ -231,32 +227,28 @@ func TestDegradationLadder(t *testing.T) {
 	feed(0.006, 1) // neutral zone (target/2 < p95 <= target): counters reset
 	feed(1.0, 1)
 	check(0, maxQueue)
-	feed(1.0, 1) // second consecutive breach: stage 1 plans serially
-	check(1, maxQueue)
-	feed(1.0, 2) // stage 2: tighten the shed cap
-	check(2, maxQueue/2)
+	feed(1.0, 1) // second consecutive breach: stage 1 tightens the shed cap
+	check(1, maxQueue/2)
 	feed(1.0, 4) // already at the bottom: no further transitions
-	check(2, maxQueue/2)
-	feed(0.001, 2) // recovery is the reverse walk
-	check(1, maxQueue)
+	check(1, maxQueue/2)
 	feed(0.001, 1)
 	feed(0.006, 1) // neutral zone also resets the recovery counter
 	feed(0.001, 1)
-	check(1, maxQueue)
-	feed(0.001, 2)
+	check(1, maxQueue/2)
+	feed(0.001, 1) // second consecutive sub-half-target group: recover
 	check(0, maxQueue)
 
-	if st := s.Stats(); st.DegradeTransitions != 4 || st.DegradeState != 0 {
-		t.Fatalf("transitions=%d state=%d, want 4 and 0", st.DegradeTransitions, st.DegradeState)
+	if st := s.Stats(); st.DegradeTransitions != 2 || st.DegradeState != 0 {
+		t.Fatalf("transitions=%d state=%d, want 2 and 0", st.DegradeTransitions, st.DegradeState)
 	}
 
-	// With admission unbounded there is no cap to halve: stage 2 imposes
+	// With admission unbounded there is no cap to halve: stage 1 imposes
 	// degradedQueueCap, and recovery lifts it again.
 	s = newLadder(0)
 	check(0, 0)
-	feed(1.0, 4)
-	check(2, degradedQueueCap)
-	feed(0.001, 4)
+	feed(1.0, 2)
+	check(1, degradedQueueCap)
+	feed(0.001, 2)
 	check(0, 0)
 }
 
@@ -264,7 +256,7 @@ func TestDegradationLadder(t *testing.T) {
 // admission cap and a shed counter that stays zero.
 func TestUnboundedQueueNeverSheds(t *testing.T) {
 	reqs := overloadRequests(t, 16)
-	got, st := runOverload(t, reqs, 1, 0)
+	got, st := runOverload(t, reqs, 0)
 	for id, d := range got {
 		if d.Shed {
 			t.Fatalf("request %d shed with an unbounded queue", id)

@@ -35,7 +35,7 @@ func runWaves(t *testing.T, s *Server, reqs []*core.Request, batch int) map[int3
 
 func TestBatchPrefetchEquivalence(t *testing.T) {
 	g, inst := testInstance(t)
-	want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, 1, nil)
+	want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCCHServePlansFromLabels(t *testing.T) {
 		{At: minR + (maxR-minR)*0.6, Updates: []roadnet.TrafficUpdate{
 			{Factor: 2.2, Class: "motorway"}, {Factor: 1.3}}},
 	}}
-	want, _, err := OfflineDecisions(g, inst, shortest.BuildCCH(g), "cch", 1, 1, profile)
+	want, _, err := OfflineDecisions(g, inst, shortest.BuildCCH(g), "cch", 1, profile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,11 @@
 // # Architecture
 //
 // The server owns the live platform state — a core.Fleet, a sim.World
-// (the advance/commit state machine shared with sim.Engine) and a greedy
-// planner (serial core.Greedy or the parallel dispatcher). All mutation
-// happens on one event-loop goroutine: HTTP handlers only enqueue pending
-// requests and wait for their decision, so the planner never observes a
-// half-advanced world.
+// (the advance/commit state machine shared with sim.Engine) and the
+// pruneGreedyDP planner (core.Greedy). All mutation happens on one
+// event-loop goroutine: HTTP handlers only enqueue pending requests and
+// wait for their decision, so the planner never observes a half-advanced
+// world.
 //
 // Admission is group commit: whenever the event loop is free it takes
 // everything pending as one group, plans it in (release, arrival-sequence)
@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/roadnet"
 	"repro/internal/shortest"
 	"repro/internal/sim"
@@ -87,18 +86,14 @@ type Config struct {
 	MaxQueue int
 	// DegradeTarget arms the graceful-degradation ladder: when the p95
 	// per-request plan time of a flushed group exceeds this target for
-	// DegradeWindow consecutive groups the server degrades one stage —
-	// 1 plans serially (bit-identical decisions, just no speculation),
-	// 2 additionally tightens the shed cap — and recovers one stage in
-	// reverse after DegradeWindow consecutive groups under half the
-	// target. 0 disables the ladder. See DESIGN.md §15.3.
+	// DegradeWindow consecutive groups the server degrades to stage 1,
+	// which tightens the shed cap, and recovers after DegradeWindow
+	// consecutive groups under half the target. 0 disables the ladder.
+	// See DESIGN.md §15.3.
 	DegradeTarget time.Duration
 	// DegradeWindow is the consecutive-group hysteresis window of the
 	// ladder; 0 means DefaultDegradeWindow.
 	DegradeWindow int
-	// Pool > 1 plans with the parallel dispatcher (bit-identical
-	// decisions, see internal/dispatch) using that many goroutines.
-	Pool int
 	// WALDir enables the write-ahead log: every externally visible event
 	// (admission batches, decisions, traffic updates, checkpoints) is
 	// appended to WALDir/wal.log and fsynced once per commit group
@@ -176,7 +171,7 @@ const DefaultDegradeWindow = 4
 // window must replay to the verdicts their clients already saw.
 const retryAfterMs = 20
 
-// degradedQueueCap is the shed cap ladder stage 2 imposes when admission
+// degradedQueueCap is the shed cap ladder stage 1 imposes when admission
 // is unbounded (MaxQueue 0) and there is no configured cap to halve.
 const degradedQueueCap = 32
 
@@ -200,15 +195,9 @@ type Server struct {
 	alpha float64
 
 	fleet   *core.Fleet
-	planner core.Planner
-	// serialPlanner is the non-speculative fallback the ladder's stage 1
-	// switches to; nil when the server already plans serially. Both
-	// planners drive the same fleet and produce bit-identical decisions
-	// (internal/dispatch's equivalence guarantee), so the switch is
-	// invisible to replay.
-	serialPlanner core.Planner
-	world         *sim.World
-	queries       shortest.QueryCounter
+	planner *core.Greedy
+	world   *sim.World
+	queries *shortest.Counting
 	// versioned is the epoch-aware oracle front the whole query chain
 	// runs through; traffic coordinates epoch advances across it, the
 	// fleet and the world. Both are mutated only under smu.
@@ -253,7 +242,7 @@ type Server struct {
 	// Effective admission limits, read lock-free by the submit path and
 	// rewritten (under smu) by the degradation ladder: effQueue is the
 	// pending-queue cap (0 = unbounded), degradeStage the ladder stage
-	// 0–2.
+	// 0–1.
 	effQueue     atomic.Int64
 	degradeStage atomic.Int32
 
@@ -397,17 +386,10 @@ func NewServer(cfg Config) (*Server, error) {
 		// the restored epoch (the live tier serves until the rebuild lands).
 		versioned.Advance(overlay.Graph(), overlay.Epoch())
 	}
-	dist, queries := queryChain(versioned, cfg.Pool)
+	dist, queries := queryChain(versioned)
 	fleet, err := core.NewFleet(overlay.Graph(), dist, workers, cfg.CellMeters)
 	if err != nil {
 		return nil, err
-	}
-	var planner, serialPlanner core.Planner
-	if cfg.Pool > 1 {
-		planner = dispatch.NewParallelPruneGreedyDP(fleet, cfg.Alpha, cfg.Pool)
-		serialPlanner = core.NewPruneGreedyDP(fleet, cfg.Alpha)
-	} else {
-		planner = core.NewPruneGreedyDP(fleet, cfg.Alpha)
 	}
 
 	logger := cfg.Logger
@@ -420,8 +402,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:            cfg,
 		alpha:          cfg.Alpha,
 		fleet:          fleet,
-		planner:        planner,
-		serialPlanner:  serialPlanner,
+		planner:        core.NewPruneGreedyDP(fleet, cfg.Alpha),
 		world:          world,
 		queries:        queries,
 		versioned:      versioned,
@@ -446,17 +427,10 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.TraceEvents > 0 {
 		// Attach the recorder before WAL replay so crash recovery shows up
-		// in the timeline like any other traffic. Both planners implement
-		// core.Observable; the type assertion future-proofs against ones
-		// that do not.
+		// in the timeline like any other traffic.
 		s.rec = trace.New(cfg.TraceEvents)
 		s.rec.PlanSeconds = s.histPlan
-		if obs, ok := planner.(core.Observable); ok {
-			obs.SetObserver(s.rec)
-		}
-		if obs, ok := serialPlanner.(core.Observable); ok {
-			obs.SetObserver(s.rec)
-		}
+		s.planner.SetObserver(s.rec)
 	}
 	if cfg.Snapshot != nil {
 		s.simTime = cfg.Snapshot.SimTime
@@ -500,15 +474,10 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // queryChain assembles the distance-query chain over the epoch-aware
-// oracle front, mirroring the experiment Runner: the serial planner gets
-// the paper's single-threaded cache+counter, the parallel dispatcher the
-// concurrency-safe equivalents. Versioned handles tier locking itself,
-// and both caches watch its epoch, flushing on a traffic update.
-func queryChain(v *shortest.Versioned, pool int) (core.DistFunc, shortest.QueryCounter) {
-	if pool > 1 {
-		ac := shortest.NewAtomicCounting(v)
-		return shortest.NewShardedCached(ac, 1<<18, 64).Dist, ac
-	}
+// oracle front, mirroring the experiment Runner: the paper's
+// single-threaded cache+counter. Versioned handles tier locking itself,
+// and the cache watches its epoch, flushing on a traffic update.
+func queryChain(v *shortest.Versioned) (core.DistFunc, *shortest.Counting) {
 	c := shortest.NewCounting(v)
 	return shortest.NewCached(c, 1<<18).Dist, c
 }
@@ -898,14 +867,7 @@ func (s *Server) decideLocked(req *core.Request) Decision {
 	s.simTime = t
 	s.simTimeBits.Store(math.Float64bits(t))
 	s.world.AdvanceAll(t)
-	// Ladder stage 1 plans serially: same fleet, same algorithm, no
-	// speculation — internal/dispatch guarantees the decisions are
-	// bit-identical, so the switch never shows up in a replay.
-	pl := s.planner
-	if s.serialPlanner != nil && s.degradeStage.Load() >= 1 {
-		pl = s.serialPlanner
-	}
-	res := pl.OnRequest(t, req)
+	res := s.planner.OnRequest(t, req)
 	d := Decision{
 		ID:      int32(req.ID),
 		Worker:  -1,
@@ -929,8 +891,8 @@ func (s *Server) decideLocked(req *core.Request) Decision {
 // ladderLocked advances the graceful-degradation state machine after a
 // flush (DESIGN.md §15.3). p95 is the group's 95th-percentile
 // per-request plan time in seconds; breaching the target for
-// DegradeWindow consecutive groups degrades one stage, staying under
-// half the target for as many groups recovers one. The half-target
+// DegradeWindow consecutive groups degrades to stage 1, staying under
+// half the target for as many groups recovers to stage 0. The half-target
 // recovery band is deliberate hysteresis — a p95 hovering at the target
 // would otherwise flap the ladder every window. Caller holds smu.
 func (s *Server) ladderLocked(p95 float64) {
@@ -940,15 +902,15 @@ func (s *Server) ladderLocked(p95 float64) {
 	case p95 > target:
 		s.degradeBreach++
 		s.degradeOK = 0
-		if s.degradeBreach >= s.cfg.DegradeWindow && stage < 2 {
-			s.setStageLocked(stage+1, "degrade")
+		if s.degradeBreach >= s.cfg.DegradeWindow && stage == 0 {
+			s.setStageLocked(1, "degrade")
 			s.degradeBreach = 0
 		}
 	case p95 <= target/2:
 		s.degradeOK++
 		s.degradeBreach = 0
-		if s.degradeOK >= s.cfg.DegradeWindow && stage > 0 {
-			s.setStageLocked(stage-1, "recover")
+		if s.degradeOK >= s.cfg.DegradeWindow && stage == 1 {
+			s.setStageLocked(0, "recover")
 			s.degradeOK = 0
 		}
 	default:
@@ -958,15 +920,14 @@ func (s *Server) ladderLocked(p95 float64) {
 }
 
 // setStageLocked moves the ladder to stage and rewrites the shed cap the
-// submit path reads lock-free: stage ≥ 1 switches decideLocked to the
-// serial planner, stage 2 tightens the shed cap — halving MaxQueue, or
-// imposing degradedQueueCap when admission was unbounded. Caller holds
-// smu.
+// submit path reads lock-free: stage 1 tightens the shed cap — halving
+// MaxQueue, or imposing degradedQueueCap when admission was unbounded.
+// Caller holds smu.
 func (s *Server) setStageLocked(stage int, dir string) {
 	s.degradeStage.Store(int32(stage))
 	s.degradeTransitions++
 	limit := s.cfg.MaxQueue
-	if stage >= 2 {
+	if stage == 1 {
 		if limit > 0 {
 			limit = max(limit/2, 1)
 		} else {
@@ -1247,7 +1208,7 @@ func (r *latencyRing) percentile(p float64) float64 {
 }
 
 // OfflineDecisions replays inst through the offline sim.Engine with the
-// same planner and oracle wiring a Server with the given pool would use,
+// same planner and oracle wiring a Server uses,
 // and returns the per-request decisions keyed by request ID — the
 // reference side of the replay-equivalence check (-lockstep). With a
 // non-nil traffic profile the engine replays the same congestion trace a
@@ -1255,25 +1216,19 @@ func (r *latencyRing) percentile(p float64) float64 {
 // extending the equivalence guarantee to multi-epoch runs. The caller's
 // instance is left untouched.
 func OfflineDecisions(g *roadnet.Graph, inst *workload.Instance, oracle shortest.Oracle,
-	oracleKind string, alpha float64, pool int, profile *roadnet.TrafficProfile) (map[int32]Decision, sim.Metrics, error) {
+	oracleKind string, alpha float64, profile *roadnet.TrafficProfile) (map[int32]Decision, sim.Metrics, error) {
 	if alpha == 0 {
 		alpha = 1
 	}
 	overlay := roadnet.NewOverlay(g)
 	versioned := shortest.AdoptVersioned(g, oracle, shortest.AutoKind(oracleKind),
 		shortest.DefaultAutoBudget(), false)
-	dist, queries := queryChain(versioned, pool)
+	dist, queries := queryChain(versioned)
 	fleet, err := core.NewFleet(g, dist, cloneWorkers(inst.Workers), 2000)
 	if err != nil {
 		return nil, sim.Metrics{}, err
 	}
-	var planner core.Planner
-	if pool > 1 {
-		planner = dispatch.NewParallelPruneGreedyDP(fleet, alpha, pool)
-	} else {
-		planner = core.NewPruneGreedyDP(fleet, alpha)
-	}
-	rec := &recordingPlanner{inner: planner, decisions: make(map[int32]Decision, len(inst.Requests))}
+	rec := &recordingPlanner{inner: core.NewPruneGreedyDP(fleet, alpha), decisions: make(map[int32]Decision, len(inst.Requests))}
 	eng := sim.NewEngine(fleet, rec, shortest.NewBiDijkstra(g), alpha)
 	eng.Queries = queries
 	tc := sim.NewTraffic(overlay, versioned, fleet, eng.World())

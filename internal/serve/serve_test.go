@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -120,36 +119,36 @@ func checkEquivalence(t *testing.T, got map[int32]Decision, want map[int32]Decis
 // -lockstep: requests streamed in release order over HTTP must produce
 // decisions bit-identical to an offline sim.Engine run.
 func TestLockstepEquivalence(t *testing.T) {
-	for _, pool := range []int{1, 4} {
-		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
-			g, inst := testInstance(t)
-			want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, pool, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := newTestServer(t, g, inst, func(c *Config) { c.Pool = pool })
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+	// The subtest keeps its name from when the server could plan on a
+	// worker pool (DESIGN.md §7); the serial planner is the only one left.
+	t.Run("pool1", func(t *testing.T) {
+		g, inst := testInstance(t)
+		want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, g, inst, nil)
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
 
-			got := make(map[int32]Decision)
-			for _, r := range sortedRequests(inst) {
-				d := postRequest(t, ts.URL, r)
-				got[d.ID] = d
-			}
-			checkEquivalence(t, got, want)
+		got := make(map[int32]Decision)
+		for _, r := range sortedRequests(inst) {
+			d := postRequest(t, ts.URL, r)
+			got[d.ID] = d
+		}
+		checkEquivalence(t, got, want)
 
-			st := s.Stats()
-			if st.Requests != len(inst.Requests) {
-				t.Fatalf("stats requests %d != %d", st.Requests, len(inst.Requests))
-			}
-			if st.LateAdmissions != 0 {
-				t.Fatalf("sequential streaming produced %d late admissions", st.LateAdmissions)
-			}
-			if st.LateArrivals != 0 {
-				t.Fatalf("%d late arrivals", st.LateArrivals)
-			}
-		})
-	}
+		st := s.Stats()
+		if st.Requests != len(inst.Requests) {
+			t.Fatalf("stats requests %d != %d", st.Requests, len(inst.Requests))
+		}
+		if st.LateAdmissions != 0 {
+			t.Fatalf("sequential streaming produced %d late admissions", st.LateAdmissions)
+		}
+		if st.LateArrivals != 0 {
+			t.Fatalf("%d late arrivals", st.LateArrivals)
+		}
+	})
 }
 
 // submitGroup submits copies of reqs while holding smu. flush takes smu
@@ -300,7 +299,7 @@ func TestShutdownDrains(t *testing.T) {
 // run of the full instance.
 func TestSnapshotWarmRestartEquivalence(t *testing.T) {
 	g, inst := testInstance(t)
-	want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, 1, nil)
+	want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

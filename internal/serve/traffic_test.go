@@ -139,7 +139,7 @@ func TestLockstepEquivalenceWithTraffic(t *testing.T) {
 		t.Fatalf("only %d/%d events injected; widen the profile", next, len(profile.Events))
 	}
 
-	want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, 1, profile)
+	want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLockstepEquivalenceCCHCustomize(t *testing.T) {
 		t.Fatalf("only %d/%d events injected; widen the profile", next, len(profile.Events))
 	}
 
-	want, _, err := OfflineDecisions(g, inst, shortest.BuildCCH(g), "cch", 1, 1, profile)
+	want, _, err := OfflineDecisions(g, inst, shortest.BuildCCH(g), "cch", 1, profile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func (b AutoBudget) Choose(n int) AutoKind {
 // Concurrency: the hub tier is immutable and safe for concurrent readers;
 // the CH and bidirectional-Dijkstra tiers reuse per-instance search state
 // and must be wrapped in Locked (or given one instance per goroutine) when
-// shared — exactly as expt.Runner does for its parallel dispatcher.
+// shared, as Versioned does for its built tier.
 func Auto(g *roadnet.Graph, b AutoBudget) (Oracle, AutoKind) {
 	kind := b.Choose(g.NumVertices())
 	switch kind {

@@ -542,7 +542,7 @@ func TestVersionedConcurrentDistDuringCustomize(t *testing.T) {
 	budget := AutoBudget{MaxHubVertices: 0, MaxCCHVertices: n, MaxCHVertices: n}
 	overlay := roadnet.NewOverlay(g)
 	v := NewVersioned(g, budget, true)
-	sharded := NewShardedCached(NewAtomicCounting(v), 1<<10, 8)
+	cached := NewLocked(NewCached(NewCounting(v), 1<<10))
 
 	const epochs = 4
 	const pairs = 32
@@ -581,7 +581,7 @@ func TestVersionedConcurrentDistDuringCustomize(t *testing.T) {
 			defer wg.Done()
 			o := Oracle(v)
 			if w%2 == 1 {
-				o = sharded
+				o = cached
 			}
 			for i := 0; ; i++ {
 				select {
@@ -620,7 +620,7 @@ func TestVersionedConcurrentDistDuringCustomize(t *testing.T) {
 		t.Fatal("no Advance took the customize fast path")
 	}
 	for i := range ss {
-		if got := sharded.Dist(ss[i], ts[i]); math.Abs(got-want[epochs][i]) > 1e-6*(1+got) {
+		if got := cached.Dist(ss[i], ts[i]); math.Abs(got-want[epochs][i]) > 1e-6*(1+got) {
 			t.Fatalf("final epoch: Dist(%d,%d)=%v want %v", ss[i], ts[i], got, want[epochs][i])
 		}
 	}

@@ -13,9 +13,9 @@ package shortest
 //     is unobservable in the results; only latency differs. That is what
 //     keeps replay equivalence independent of rebuild timing.
 //
-//   - Cached/ShardedCached watch an EpochSource discovered in their inner
-//     chain and flush themselves when the epoch advances, so no cached
-//     distance from an earlier epoch can leak into a plan.
+//   - Cached watches an EpochSource discovered in its inner chain and
+//     flushes itself when the epoch advances, so no cached distance from
+//     an earlier epoch can leak into a plan.
 //
 // The single-epoch (static) case is the existing behavior: the epoch
 // never advances, the watch branch never fires, the built tier always
@@ -89,6 +89,24 @@ func AdoptVersioned(g *roadnet.Graph, base Oracle, kind AutoKind, budget AutoBud
 	}
 	v.epoch.Store(g.WeightEpoch())
 	return v
+}
+
+// Locked serializes access to a non-thread-safe Oracle (BiDijkstra and CH
+// reuse per-instance search state across queries). Hub labels and distance
+// matrices are read-only and do not need it.
+type Locked struct {
+	mu    sync.Mutex
+	inner Oracle
+}
+
+// NewLocked wraps inner with a mutex.
+func NewLocked(inner Oracle) *Locked { return &Locked{inner: inner} }
+
+// Dist implements Oracle under the lock.
+func (l *Locked) Dist(s, t roadnet.VertexID) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.inner.Dist(s, t)
 }
 
 // lockIfStateful wraps non-hub tiers in a mutex: hub labels are immutable
@@ -279,8 +297,6 @@ func epochSourceOf(o Oracle) EpochSource {
 		case *Versioned:
 			return x
 		case *Counting:
-			o = x.Inner
-		case *AtomicCounting:
 			o = x.Inner
 		case *Locked:
 			o = x.inner

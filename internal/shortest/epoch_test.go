@@ -73,7 +73,6 @@ func TestVersionedMatchesDijkstraAcrossEpochs(t *testing.T) {
 			overlay := roadnet.NewOverlay(g)
 			v := NewVersioned(g, budget, false)
 			cached := NewCached(NewCounting(v), 1<<12)
-			sharded := NewShardedCached(NewAtomicCounting(v), 1<<12, 8)
 			rng := rand.New(rand.NewSource(7))
 			for epoch := 0; epoch < 5; epoch++ {
 				if epoch > 0 {
@@ -89,7 +88,6 @@ func TestVersionedMatchesDijkstraAcrossEpochs(t *testing.T) {
 				cur := overlay.Graph()
 				checkAgainstDijkstra(t, v, cur, rng, 80, "versioned")
 				checkAgainstDijkstra(t, cached, cur, rng, 80, "cached")
-				checkAgainstDijkstra(t, sharded, cur, rng, 80, "sharded")
 			}
 		})
 	}
@@ -141,7 +139,7 @@ func TestVersionedConcurrentDistDuringRebuild(t *testing.T) {
 	budget := AutoBudget{MaxHubVertices: n, MaxCHVertices: n}
 	overlay := roadnet.NewOverlay(g)
 	v := NewVersioned(g, budget, true)
-	sharded := NewShardedCached(NewAtomicCounting(v), 1<<10, 8)
+	cached := NewLocked(NewCached(NewCounting(v), 1<<10))
 
 	const epochs = 4
 	const pairs = 32
@@ -181,7 +179,7 @@ func TestVersionedConcurrentDistDuringRebuild(t *testing.T) {
 			defer wg.Done()
 			o := Oracle(v)
 			if w%2 == 1 {
-				o = sharded
+				o = cached
 			}
 			for i := 0; ; i++ {
 				select {
@@ -218,7 +216,7 @@ func TestVersionedConcurrentDistDuringRebuild(t *testing.T) {
 
 	// After the dust settles, only the final epoch may answer.
 	for i := range ss {
-		if got := sharded.Dist(ss[i], ts[i]); math.Abs(got-want[epochs][i]) > 1e-6*(1+got) {
+		if got := cached.Dist(ss[i], ts[i]); math.Abs(got-want[epochs][i]) > 1e-6*(1+got) {
 			t.Fatalf("final epoch: Dist(%d,%d)=%v want %v", ss[i], ts[i], got, want[epochs][i])
 		}
 	}
@@ -307,4 +305,49 @@ func TestVersionedLiveTierBuiltOnDemand(t *testing.T) {
 	if !eager {
 		t.Fatal("async Advance left the live tier unbuilt")
 	}
+}
+
+// approxEq absorbs the last-ULP differences between oracles: the
+// bidirectional search sums a path in a different order from the matrix's
+// Dijkstra rows, so exact equality is too strict.
+func approxEq(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*(1+math.Abs(b))
+}
+
+func concurrencyGraph(t *testing.T) *roadnet.Graph {
+	t.Helper()
+	g, err := roadnet.Generate(roadnet.GenConfig{
+		Rows: 12, Cols: 12, Spacing: 140, Jitter: 0.2,
+		ArterialEvery: 4, DetourMin: 1.05, DetourMax: 1.3, Seed: 99,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestLockedBiDijkstra verifies the mutex wrapper makes the stateful
+// bidirectional Dijkstra safe (and still exact) under concurrent callers.
+func TestLockedBiDijkstra(t *testing.T) {
+	g := concurrencyGraph(t)
+	m := NewMatrix(g)
+	l := NewLocked(NewBiDijkstra(g))
+	n := g.NumVertices()
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 200; i++ {
+				u := roadnet.VertexID(rng.Intn(n))
+				v := roadnet.VertexID(rng.Intn(n))
+				if got, want := l.Dist(u, v), m.Dist(u, v); !approxEq(got, want) {
+					t.Errorf("dist(%d,%d) = %v, want %v", u, v, got, want)
+					return
+				}
+			}
+		}(int64(w) * 13)
+	}
+	wg.Wait()
 }

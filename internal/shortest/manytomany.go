@@ -364,13 +364,9 @@ func tierOf(o Oracle) Oracle {
 		switch x := o.(type) {
 		case *Counting:
 			o = x.Inner
-		case *AtomicCounting:
-			o = x.Inner
 		case *Locked:
 			o = x.inner
 		case *Cached:
-			o = x.inner
-		case *ShardedCached:
 			o = x.inner
 		default:
 			return o

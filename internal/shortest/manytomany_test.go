@@ -119,11 +119,9 @@ func TestManyToManyFor(t *testing.T) {
 	}{
 		{"bare", func(o Oracle) Oracle { return o }},
 		{"Counting", func(o Oracle) Oracle { return NewCounting(o) }},
-		{"AtomicCounting", func(o Oracle) Oracle { return NewAtomicCounting(o) }},
 		{"Locked", func(o Oracle) Oracle { return NewLocked(o) }},
 		{"Cached", func(o Oracle) Oracle { return NewCached(o, 64) }},
-		{"ShardedCached", func(o Oracle) Oracle { return NewShardedCached(o, 64, 4) }},
-		{"stack", func(o Oracle) Oracle { return NewCounting(NewLocked(NewAtomicCounting(o))) }},
+		{"stack", func(o Oracle) Oracle { return NewCounting(NewLocked(NewCached(o, 64))) }},
 	}
 	tiers := []struct {
 		name string

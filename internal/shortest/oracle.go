@@ -52,7 +52,7 @@ func (c *Counting) Dist(s, t roadnet.VertexID) float64 {
 // Reset zeroes the counter.
 func (c *Counting) Reset() { c.Queries = 0 }
 
-// Count implements QueryCounter.
+// Count returns the number of queries since the last Reset.
 func (c *Counting) Count() uint64 { return c.Queries }
 
 // Matrix is a precomputed all-pairs oracle. It is O(V²) memory and is only

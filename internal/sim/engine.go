@@ -28,10 +28,8 @@ import (
 type Engine struct {
 	Fleet   *core.Fleet
 	Planner core.Planner
-	// Queries, when set, is read to report distance-query counts; both
-	// shortest.Counting (serial planners) and shortest.AtomicCounting
-	// (the parallel dispatcher) satisfy it.
-	Queries shortest.QueryCounter
+	// Queries, when set, is read to report distance-query counts.
+	Queries *shortest.Counting
 	// Alpha is the unified-cost weight α.
 	Alpha float64
 	// Traffic, when set, replays a congestion trace against the event
@@ -41,8 +39,8 @@ type Engine struct {
 	// to a nil Traffic.
 	Traffic *Traffic
 	// Observer, when set, is attached to the planner for the duration of
-	// Run if the planner implements core.Observable (both greedy planners
-	// do) — e.g. a trace.Recorder collecting per-request plan timelines.
+	// Run if the planner implements core.Observable (core.Greedy does) —
+	// e.g. a trace.Recorder collecting per-request plan timelines.
 	// Observation is read-only; decisions are bit-identical with or
 	// without it.
 	Observer core.PlanObserver

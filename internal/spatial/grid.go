@@ -21,12 +21,11 @@ type ItemID = int32
 // Grid is a uniform cell index over moving point items. Reads (Within,
 // All, Position, ItemsInCell, Len) and writes (Insert, Remove) are guarded
 // by an internal RWMutex, so any number of concurrent readers can overlap
-// safely while writers serialize. Today's dispatcher retrieves candidates
-// on the caller's goroutine before fanning out, so the simulator itself
-// never reads the grid concurrently — the lock is what makes concurrent
-// harnesses (the race suite's Candidates-under-load test) and a future
-// pipelined dispatcher safe. Callbacks run under the read lock and must
-// not call Insert or Remove.
+// safely while writers serialize. The planner retrieves candidates on
+// the caller's goroutine, so the simulator itself never reads the grid
+// concurrently — the lock is what makes concurrent harnesses
+// (core.TestConcurrentCandidates) safe. Callbacks run under the read lock
+// and must not call Insert or Remove.
 //
 // Each cell stores its items in a slice, so a range query reads
 // contiguous (id, position) slots; where maps an item to its slot, and

@@ -20,7 +20,8 @@
 //     or a Δ* bit (the serve tier's lockstep-equivalence test pins this).
 //
 //   - Recording is concurrency-safe. A single mutex orders slot writes
-//     (the parallel dispatcher may observe Plans from many goroutines);
+//     (admission handlers record from their own goroutines while the
+//     event loop records plans, and /debug readers copy the ring);
 //     the hold time is one struct copy, and the uncontended fast path is
 //     a few atomic instructions. A pure seqlock would be faster still but
 //     is invisible to the race detector — the repo runs its suites under
@@ -166,7 +167,6 @@ type Event struct {
 	PickupPos int32  `json:"pickup_pos,omitempty"`
 	DropPos   int32  `json:"drop_pos,omitempty"`
 	Reason    string `json:"reason,omitempty"`
-	Parallel  bool   `json:"parallel,omitempty"`
 	// NTop and Top retain the leading scan-order candidates; rendered as
 	// the top_candidates array in JSON.
 	NTop int32      `json:"-"`
@@ -188,10 +188,9 @@ func (e Event) MarshalJSON() ([]byte, error) {
 }
 
 // Recorder is the flight recorder. It implements core.PlanObserver, so
-// attaching one to a planner (core.Greedy.SetObserver,
-// dispatch.ParallelGreedy.SetObserver) records every plan; the serving
-// tier additionally feeds it the admission/flush/sync/ack events. Safe
-// for concurrent use; the zero value is not usable — call New.
+// attaching one to a planner (core.Greedy.SetObserver) records every
+// plan; the serving tier additionally feeds it the admission/flush/sync/ack
+// events. Safe for concurrent use; the zero value is not usable — call New.
 type Recorder struct {
 	mu   sync.Mutex
 	ring []Event
@@ -307,7 +306,6 @@ func (r *Recorder) PlanDone(tr *core.PlanTrace) {
 		Penalty:     tr.Req.Penalty,
 		Worker:      int64(tr.Chosen),
 		Reason:      tr.Reason.String(),
-		Parallel:    tr.Parallel,
 	}
 	if tr.Feasible > 0 {
 		ev.MinLB = tr.MinLB
@@ -370,8 +368,8 @@ func (r *Recorder) Shed(now float64, req int64, penalty float64) {
 	r.Record(Event{Kind: KindShed, Now: now, Req: req, Worker: -1, Penalty: penalty, Reason: "shed"})
 }
 
-// Degrade records a degradation-ladder transition to stage (0–2); dir is
-// "degrade" or "recover".
+// Degrade records a degradation-ladder transition to stage (0 = healthy,
+// 1 = shedding); dir is "degrade" or "recover".
 func (r *Recorder) Degrade(now float64, stage int, dir string) {
 	r.Record(Event{Kind: KindDegrade, Now: now, Req: -1, Worker: -1, N: int64(stage), Reason: dir})
 }

@@ -24,13 +24,14 @@
 # deliberate full-stream replay whose signal is dist-queries/op, which
 # the gate does not compare. The BenchmarkManyToMany cch rungs recorded
 # in older BENCH_PR*.json files no longer exist (the cch tier has no table
-# filler); the gate compares shared benchmarks only, so they drop out.
+# filler); the gate compares shared benchmarks only, so they drop out, as
+# do the rows of the deleted parallel-planning benchmark.
 # BenchmarkCCHQuery (internal/shortest, one point query per op) runs at
 # its own POINTTIME like in bench-json.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkManyToMany|BenchmarkCCHCustomize'
+BENCH='BenchmarkPruningAblation|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkManyToMany|BenchmarkCCHCustomize'
 POINT='BenchmarkCCHQuery'
 POINTTIME=20000x
 BENCHTIME=100x

@@ -8,9 +8,8 @@
 #   scripts/bench-json.sh -b 'BenchmarkPruningAblation'  # subset
 #
 # The headline set covers the perf surfaces this repo tracks: the Lemma 8
-# pruning ablation (dist-queries), parallel planning throughput
-# (speedup-vs-serial), the §4 insertion-operator scaling, the oracle
-# ablation, the decision-phase lower bound, the epoch-aware oracle
+# pruning ablation (dist-queries), the §4 insertion-operator scaling, the
+# oracle ablation, the decision-phase lower bound, the epoch-aware oracle
 # front under traffic (query latency per tier plus the epoch-advance cost
 # of a full CH rebuild versus a CCH customization), the WAL group
 # commit (fsync amortization across admission-batch sizes), the
@@ -20,7 +19,7 @@
 # throughput knee, under a bounded admission queue — DESIGN.md §15),
 # the batched many-to-many distance oracle across the scale ladder
 # (one table fill vs 1024 point queries per tier, DESIGN.md §16),
-# the level-parallel CCH customization sweep, and the CCH point query
+# the CCH customization sweep, and the CCH point query
 # decomposed into cold / warm / planner-stream (DESIGN.md §12.4; its end
 # to end counterpart is BenchmarkOracleAblation's cch rung).
 # -benchmem is always on so allocs/op regressions are recorded in the
@@ -35,7 +34,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='BenchmarkPruningAblation|BenchmarkParallelPlanning|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkSaturation|BenchmarkManyToMany|BenchmarkCCHCustomize'
+BENCH='BenchmarkPruningAblation|BenchmarkInsertionScaling|BenchmarkOracleAblation|BenchmarkDecisionLowerBound|BenchmarkDistUnderRebuild|BenchmarkWALCommit|BenchmarkPlanWithObserver|BenchmarkSaturation|BenchmarkManyToMany|BenchmarkCCHCustomize'
 HEAVY='BenchmarkBatchPlanning'
 HEAVYTIME=3x
 POINT='BenchmarkCCHQuery'
