@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench bench-json bench-gate check golden fuzz serve-smoke crash-smoke crash-chaos
+.PHONY: all build vet test race bench-smoke bench check golden fuzz serve-smoke crash-smoke crash-chaos
 
 all: check
 
@@ -9,6 +9,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -24,27 +25,13 @@ bench-smoke:
 # the developer benchmarks that decompose the simulator's leg search, the
 # distance cache's per-epoch flush, the CCH skeleton build, customization
 # and point query, and the planner on a mostly idle and on a half busy
-# fleet.
+# fleet. These locate a cost; end-to-end gains are measured with
+# `go run ./bench` and recorded in PERF.md.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkLegPath|BenchmarkLRUFlush|BenchmarkCCHSkeletonBuild|BenchmarkCCHCustomize|BenchmarkCCHQuery' -benchmem ./internal/shortest
 	$(GO) test -run xxx -bench 'BenchmarkEngineRunChunked' -benchmem ./internal/sim
 	$(GO) test -run xxx -bench 'BenchmarkPlanIdleFleet|BenchmarkPlanBusyFleet' -benchmem ./internal/core
-
-# Headline benchmarks -> JSON trajectory artifact (BENCH_PR10.json).
-# Override: make bench-json BENCHTIME=1x BENCHOUT=/tmp/bench.json
-BENCHTIME ?= 100x
-BENCHOUT ?= BENCH_PR10.json
-bench-json:
-	./scripts/bench-json.sh -t $(BENCHTIME) -o $(BENCHOUT)
-
-# Perf regression gate: rerun the headline benchmarks and fail if any
-# shared benchmark is >25% slower than the newest checked-in
-# BENCH_PR*.json run (skipped with a warning on a different CPU model).
-# Override: make bench-gate BENCHTIME=1x GATEBASE=BENCH_PR9.json
-GATEBASE ?=
-bench-gate:
-	./scripts/bench-gate.sh -t $(BENCHTIME) $(if $(GATEBASE),-f $(GATEBASE))
 
 # Regenerate golden files after a deliberate formatter change.
 golden:

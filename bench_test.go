@@ -10,22 +10,13 @@
 package repro
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/roadnet"
-	"repro/internal/serve"
 	"repro/internal/shortest"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -560,103 +551,10 @@ func BenchmarkWALCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkSaturation drives the online dispatch service open-loop over
-// HTTP at fixed offered loads with a bounded admission queue — the
-// in-process twin of `urpsm-replay -rate` (DESIGN.md §15.4). Each
-// iteration fires one request at its scheduled arrival instant without
-// waiting for completions, so at rates past the service capacity the
-// queue fills and deterministic shedding kicks in. Reported per rate:
-// goodput-rps (decided work per wall second), shed-rate (429 fraction of
-// offered) and p99-ms client-observed latency — the numbers whose curve
-// locates the throughput knee.
-func BenchmarkSaturation(b *testing.B) {
-	p := workload.ChengduLike(0.01)
-	g, err := roadnet.Generate(p.Net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := workload.BuildOn(p, g, shortest.NewBiDijkstra(g).Dist)
-	if err != nil {
-		b.Fatal(err)
-	}
-	oracle := shortest.BuildHubLabels(g)
-
-	for _, rate := range []float64{500, 2000, 8000} {
-		b.Run(fmt.Sprintf("rate=%v", rate), func(b *testing.B) {
-			srv, err := serve.NewServer(serve.Config{
-				Graph: g, Workers: inst.Workers, Oracle: oracle, OracleKind: "hub",
-				MaxQueue: 32,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer func() {
-				ts.Close()
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				_ = srv.Shutdown(ctx)
-			}()
-			client := ts.Client()
-
-			var decided, shed, failed atomic.Int64
-			var mu sync.Mutex
-			var lat []float64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				due := start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
-				if d := time.Until(due); d > 0 {
-					time.Sleep(d)
-				}
-				r := inst.Requests[i%len(inst.Requests)]
-				body, _ := json.Marshal(serve.Request{
-					Origin: int64(r.Origin), Dest: int64(r.Dest),
-					Deadline: 1e9, Penalty: r.Penalty, Capacity: r.Capacity,
-				})
-				wg.Add(1)
-				go func(body []byte) {
-					defer wg.Done()
-					t0 := time.Now()
-					resp, err := client.Post(ts.URL+"/v1/requests", "application/json", bytes.NewReader(body))
-					if err != nil {
-						failed.Add(1)
-						return
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					switch resp.StatusCode {
-					case http.StatusOK:
-						decided.Add(1)
-						ms := float64(time.Since(t0).Nanoseconds()) / 1e6
-						mu.Lock()
-						lat = append(lat, ms)
-						mu.Unlock()
-					case http.StatusTooManyRequests:
-						shed.Add(1)
-					default:
-						failed.Add(1)
-					}
-				}(body)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			b.StopTimer()
-			if failed.Load() > 0 {
-				b.Fatalf("%d requests failed", failed.Load())
-			}
-			b.ReportMetric(float64(decided.Load())/elapsed.Seconds(), "goodput-rps")
-			b.ReportMetric(float64(shed.Load())/float64(b.N), "shed-rate")
-			b.ReportMetric(sim.Percentile(lat, 0.99), "p99-ms")
-		})
-	}
-}
-
 // --- Batched many-to-many distance oracle (DESIGN.md §16) ---
 
-// mtmGen is the probe-validated grid family of the many-to-many and CCH
-// customization benchmarks: dim 40 ≈ 1.6k vertices, dim 100 ≈ 10k.
+// mtmGen is the probe-validated grid family of the many-to-many
+// benchmark: dim 40 ≈ 1.6k vertices.
 func mtmGen(dim int) roadnet.GenConfig {
 	return roadnet.GenConfig{
 		Rows: dim, Cols: dim, Spacing: 150, Jitter: 0.2, ArterialEvery: 5,
@@ -940,30 +838,4 @@ func BenchmarkBatchPlanning(b *testing.B) {
 		b.ReportMetric(float64(queries)/float64(b.N), "dist-queries/op")
 		b.ReportMetric(float64(hits)/float64(b.N), "table-hits/op")
 	})
-}
-
-// BenchmarkCCHCustomize measures one metric customization of the shared
-// skeleton: basic sweep, perfect sweep and compaction, all serial. The
-// level-parallel basic sweep this replaced lost to the serial one at
-// GOMAXPROCS 2 on a 2-vCPU Xeon: a whole customization took 1.78–1.80 ms
-// against 1.64–1.68 ms serial on the 2.4k-vertex city and 6.83–6.99 ms
-// against 6.22–6.30 ms on the 5.9k one (DESIGN.md §12.1).
-func BenchmarkCCHCustomize(b *testing.B) {
-	g := mtmGraph(b, 100)
-	skel := cchSkelBench(b, g)
-	costs := g.ArcCosts()
-	for b.Loop() {
-		skel.Customize(costs)
-	}
-}
-
-var (
-	cchSkelOnce  sync.Once
-	cchSkelFixed *shortest.CCHSkeleton
-)
-
-func cchSkelBench(b *testing.B, g *roadnet.Graph) *shortest.CCHSkeleton {
-	b.Helper()
-	cchSkelOnce.Do(func() { cchSkelFixed = shortest.BuildCCHSkeleton(g) })
-	return cchSkelFixed
 }

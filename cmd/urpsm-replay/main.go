@@ -20,19 +20,11 @@
 //     as fast as the server admits. No equivalence claim is made —
 //     concurrent delivery may reorder arrivals (see DESIGN.md §9.3).
 //
-//   - -rate R1,R2,...: open-loop saturation sweep (DESIGN.md §15). The
-//     trace's requests are recycled as a synthetic arrival process at
-//     each offered load for -duration, arrivals never waiting on
-//     completions, and the resulting goodput/shed/latency curve is
-//     emitted as JSON (FORMATS.md §10) with the throughput knee.
-//
-// Closed-loop modes retry 429/503 responses with jittered exponential
-// backoff honoring the server's Retry-After hint (-retries bounds the
-// attempts); the retry total is reported in the summary. The open-loop
-// mode never retries — shed verdicts are the measurement.
-//
-// Both replay modes report accepted/rejected counts and p50/p95/p99
-// latency.
+// Both modes retry 429/503 responses with jittered exponential backoff
+// honoring the server's Retry-After hint (-retries bounds the attempts);
+// the retry total is reported in the summary. Both report
+// accepted/rejected counts and p50/p95/p99 latency. Capacity under
+// overload is measured by `go run ./bench --workload serve-overload`.
 package main
 
 import (
@@ -74,27 +66,14 @@ func main() {
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 		explain  = flag.Int64("explain", -1, "after the replay, fetch GET /v1/decisions/{id}/explain for this request id and print it (requires server tracing; -1 = off)")
 		retries  = flag.Int("retries", 4, "closed-loop: max resends per request on 429/503, with jittered exponential backoff honoring Retry-After (0 = fail on the first shed)")
-		seed     = flag.Int64("seed", 1, "seed of the open-loop arrival schedule and the backoff jitter")
-		rates    = flag.String("rate", "", "open-loop saturation mode: comma-separated offered loads in req/s to sweep (emits a JSON rate curve instead of replaying the trace's schedule)")
-		satDur   = flag.Duration("duration", 5*time.Second, "open-loop: measurement window per swept rate")
-		arrivals = flag.String("arrivals", "poisson", "open-loop arrival process: poisson | constant")
-		outFile  = flag.String("out", "", "open-loop: write the JSON rate curve here (default stdout)")
+		seed     = flag.Int64("seed", 1, "seed of the retry backoff jitter")
 	)
 	flag.Parse()
-	sat := satOpts{rates: *rates, duration: *satDur, arrivals: *arrivals, out: *outFile}
 	if err := run(*netFile, *loadFile, *traffic, *addr, *oracle, *speedup, *n,
-		*alpha, *wait, *timeout, *lockstep, *explain, *retries, *seed, sat); err != nil {
+		*alpha, *wait, *timeout, *lockstep, *explain, *retries, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "urpsm-replay:", err)
 		os.Exit(1)
 	}
-}
-
-// satOpts groups the open-loop saturation flags.
-type satOpts struct {
-	rates    string
-	duration time.Duration
-	arrivals string
-	out      string
 }
 
 // outcome pairs a decision with its client-observed latency.
@@ -106,15 +85,9 @@ type outcome struct {
 
 func run(netFile, loadFile, trafficFile, addr, oracleKind string, speedup float64, n int,
 	alpha float64, wait, timeout time.Duration, lockstep bool, explainID int64,
-	retries int, seed int64, sat satOpts) error {
+	retries int, seed int64) error {
 	if netFile == "" || loadFile == "" {
 		return fmt.Errorf("-net and -load are required")
-	}
-	if sat.rates != "" && lockstep {
-		return fmt.Errorf("-rate (open loop) and -lockstep are mutually exclusive")
-	}
-	if sat.rates != "" && trafficFile != "" {
-		return fmt.Errorf("-traffic is not supported in open-loop -rate mode")
 	}
 	if err := cliutil.CheckOracle(oracleKind); err != nil {
 		return err
@@ -186,16 +159,6 @@ func run(netFile, loadFile, trafficFile, addr, oracleKind string, speedup float6
 	client := &http.Client{Timeout: timeout}
 	if err := waitReady(client, base, wait); err != nil {
 		return err
-	}
-
-	if sat.rates != "" {
-		rateList, err := parseRates(sat.rates)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "saturation sweep: %d rate(s), %s per point, %s arrivals, against %s\n",
-			len(rateList), sat.duration, sat.arrivals, base)
-		return runSaturation(client, base, reqs, rateList, sat.duration, sat.arrivals, seed, sat.out)
 	}
 
 	fmt.Printf("replaying %d requests from %s to %s (mode: %s)\n",
@@ -337,26 +300,6 @@ func waitReady(client *http.Client, base string, wait time.Duration) error {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-}
-
-// parseRates splits the -rate list into offered loads.
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -rate entry %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-rate lists no rates")
-	}
-	return out, nil
 }
 
 // postDecision posts one request and classifies the response. 200 and

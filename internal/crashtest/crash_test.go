@@ -296,9 +296,9 @@ type runner struct {
 type killMode int
 
 const (
-	killNone     killMode = iota
-	killMidFlight         // SIGKILL while the request is in flight
-	killAfterAck          // SIGKILL right after the decision was acknowledged
+	killNone      killMode = iota
+	killMidFlight          // SIGKILL while the request is in flight
+	killAfterAck           // SIGKILL right after the decision was acknowledged
 )
 
 func (x *runner) run() {
@@ -519,8 +519,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 
 	// Crashy: same trace, SIGKILL at every scheduled point.
 	crashy := &runner{t: t, fix: fix, client: client,
-		rng: rand.New(rand.NewSource(seed + 2)),
-		d:   &daemon{t: t, fix: fix, walDir: t.TempDir()},
+		rng:    rand.New(rand.NewSource(seed + 2)),
+		d:      &daemon{t: t, fix: fix, walDir: t.TempDir()},
 		killAt: killAt, trafficKill: true}
 	crashy.run()
 

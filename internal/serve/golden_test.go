@@ -67,7 +67,7 @@ func goldenCases() map[string]any {
 			ServedRate: 0.924, TotalDistance: 98213.5, PenaltySum: 5120,
 			UnifiedCost: 103333.5, Completions: 180, LateArrivals: 0,
 			Batches: 40, MaxBatch: 17, LateAdmissions: 0, Pending: 2,
-			DistQueries: 48211,
+			DistQueries:     48211,
 			TablePrefetches: 40, TableHits: 44102, TableMisses: 1890,
 			TrafficEpoch: 2, TrafficUpdates: 2, InfeasibleStops: 1,
 			OracleRebuilds: 2, OracleCustomizations: 2, LastRebuildMs: 184.75,
