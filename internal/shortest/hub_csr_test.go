@@ -1,6 +1,8 @@
 package shortest
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,5 +97,48 @@ func TestHubLabelsDistZeroAllocs(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Fatalf("HubLabels.Dist allocates %v per op, want 0", allocs)
+	}
+}
+
+// hubLabelsDigest is FNV-64a over the CSR arrays of a labeling: offsets,
+// hub ranks and the bits of every label distance, each little-endian.
+func hubLabelsDigest(h *HubLabels) uint64 {
+	f := fnv.New64a()
+	var b [8]byte
+	for _, o := range h.offsets {
+		binary.LittleEndian.PutUint32(b[:4], uint32(o))
+		f.Write(b[:4])
+	}
+	for _, r := range h.hubs {
+		binary.LittleEndian.PutUint32(b[:4], uint32(r))
+		f.Write(b[:4])
+	}
+	for _, d := range h.dists {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(d))
+		f.Write(b[:])
+	}
+	return f.Sum64()
+}
+
+// TestHubLabelsDigest pins the labeling bit for bit: every pruning
+// decision, label entry and distance bit of the build, on the CSR test
+// graphs and on the serve rows' 2.4k-vertex city.
+func TestHubLabelsDigest(t *testing.T) {
+	want := [8]uint64{
+		0x1498a6e735cc9934, 0x9fe50968afdd39b1, 0xe913ee7ef38b39cf, 0x671b5b706178e9d3,
+		0x5fd644fcf81278c8, 0x6dbcc07dd9e1b906, 0xb08320b5031053ff, 0x40e0f9febc80278e,
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		h := BuildHubLabels(csrTestGraph(t, seed*911))
+		if got := hubLabelsDigest(h); got != want[seed-1] {
+			t.Errorf("seed %d: labels digest %#016x, want %#016x", seed, got, want[seed-1])
+		}
+	}
+	if testing.Short() {
+		t.Skip("the 2.4k-vertex city build takes about a second")
+	}
+	h := BuildHubLabels(chengduGraph(t, 0.2))
+	if got, want := hubLabelsDigest(h), uint64(0xba2e8614982d66b2); got != want {
+		t.Errorf("ChengduLike(0.2): labels digest %#016x, want %#016x", got, want)
 	}
 }
