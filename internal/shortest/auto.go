@@ -6,9 +6,10 @@ import "repro/internal/roadnet"
 // point-to-point oracle families trade preprocessing for query speed:
 //
 //	hub labels   — O(µs) queries, but label construction runs one pruned
-//	               Dijkstra per vertex (superlinear in practice) and label
-//	               memory grows with graph diameter; affordable up to a few
-//	               tens of thousands of vertices.
+//	               Dijkstra per vertex and grows about as n³ on the
+//	               synthetic cities (0.9 s at 2.4k vertices, 14 s at 5.9k),
+//	               and label memory as n²; affordable up to a few thousand
+//	               vertices.
 //	CCH          — queries off cached elimination-tree labels (~0.5µs
 //	               warm, ~20µs cold on the 5.9k-vertex city, each label one
 //	               walk over the arcs perfect customization kept) over a
@@ -76,12 +77,13 @@ type AutoBudget struct {
 }
 
 // DefaultAutoBudget returns the thresholds used by the CLIs: hub labels up
-// to 50k vertices (seconds of preprocessing), CCH up to 400k (tens of
-// seconds to contract, milliseconds per traffic epoch afterwards),
-// bidirectional Dijkstra beyond. Both are sized for interactive use;
-// raise them for offline preprocessing runs.
+// to 3k vertices (about 2 s of preprocessing: 1.8 s at 3.0k on a 2-vCPU
+// Xeon, 3.5 s at 3.6k, DESIGN.md §8.3), CCH up to 400k (tens of seconds
+// to contract, milliseconds per traffic epoch afterwards), bidirectional
+// Dijkstra beyond. Both are sized for interactive use; raise them for
+// offline preprocessing runs.
 func DefaultAutoBudget() AutoBudget {
-	return AutoBudget{MaxHubVertices: 50_000, MaxCCHVertices: 400_000, MaxCHVertices: 400_000}
+	return AutoBudget{MaxHubVertices: 3_000, MaxCCHVertices: 400_000, MaxCHVertices: 400_000}
 }
 
 // Choose returns the tier Auto would pick for an n-vertex graph, without

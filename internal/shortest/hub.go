@@ -35,7 +35,8 @@ type HubLabels struct {
 // nestedLabels is the construction-time layout: per-vertex slices that can
 // grow independently while the pruned Dijkstras append labels. It is kept
 // as a separate type (rather than flattening on the fly) so the CSR
-// flattening can be equivalence-tested against it.
+// flattening can be equivalence-tested against it (nestedLabels.dist in
+// hub_csr_test.go).
 type nestedLabels struct {
 	hubRank [][]int32
 	hubDist [][]float64
@@ -63,10 +64,11 @@ func buildNestedLabels(g *roadnet.Graph) *nestedLabels {
 	heap := pqueue.New(n)
 
 	// tmp arrays for O(1) partial query during pruning: distances from the
-	// current root's labels, indexed by hub rank.
+	// current root's labels, indexed by hub rank; +Inf where the root has
+	// no such hub, so an absent hub never certifies anything.
 	rootLabel := make([]float64, n)
 	for i := range rootLabel {
-		rootLabel[i] = -1
+		rootLabel[i] = Inf
 	}
 
 	for rank, root := range order {
@@ -84,16 +86,7 @@ func buildNestedLabels(g *roadnet.Graph) *nestedLabels {
 			// Prune: if some earlier hub already certifies a distance
 			// ≤ dv between root and v, v (and everything behind it)
 			// doesn't need root as a hub.
-			pruned := false
-			hr := nl.hubRank[v]
-			hd := nl.hubDist[v]
-			for i, r := range hr {
-				if d := rootLabel[r]; d >= 0 && d+hd[i] <= dv {
-					pruned = true
-					break
-				}
-			}
-			if pruned {
+			if covered(rootLabel, nl.hubRank[v], nl.hubDist[v], dv) {
 				continue
 			}
 			nl.hubRank[v] = append(nl.hubRank[v], int32(rank))
@@ -110,10 +103,38 @@ func buildNestedLabels(g *roadnet.Graph) *nestedLabels {
 		}
 		// Unload root labels.
 		for _, hr := range nl.hubRank[root] {
-			rootLabel[hr] = -1
+			rootLabel[hr] = Inf
 		}
 	}
 	return nl
+}
+
+// covered is the prune check of the build: whether min over i of
+// rootLabel[hr[i]] + hd[i] is ≤ dv. It folds the sums of each block of
+// eight label entries into one branch-free minimum (a tree of pairwise
+// mins, three deep) and tests the block once, so the branch it takes is
+// predictable. Some sum is ≤ dv exactly when the minimum is, and no sum
+// is NaN (label distances and dv are finite and ≥ 0, absent hubs +Inf),
+// so it decides as a per-entry test would, and every label entry and
+// distance bit stays the same (TestHubLabelsDigest).
+func covered(rootLabel []float64, hr []int32, hd []float64, dv float64) bool {
+	hd = hd[:len(hr)]
+	i := 0
+	for ; i+8 <= len(hr); i += 8 {
+		r, d := hr[i:i+8:i+8], hd[i:i+8:i+8]
+		m := min(min(rootLabel[r[0]]+d[0], rootLabel[r[1]]+d[1]),
+			min(rootLabel[r[2]]+d[2], rootLabel[r[3]]+d[3]),
+			min(rootLabel[r[4]]+d[4], rootLabel[r[5]]+d[5]),
+			min(rootLabel[r[6]]+d[6], rootLabel[r[7]]+d[7]))
+		if m <= dv {
+			return true
+		}
+	}
+	m := Inf
+	for ; i < len(hr); i++ {
+		m = min(m, rootLabel[hr[i]]+hd[i])
+	}
+	return m <= dv
 }
 
 // flatten packs the nested labels into the contiguous CSR arrays. Label
@@ -138,33 +159,6 @@ func (nl *nestedLabels) flatten() *HubLabels {
 	}
 	h.offsets[n] = int32(len(h.hubs))
 	return h
-}
-
-// dist is the reference nested-layout query the CSR layout is
-// equivalence-tested against (same merge, pointer-chased storage).
-func (nl *nestedLabels) dist(s, t roadnet.VertexID) float64 {
-	if s == t {
-		return 0
-	}
-	ra, da := nl.hubRank[s], nl.hubDist[s]
-	rb, db := nl.hubRank[t], nl.hubDist[t]
-	best := Inf
-	i, j := 0, 0
-	for i < len(ra) && j < len(rb) {
-		switch {
-		case ra[i] < rb[j]:
-			i++
-		case ra[i] > rb[j]:
-			j++
-		default:
-			if d := da[i] + db[j]; d < best {
-				best = d
-			}
-			i++
-			j++
-		}
-	}
-	return best
 }
 
 // hubOrder returns vertices sorted by decreasing expected "hub usefulness":

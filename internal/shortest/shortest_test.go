@@ -527,10 +527,16 @@ func BenchmarkHubLabelQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkHubLabelBuild builds the labels of the serve rows' 2.4k-vertex
+// city: the build that `setup_s` on serve-steady and serve-overload pays
+// for (DESIGN.md §10.1).
 func BenchmarkHubLabelBuild(b *testing.B) {
-	g := testGraph(b, 25, 25, 1)
+	g := chengduGraph(b, 0.2)
+	var h *HubLabels
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildHubLabels(g)
+		h = BuildHubLabels(g)
 	}
+	b.ReportMetric(h.AvgLabelSize(), "avg-label")
+	b.ReportMetric(float64(h.MemoryBytes())/(1<<20), "label-MB")
 }
