@@ -55,26 +55,24 @@ func checkAgainstDijkstra(t *testing.T, o Oracle, g *roadnet.Graph, rng *rand.Ra
 // TestVersionedMatchesDijkstraAcrossEpochs is the tentpole's equivalence
 // criterion: after any sequence of traffic updates, every tier — and the
 // cached chains above it — answers exactly like a fresh Dijkstra on the
-// current weights.
+// current weights. Each tier is adopted explicitly on a graph where auto
+// would pick hub, and it is the tier the front keeps: a cch front
+// customizes once per epoch, the others rebuild their own kind.
 func TestVersionedMatchesDijkstraAcrossEpochs(t *testing.T) {
 	g := testGraph(t, 13, 13, 21)
-	n := g.NumVertices()
-	budgets := map[string]AutoBudget{
-		"hub":        {MaxHubVertices: n, MaxCHVertices: n},
-		"cch":        {MaxHubVertices: 0, MaxCCHVertices: n, MaxCHVertices: n},
-		"ch":         {MaxHubVertices: 0, MaxCHVertices: n},
-		"bidijkstra": {MaxHubVertices: 0, MaxCHVertices: 0},
+	builds := map[AutoKind]func(*roadnet.Graph) Oracle{
+		AutoHub:        func(g *roadnet.Graph) Oracle { return BuildHubLabels(g) },
+		AutoCCH:        func(g *roadnet.Graph) Oracle { return BuildCCH(g) },
+		AutoBiDijkstra: func(g *roadnet.Graph) Oracle { return NewBiDijkstra(g) },
 	}
-	for name, budget := range budgets {
-		t.Run(name, func(t *testing.T) {
-			if got := budget.Choose(n); string(got) != name {
-				t.Fatalf("budget resolves to %s, want %s", got, name)
-			}
+	for kind, build := range builds {
+		t.Run(string(kind), func(t *testing.T) {
 			overlay := roadnet.NewOverlay(g)
-			v := NewVersioned(g, budget, false)
+			v := AdoptVersioned(g, build(g), kind, DefaultAutoBudget(), false)
 			cached := NewCached(NewCounting(v), 1<<12)
 			rng := rand.New(rand.NewSource(7))
-			for epoch := 0; epoch < 5; epoch++ {
+			const epochs = 4
+			for epoch := 0; epoch <= epochs; epoch++ {
 				if epoch > 0 {
 					cur, e, _, err := overlay.Apply(randomUpdates(rng, g))
 					if err != nil {
@@ -82,12 +80,22 @@ func TestVersionedMatchesDijkstraAcrossEpochs(t *testing.T) {
 					}
 					v.Advance(cur, e)
 				}
+				if got := v.ResolvedKind(); got != kind {
+					t.Fatalf("epoch %d: front answers from %s, adopted %s", epoch, got, kind)
+				}
 				if v.Epoch() != overlay.Epoch() {
 					t.Fatalf("versioned epoch %d != overlay %d", v.Epoch(), overlay.Epoch())
 				}
 				cur := overlay.Graph()
 				checkAgainstDijkstra(t, v, cur, rng, 80, "versioned")
 				checkAgainstDijkstra(t, cached, cur, rng, 80, "cached")
+			}
+			want := uint64(0)
+			if kind == AutoCCH {
+				want = epochs
+			}
+			if got := v.Customizations(); got != want {
+				t.Fatalf("customizations = %d, want %d", got, want)
 			}
 		})
 	}
