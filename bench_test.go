@@ -271,15 +271,15 @@ func BenchmarkOperatorInPlannerAblation(b *testing.B) {
 }
 
 // BenchmarkOracleAblation swaps the distance oracle underneath the whole
-// pipeline: hub labels vs contraction hierarchies (classic and
-// customizable) vs plain bidirectional Dijkstra. Outcomes are identical
+// pipeline: hub labels vs customizable contraction hierarchies vs plain
+// bidirectional Dijkstra. Outcomes are identical
 // (all exact); only the per-query cost differs, which dominates total
 // planning time exactly as the paper's "shortest distance queries are the
 // basic operation" framing predicts.
 func BenchmarkOracleAblation(b *testing.B) {
 	ch, _ := benchRunners(b)
 	defer func() { ch.OracleKind = "" }()
-	for _, kind := range []string{"hub", "ch", "cch", "bidijkstra"} {
+	for _, kind := range []string{"hub", "cch", "bidijkstra"} {
 		b.Run(kind, func(b *testing.B) {
 			ch.OracleKind = kind
 			for i := 0; i < b.N; i++ {
@@ -374,19 +374,13 @@ func BenchmarkPlanWithObserver(b *testing.B) {
 	}
 }
 
-// BenchmarkDecisionLowerBound measures the zero-query Lemma 7 bound in
-// isolation: it must stay linear in route length and allocation-light.
 // BenchmarkDistUnderRebuild measures point-to-point query latency through
-// the epoch-aware oracle front in its steady states — tier=hub and
-// tier=cch (a preprocessed tier answers) versus tier=live-during-rebuild
-// (an epoch just advanced and the live bidirectional-Dijkstra tier
-// answers while the preprocessed tier rebuilds asynchronously) — plus the
-// cost of the epoch advance itself: advance=rebuild-ch pays a full
-// witness-search contraction per epoch, advance=customize-cch re-derives
-// shortcut weights over the fixed CCH skeleton. The rebuild/customize gap
-// is what the CCH tier buys (DESIGN.md §12): it bounds how long the
-// serve layer's urpsm_oracle_rebuild_seconds gauge stays nonzero and how
-// long queries pay live-tier latency after a traffic update.
+// the epoch-aware oracle front on its two preprocessed tiers, tier=hub and
+// tier=cch, plus the cost of the epoch advance itself:
+// advance=customize-cch re-derives shortcut weights over the fixed CCH
+// skeleton. That is what the CCH tier buys (DESIGN.md §12): it bounds how
+// long the serve layer's urpsm_oracle_rebuild_seconds gauge stays nonzero
+// and how long queries wait behind an advance after a traffic update.
 func BenchmarkDistUnderRebuild(b *testing.B) {
 	g, err := roadnet.Generate(roadnet.GenConfig{
 		Rows: 40, Cols: 40, Spacing: 150, Jitter: 0.2, ArterialEvery: 5,
@@ -395,78 +389,25 @@ func BenchmarkDistUnderRebuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	budget := shortest.AutoBudget{MaxHubVertices: g.NumVertices(), MaxCHVertices: g.NumVertices()}
 	n := g.NumVertices()
 	pairs := make([][2]roadnet.VertexID, 256)
 	for i := range pairs {
 		pairs[i] = [2]roadnet.VertexID{roadnet.VertexID(i * 7 % n), roadnet.VertexID(i * 13 % n)}
 	}
 
-	b.Run("tier=hub", func(b *testing.B) {
-		v := shortest.NewVersioned(g, budget, true)
-		v.WaitRebuild()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			v.Dist(p[0], p[1])
-		}
-	})
-	b.Run("tier=cch", func(b *testing.B) {
-		cchBudget := shortest.AutoBudget{MaxCCHVertices: n, MaxCHVertices: n}
-		v := shortest.NewVersioned(g, cchBudget, true)
-		v.WaitRebuild()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			v.Dist(p[0], p[1])
-		}
-	})
-	b.Run("tier=live-during-rebuild", func(b *testing.B) {
-		// Advance to a fresh epoch per outer iteration batch and query
-		// before the rebuild completes; WaitRebuild is never called inside
-		// the timed region, so the hub tier practically never answers.
-		overlay := roadnet.NewOverlay(g)
-		v := shortest.NewVersioned(g, budget, true)
-		v.WaitRebuild()
-		cur, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: 1.5}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%4096 == 0 {
-				b.StopTimer()
-				v.WaitRebuild() // don't stack rebuild goroutines
-				v.Advance(cur, epoch)
-				b.StartTimer()
+	for _, kind := range []shortest.AutoKind{shortest.AutoHub, shortest.AutoCCH} {
+		b.Run("tier="+string(kind), func(b *testing.B) {
+			v := shortest.AdoptVersioned(g, shortest.Build(kind, g), kind)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				v.Dist(p[0], p[1])
 			}
-			p := pairs[i%len(pairs)]
-			v.Dist(p[0], p[1])
-		}
-		b.StopTimer()
-		v.WaitRebuild()
-	})
-	// The advance=* pair is the PR 6 acceptance comparison: one epoch
-	// advance on the classic CH tier (full witness-search contraction)
-	// versus the CCH customize fast path over the shared skeleton. Both
-	// run synchronously so the measured op IS the preprocessing cost.
-	b.Run("advance=rebuild-ch", func(b *testing.B) {
-		chBudget := shortest.AutoBudget{MaxCHVertices: n}
-		overlay := roadnet.NewOverlay(g)
-		v := shortest.NewVersioned(g, chBudget, false)
-		cur, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: 1.5}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v.Advance(cur, epoch)
-		}
-	})
+		})
+	}
 	b.Run("advance=customize-cch", func(b *testing.B) {
-		cchBudget := shortest.AutoBudget{MaxCCHVertices: n, MaxCHVertices: n}
 		overlay := roadnet.NewOverlay(g)
-		v := shortest.NewVersioned(g, cchBudget, false)
+		v := shortest.AdoptVersioned(g, shortest.BuildCCH(g), shortest.AutoCCH)
 		cur, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: 1.5}})
 		if err != nil {
 			b.Fatal(err)
@@ -482,6 +423,8 @@ func BenchmarkDistUnderRebuild(b *testing.B) {
 	})
 }
 
+// BenchmarkDecisionLowerBound measures the zero-query Lemma 7 bound in
+// isolation: it must stay linear in route length and allocation-light.
 func BenchmarkDecisionLowerBound(b *testing.B) {
 	g, err := roadnet.Generate(roadnet.GenConfig{
 		Rows: 20, Cols: 20, Spacing: 150, Jitter: 0.2, ArterialEvery: 5,
@@ -566,7 +509,6 @@ func mtmGen(dim int) roadnet.GenConfig {
 var (
 	mtmMu     sync.Mutex
 	mtmGraphs = map[int]*roadnet.Graph{}
-	mtmTiers  = map[string]shortest.Oracle{}
 )
 
 // mtmGraph returns the cached benchmark graph for one grid dimension.
@@ -586,28 +528,6 @@ func mtmGraph(b *testing.B, dim int) *roadnet.Graph {
 	return g
 }
 
-// mtmTier returns the cached preprocessed tier for (dim, kind).
-func mtmTier(b *testing.B, dim int, kind string) shortest.Oracle {
-	b.Helper()
-	g := mtmGraph(b, dim)
-	mtmMu.Lock()
-	defer mtmMu.Unlock()
-	key := fmt.Sprintf("%d/%s", dim, kind)
-	o, ok := mtmTiers[key]
-	if !ok {
-		switch kind {
-		case "hub":
-			o = shortest.BuildHubLabels(g)
-		case "ch":
-			o = shortest.BuildCH(g)
-		default:
-			b.Fatalf("unknown tier %q", kind)
-		}
-		mtmTiers[key] = o
-	}
-	return o
-}
-
 // mtmBatch draws a deterministic 32×32 batch of endpoints spread over the
 // graph — the size of a busy admission batch's distance table.
 func mtmBatch(g *roadnet.Graph) (sources, targets []roadnet.VertexID) {
@@ -621,56 +541,31 @@ func mtmBatch(g *roadnet.Graph) (sources, targets []roadnet.VertexID) {
 }
 
 // BenchmarkManyToMany compares one batched table fill against the
-// equivalent 32×32 = 1024 point queries on every tier that has a filler.
-// The bucket sweep (CH) and the hub batch merge produce bit-identical
-// cells to the point queries they replace
-// (TestManyToManyMatchesPointDist), so ns/op is the only delta. CCH has
-// no rung: it answers from cached labels (BenchmarkCCHQuery).
+// equivalent 32×32 = 1024 point queries on the tier that has a filler.
+// The hub batch merge produces bit-identical cells to the point queries it
+// replaces (TestManyToManyMatchesPointDist), so ns/op is the only delta.
+// CCH has no rung: it answers from cached labels (BenchmarkCCHQuery).
 func BenchmarkManyToMany(b *testing.B) {
 	g := mtmGraph(b, 40)
 	sources, targets := mtmBatch(g)
-	for _, kind := range []string{"hub", "ch"} {
-		tier := mtmTier(b, 40, kind)
-		mtm := shortest.ManyToManyFor(tier)
-		if mtm == nil {
-			b.Fatalf("no batched form for %s", kind)
-		}
-		b.Run(fmt.Sprintf("1.6k/%s/point", kind), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, s := range sources {
-					for _, t := range targets {
-						tier.Dist(s, t)
-					}
-				}
-			}
-			b.ReportMetric(float64(len(sources)*len(targets)), "cells/op")
-		})
-		b.Run(fmt.Sprintf("1.6k/%s/table", kind), func(b *testing.B) {
-			arena := shortest.NewTableArena()
-			for i := 0; i < b.N; i++ {
-				mtm.Table(arena, sources, targets)
-			}
-			b.ReportMetric(float64(len(sources)*len(targets)), "cells/op")
-		})
-	}
-	// The unpreprocessed fallback: one full Dijkstra per source vs 1024
-	// early-stopping point runs.
-	point := shortest.NewDijkstra(g)
-	b.Run("1.6k/dijkstra/point", func(b *testing.B) {
+	hub := shortest.BuildHubLabels(g)
+	mtm := shortest.ManyToManyFor(hub)
+	b.Run("1.6k/hub/point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, s := range sources {
 				for _, t := range targets {
-					point.Dist(s, t)
+					hub.Dist(s, t)
 				}
 			}
 		}
+		b.ReportMetric(float64(len(sources)*len(targets)), "cells/op")
 	})
-	b.Run("1.6k/dijkstra/table", func(b *testing.B) {
-		mtm := shortest.NewDijkstraMtM(g)
+	b.Run("1.6k/hub/table", func(b *testing.B) {
 		arena := shortest.NewTableArena()
 		for i := 0; i < b.N; i++ {
 			mtm.Table(arena, sources, targets)
 		}
+		b.ReportMetric(float64(len(sources)*len(targets)), "cells/op")
 	})
 }
 

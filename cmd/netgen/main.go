@@ -157,11 +157,10 @@ func printStats(g *roadnet.Graph) {
 		fmt.Printf("  %-12s %6d edges\n", c, classes[c])
 	}
 	// Preprocessing stats are only affordable for graphs the hub tier
-	// accepts; beyond that report which oracle tier Auto would choose.
-	budget := shortest.DefaultAutoBudget()
-	if kind := budget.Choose(g.NumVertices()); kind != shortest.AutoHub {
-		fmt.Printf("oracle tier (auto): %s — %d vertices exceed the hub-label budget of %d\n",
-			kind, g.NumVertices(), budget.MaxHubVertices)
+	// accepts; beyond that report which oracle tier auto would choose.
+	if kind := shortest.Choose(g.NumVertices()); kind != shortest.AutoHub {
+		fmt.Printf("oracle tier (auto): %s — %d vertices exceed the hub-label threshold of %d\n",
+			kind, g.NumVertices(), shortest.MaxHubVertices)
 		return
 	}
 	hub := shortest.BuildHubLabels(g)

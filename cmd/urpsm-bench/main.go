@@ -12,11 +12,12 @@
 // queries), fig7 (vary penalty p_r), hardness (§3.3 constructions),
 // insertion (§4 operator scaling ablation), ablation (planner and oracle
 // design-choice ablations), batchdist (point vs batched-table distance
-// queries across admission-batch sizes; -oracle hub or ch, the tiers with
-// a table), all.
+// queries across admission-batch sizes; -oracle hub, the tier with a
+// table), all.
 //
-// -oracle picks the distance oracle, where "auto" selects the strongest
-// tier whose preprocessing fits the graph size (see DESIGN.md §8.3).
+// -oracle picks the distance oracle: hub, cch or bidijkstra, where "auto"
+// selects the strongest tier whose preprocessing fits the graph size (see
+// DESIGN.md §8.3). The oracle ablation runs all three.
 package main
 
 import (
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table4|fig3|fig4|fig5|fig6|fig7|hardness|insertion|ablation|batchdist|all (batchdist needs -oracle hub or ch)")
+		exp      = flag.String("exp", "all", "experiment: table4|fig3|fig4|fig5|fig6|fig7|hardness|insertion|ablation|batchdist|all (batchdist needs -oracle hub)")
 		dataset  = flag.String("dataset", "both", "dataset: chengdu|nyc|both")
 		scale    = flag.Float64("scale", 0.03, "workload scale factor in (0,1]")
 		repeat   = flag.Int("repeat", 1, "repetitions per configuration (paper: 30)")
@@ -130,9 +131,9 @@ func run(exp, dataset string, scale float64, repeat int, algos []string, csvDir 
 		fmt.Printf("   |V|=%d |E|=%d oracle=%s\n",
 			runner.G.NumVertices(), runner.G.NumEdges(), desc)
 
-		// Only hub and ch have a table; "all" skips the sweep elsewhere.
+		// Only hub has a table; "all" skips the sweep elsewhere.
 		kind := strings.TrimPrefix(strings.Fields(desc)[0], "auto→")
-		if exp == "batchdist" || exp == "all" && (kind == "hub" || kind == "ch") {
+		if exp == "batchdist" || exp == "all" && kind == "hub" {
 			pts, err := runner.BatchDistSweep([]int{1, 4, 8, 16, 32})
 			if err != nil {
 				return err
@@ -206,7 +207,7 @@ func runAblations(runner *expt.Runner) error {
 	fmt.Printf("%-24s %14s %10s %12s\n", "oracle", "unified cost", "served", "response")
 	save := runner.OracleKind
 	defer func() { runner.OracleKind = save }()
-	for _, kind := range []string{"hub", "ch", "bidijkstra"} {
+	for _, kind := range []string{"hub", "cch", "bidijkstra"} {
 		runner.OracleKind = kind
 		m, err := runner.RunOne(runner.Base, "pruneGreedyDP")
 		if err != nil {

@@ -12,8 +12,8 @@
 //	    -trips trips.csv -load city.load -import-workers 200
 //	urpsm-import -gr city.gr -co city.co -box "104.0,30.6,104.1,30.7" -net sub.net
 //
-// The printed summary includes which distance-oracle tier shortest.Auto
-// would pick for the imported graph (see DESIGN.md §8.3), so the cost of a
+// The printed summary includes which distance-oracle tier shortest.Choose
+// picks for the imported graph (see DESIGN.md §8.3), so the cost of a
 // later simulation run is visible before it starts.
 package main
 
@@ -130,7 +130,7 @@ func run(grFile, coFile, netOut string, maxNodes int, box, class string, scale f
 		return err
 	}
 
-	budget := shortest.DefaultAutoBudget()
+	kind := shortest.Choose(g.NumVertices())
 	fmt.Printf("dimacs: %d nodes, %d arcs declared; kept %d nodes, %d edges (%d components)\n",
 		stats.NodesDeclared, stats.ArcsDeclared, stats.NodesKept, stats.EdgesKept, stats.Components)
 	fmt.Printf("graph: |V|=%d |E|=%d (self-loops %d, filtered arcs %d, clamped to Euclid %d)\n",
@@ -141,7 +141,7 @@ func run(grFile, coFile, netOut string, maxNodes int, box, class string, scale f
 		fmt.Printf("coordinates: geographic, projected around lat %.4f lon %.4f\n",
 			stats.Proj.Lat0, stats.Proj.Lon0)
 	}
-	fmt.Printf("oracle tier (auto): %s\n", budget.Choose(g.NumVertices()))
+	fmt.Printf("oracle tier (auto): %s\n", kind)
 
 	nf, err := os.Create(netOut)
 	if err != nil {
@@ -156,7 +156,7 @@ func run(grFile, coFile, netOut string, maxNodes int, box, class string, scale f
 	if trips == "" {
 		return nil
 	}
-	oracle, kind := shortest.Auto(g, budget)
+	oracle := shortest.Build(kind, g)
 	// Popular pickup/drop-off spots snap to the same vertex pairs; the
 	// cache keeps penalty pricing cheap even on the bidijkstra tier.
 	cached := shortest.NewCached(oracle, 1<<16)

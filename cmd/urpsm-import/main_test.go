@@ -64,8 +64,8 @@ func TestImportEndToEnd(t *testing.T) {
 		t.Fatalf("workload %d requests / %d workers, want 10/4", len(inst.Requests), len(inst.Workers))
 	}
 
-	// The documented budget sends a 16-vertex graph to the hub tier.
-	if kind := shortest.DefaultAutoBudget().Choose(g.NumVertices()); kind != shortest.AutoHub {
+	// The documented thresholds send a 16-vertex graph to the hub tier.
+	if kind := shortest.Choose(g.NumVertices()); kind != shortest.AutoHub {
 		t.Fatalf("auto tier = %q, want %q", kind, shortest.AutoHub)
 	}
 

@@ -29,9 +29,16 @@
 // lowest rejection penalty p_r) with HTTP 429 + Retry-After, WAL-logged
 // so recovery and replay stay bit-exact under overload. With
 // -degrade-target D the graceful-degradation ladder watches the p95
-// per-group plan time and sheds capacity in deterministic stages
-// (serial dispatch, then a tighter queue) after -degrade-window
-// consecutive breaches, recovering in reverse.
+// per-group plan time and, after -degrade-window consecutive breaches,
+// tightens the queue cap (its one stage), recovering after as many groups
+// under half the target.
+//
+// Traffic (DESIGN.md §11): POST /v1/traffic applies a batch of slowdowns
+// and returns once the distance oracle answers on the new weights. The
+// daemon keeps the tier -oracle resolved to at start: cch re-customizes in
+// milliseconds, hub rebuilds its labels (about 0.9 s at 2.4k vertices)
+// while queries wait. Decisions stay bit-identical to the
+// offline engine under the same traffic.
 //
 // API: POST /v1/requests, POST /v1/traffic, POST /v1/checkpoint,
 // GET /v1/workers/{id}/route, GET /v1/decisions/{id}, GET /v1/stats,
@@ -85,16 +92,15 @@ func main() {
 		snapshot   = flag.String("snapshot", "", "state file: restored at startup when present, written on graceful shutdown")
 		walDir     = flag.String("wal", "", "write-ahead-log directory: crash-safe durability with replay recovery (mutually exclusive with -snapshot)")
 		walCkpt    = flag.Int64("wal-checkpoint-bytes", serve.DefaultCheckpointBytes, "auto-checkpoint once the log exceeds this size (negative = explicit POST /v1/checkpoint only)")
-		asyncRb    = flag.Bool("async-rebuild", false, "rebuild the oracle in the background after POST /v1/traffic (live-tier queries meanwhile; mid-rebuild decisions lose bit-comparability; with -oracle cch the window is a millisecond customization, see DESIGN.md §11.4/§12)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		noPrefetch = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16); only the hub and ch tiers have a table, cch and bidijkstra always plan from point queries")
+		noPrefetch = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16); only the hub tier has a table, cch and bidijkstra always plan from point queries")
 		traceEv    = flag.Int("trace-events", serve.DefaultTraceEvents, "flight-recorder ring capacity in events for /debug/trace and explain (0 = tracing disabled)")
 		logLevel   = cliutil.LogLevelFlag("info")
 	)
 	flag.Parse()
 	if err := run(*netFile, *loadFile, *oracle, *addr,
 		*gridKm, *alpha, *snapshot, *walDir, *walCkpt, *pprofAddr,
-		*asyncRb, *noPrefetch, *traceEv, *logLevel,
+		*noPrefetch, *traceEv, *logLevel,
 		overload{maxQueue: *maxQueue, target: *degTarget, window: *degWindow}); err != nil {
 		fmt.Fprintln(os.Stderr, "urpsm-serve:", err)
 		os.Exit(1)
@@ -111,7 +117,7 @@ type overload struct {
 
 func run(netFile, loadFile, oracleKind, addr string,
 	gridKm, alpha float64, snapshotFile, walDir string,
-	walCkptBytes int64, pprofAddr string, asyncRebuild, noPrefetch bool,
+	walCkptBytes int64, pprofAddr string, noPrefetch bool,
 	traceEvents int, logLevel string, ovl overload) error {
 	if netFile == "" || loadFile == "" {
 		return fmt.Errorf("-net and -load are required")
@@ -159,7 +165,6 @@ func run(netFile, loadFile, oracleKind, addr string,
 		MaxQueue:        ovl.maxQueue,
 		DegradeTarget:   ovl.target,
 		DegradeWindow:   ovl.window,
-		AsyncRebuild:    asyncRebuild,
 		NoBatchPrefetch: noPrefetch,
 		WALDir:          walDir,
 		TraceEvents:     traceEvents,

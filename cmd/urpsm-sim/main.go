@@ -10,13 +10,14 @@
 //	urpsm-sim -net city.net -load city.load -oracle auto -algo pruneGreedyDP
 //	urpsm-sim -dataset chengdu -traffic rush.traffic -algo pruneGreedyDP
 //
-// -oracle picks the distance oracle (hub|cch|ch|bidijkstra|auto); "auto"
+// -oracle picks the distance oracle (hub|cch|bidijkstra|auto); "auto"
 // selects the strongest tier whose preprocessing fits the graph size,
 // which is the right default for imported real road networks (see
 // DESIGN.md §8.3). -traffic replays a scheduled congestion trace
 // (FORMATS.md §6) against the event clock: edge weights change
-// mid-simulation, the oracle re-tiers per epoch and routes are repaired
-// (DESIGN.md §11). -trace FILE attaches the planner flight recorder and
+// mid-simulation, the oracle re-derives its tier per epoch (cch
+// customizes in milliseconds, hub rebuilds its labels) and routes are
+// repaired (DESIGN.md §11). -trace FILE attaches the planner flight recorder and
 // writes the retained per-request plan events as JSON after the run
 // (FORMATS.md §9); decisions are bit-identical with or without it.
 package main

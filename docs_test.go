@@ -1,9 +1,13 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -177,6 +181,282 @@ func TestMarkdownMakeTargets(t *testing.T) {
 				for _, target := range makeTargets(cmd) {
 					if !rules[target] {
 						t.Errorf("%s:%d: `make %s` names no Makefile target", md, i+1, target)
+					}
+				}
+			}
+		}
+	}
+}
+
+// goDecls indexes the declarations a document may name: per package name,
+// its top-level identifiers, and per type name (package-qualified and
+// bare), its methods and fields.
+type goDecls struct {
+	top     map[string]map[string]bool // package name → top-level names
+	members map[string]map[string]bool // "Type" and "pkg.Type" → methods, fields
+}
+
+func newGoDecls() *goDecls {
+	return &goDecls{top: map[string]map[string]bool{}, members: map[string]map[string]bool{}}
+}
+
+func (d *goDecls) addMember(pkg, typ, name string) {
+	for _, k := range []string{typ, pkg + "." + typ} {
+		if d.members[k] == nil {
+			d.members[k] = map[string]bool{}
+		}
+		d.members[k][name] = true
+	}
+}
+
+// add records f's top-level declarations under its package name.
+func (d *goDecls) add(f *ast.File) {
+	pkg := f.Name.Name
+	if d.top[pkg] == nil {
+		d.top[pkg] = map[string]bool{}
+	}
+	for _, decl := range f.Decls {
+		switch x := decl.(type) {
+		case *ast.FuncDecl:
+			if x.Recv == nil || len(x.Recv.List) == 0 {
+				d.top[pkg][x.Name.Name] = true
+				continue
+			}
+			typ := x.Recv.List[0].Type
+			for {
+				switch r := typ.(type) {
+				case *ast.StarExpr:
+					typ = r.X
+					continue
+				case *ast.IndexExpr:
+					typ = r.X
+					continue
+				case *ast.IndexListExpr:
+					typ = r.X
+					continue
+				}
+				break
+			}
+			if id, ok := typ.(*ast.Ident); ok {
+				d.addMember(pkg, id.Name, x.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range x.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						d.top[pkg][n.Name] = true
+					}
+				case *ast.TypeSpec:
+					d.top[pkg][s.Name.Name] = true
+					var fields *ast.FieldList
+					switch t := s.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields
+					case *ast.InterfaceType:
+						fields = t.Methods
+					}
+					if fields == nil {
+						continue
+					}
+					for _, fl := range fields.List {
+						for _, n := range fl.Names {
+							d.addMember(pkg, s.Name.Name, n.Name)
+						}
+						if len(fl.Names) == 0 { // embedded: a field named after its type
+							typ := fl.Type
+							if star, ok := typ.(*ast.StarExpr); ok {
+								typ = star.X
+							}
+							switch e := typ.(type) {
+							case *ast.Ident:
+								d.addMember(pkg, s.Name.Name, e.Name)
+							case *ast.SelectorExpr:
+								d.addMember(pkg, s.Name.Name, e.Sel.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// moduleGoFiles parses every Go file of the module, test files included,
+// with comments.
+func moduleGoFiles(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+var (
+	// docSymbol matches a code span that names a Go symbol: a dotted
+	// identifier chain, optionally as a method expression (*T).M or with
+	// an empty call suffix.
+	docSymbol = regexp.MustCompile(`^(?:\(\*([A-Za-z_]\w*)\)|([A-Za-z_]\w*))((?:\.[A-Za-z_]\w*)+)(?:\(\))?$`)
+	// fileExt lists the file suffixes a dotted code span may end in
+	// without naming a symbol (`DESIGN.md`, `checkpoint.json`).
+	fileExt = map[string]bool{"md": true, "go": true, "json": true, "mod": true, "log": true,
+		"net": true, "load": true, "csv": true, "gr": true, "co": true, "traffic": true, "sh": true, "yml": true}
+	// designCite matches a DESIGN.md section citation and the run of §
+	// references that follows it ("DESIGN.md §11.3–§11.4, §12").
+	designCite = regexp.MustCompile(`DESIGN\.md ((?:§\d+(?:\.\d+)?(?:\s*(?:,|–|-|/|and|or)\s*)?)+)`)
+	designRef  = regexp.MustCompile(`§(\d+(?:\.\d+)?)`)
+	// designSection matches the number a DESIGN.md heading or marker
+	// opens with.
+	designSection = regexp.MustCompile(`^\d+(\.\d+)?`)
+)
+
+// TestDocSymbols holds the reference documents to the code. Every Go
+// symbol README.md and FORMATS.md name in a code span — `pkg.Name`,
+// `Type.Method`, `pkg.Type.Method`, `(*Type).Method` — must resolve to a
+// declaration in the module, or in a standard-library package the module
+// imports, so a deleted symbol cannot linger there. And every
+// `DESIGN.md §N` or `§N.M` a Go comment cites must be a `## §N` heading
+// or a `**§N.M` marker of DESIGN.md.
+func TestDocSymbols(t *testing.T) {
+	fset, files := moduleGoFiles(t)
+	mod := newGoDecls()
+	std := map[string]string{} // package name → standard-library import path
+	for _, f := range files {
+		mod.add(f)
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if strings.Contains(strings.SplitN(path, "/", 2)[0], ".") || strings.HasPrefix(path, "repro") {
+				continue
+			}
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			std[name] = path
+		}
+	}
+	stdDecls := map[string]*goDecls{}
+	stdPkg := func(name string) *goDecls {
+		path, ok := std[name]
+		if !ok {
+			return nil
+		}
+		if d, ok := stdDecls[path]; ok {
+			return d
+		}
+		d := newGoDecls()
+		dir := filepath.Join(runtime.GOROOT(), "src", filepath.FromSlash(path))
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("standard library package %s: %v", path, err)
+		}
+		for _, e := range entries {
+			if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+				f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.add(f)
+			}
+		}
+		stdDecls[path] = d
+		return d
+	}
+
+	// resolve reports why span names no declaration, or "" if it does
+	// (or names no symbol at all).
+	resolve := func(span string) string {
+		m := docSymbol.FindStringSubmatch(span)
+		if m == nil {
+			return ""
+		}
+		parts := strings.Split(m[1]+m[2]+m[3], ".")
+		if len(parts) > 3 || fileExt[parts[len(parts)-1]] {
+			return ""
+		}
+		exported := func(s string) bool { return s[0] >= 'A' && s[0] <= 'Z' }
+		if exported(parts[0]) { // Type.Member
+			if len(parts) != 2 {
+				return ""
+			}
+			if !mod.members[parts[0]][parts[1]] {
+				return "no method or field " + parts[1] + " of a type " + parts[0]
+			}
+			return ""
+		}
+		pkg, name := parts[0], parts[1]
+		if !exported(name) {
+			return "" // a file name or a metric key, not a symbol
+		}
+		d := mod
+		if d.top[pkg] == nil {
+			if d = stdPkg(pkg); d == nil {
+				return "no package " + pkg + " in the module or its standard-library imports"
+			}
+		}
+		if !d.top[pkg][name] {
+			return "no declaration " + name + " in package " + pkg
+		}
+		if len(parts) == 3 && !d.members[pkg+"."+name][parts[2]] {
+			return "no method or field " + parts[2] + " of " + pkg + "." + name
+		}
+		return ""
+	}
+	for _, md := range []string{"README.md", "FORMATS.md"} {
+		data, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range inlineCode.FindAllStringSubmatch(stripCodeFences(string(data)), -1) {
+			if why := resolve(m[1]); why != "" {
+				t.Errorf("%s: `%s`: %s", md, m[1], why)
+			}
+		}
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]bool{}
+	for _, line := range strings.Split(string(design), "\n") {
+		for _, prefix := range []string{"## §", "**§"} {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				if m := designSection.FindString(rest); m != "" {
+					sections[m] = true
+				}
+			}
+		}
+	}
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, cite := range designCite.FindAllStringSubmatch(cg.Text(), -1) {
+				for _, ref := range designRef.FindAllStringSubmatch(cite[1], -1) {
+					if !sections[ref[1]] {
+						t.Errorf("%s: cites DESIGN.md §%s, which DESIGN.md has no heading for",
+							fset.Position(cg.Pos()), ref[1])
 					}
 				}
 			}

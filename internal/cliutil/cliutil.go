@@ -18,12 +18,13 @@ import (
 )
 
 // OracleKinds are the accepted -oracle values. "auto" resolves to one of
-// the other tiers by vertex count through shortest.Auto's budget
-// (DESIGN.md §8.3).
-var OracleKinds = []string{"hub", "cch", "ch", "bidijkstra", "auto"}
+// the other tiers by vertex count through shortest.Choose (DESIGN.md §8.3).
+var OracleKinds = []string{"hub", "cch", "bidijkstra", "auto"}
 
 // OracleUsage is the shared -oracle usage text.
-const OracleUsage = "distance oracle: hub|cch|ch|bidijkstra|auto (auto picks by graph size)"
+const OracleUsage = "distance oracle: hub|cch|bidijkstra|auto (auto picks by graph size: hub up to 3k vertices, " +
+	"cch up to 400k). The tier is kept across traffic epochs: cch re-customizes in milliseconds, " +
+	"but an explicit hub rebuilds its labels on every epoch (about 0.9 s at 2.4k vertices, DESIGN.md §8.3)"
 
 // OracleFlag registers the standard -oracle flag with the given default
 // (commands that pick their default later pass "").
@@ -48,28 +49,18 @@ func CheckOracle(kind string) error {
 
 // BuildOracle constructs the named oracle over g and returns it with the
 // resolved kind: "" defaults to "auto", and "auto" comes back as the tier
-// the default budget selected for the graph's size. The commands that
-// build their own engine (urpsm-serve, urpsm-replay) use it; the
-// experiment Runner keeps its own lazily-cached construction.
+// shortest.Choose selected for the graph's size. The commands that build
+// their own engine (urpsm-serve, urpsm-replay) use it; the experiment
+// Runner caches shortest.Build's tiers per kind.
 func BuildOracle(kind string, g *roadnet.Graph) (shortest.Oracle, string, error) {
 	if err := CheckOracle(kind); err != nil {
 		return nil, "", err
 	}
-	resolved := kind
-	if resolved == "" || resolved == "auto" {
-		resolved = string(shortest.DefaultAutoBudget().Choose(g.NumVertices()))
+	resolved := shortest.AutoKind(kind)
+	if kind == "" || kind == "auto" {
+		resolved = shortest.Choose(g.NumVertices())
 	}
-	switch resolved {
-	case "hub":
-		return shortest.BuildHubLabels(g), resolved, nil
-	case "cch":
-		return shortest.BuildCCH(g), resolved, nil
-	case "ch":
-		return shortest.BuildCH(g), resolved, nil
-	case "bidijkstra":
-		return shortest.NewBiDijkstra(g), resolved, nil
-	}
-	return nil, "", fmt.Errorf("unknown oracle %q (valid: %s)", kind, strings.Join(OracleKinds, "|"))
+	return shortest.Build(resolved, g), string(resolved), nil
 }
 
 // LogLevels are the accepted -log-level values.

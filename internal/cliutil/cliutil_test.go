@@ -14,13 +14,13 @@ func TestCheckOracle(t *testing.T) {
 			t.Errorf("CheckOracle(%q): unexpected error %v", ok, err)
 		}
 	}
-	for _, bad := range []string{"dijkstra", "HUB", "hub ", "auto,ch", "none", "contraction"} {
+	for _, bad := range []string{"dijkstra", "HUB", "hub ", "auto,ch", "ch", "none", "contraction"} {
 		err := CheckOracle(bad)
 		if err == nil {
 			t.Errorf("CheckOracle(%q): expected error", bad)
 			continue
 		}
-		if !strings.Contains(err.Error(), "hub|cch|ch|bidijkstra|auto") {
+		if !strings.Contains(err.Error(), "hub|cch|bidijkstra|auto") {
 			t.Errorf("CheckOracle(%q): error %q does not list the valid kinds", bad, err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestBuildOracleResolvesAndAgrees(t *testing.T) {
 	}
 	// Every explicit tier builds and agrees on a sample query.
 	var dists []float64
-	for _, kind := range []string{"hub", "cch", "ch", "bidijkstra"} {
+	for _, kind := range []string{"hub", "cch", "bidijkstra"} {
 		o, resolved, err := BuildOracle(kind, g)
 		if err != nil {
 			t.Fatalf("BuildOracle(%q): %v", kind, err)

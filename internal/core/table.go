@@ -18,9 +18,9 @@ import (
 // swap in their decisions — only in how few point queries remain.
 //
 // The symmetric lookup (u,v) → cell(v,u) relies on the oracle being
-// bitwise symmetric, which holds for the batched tiers (hub labels, CH,
-// CCH: a query is a float min over fl(a+b) meet candidates and float
-// addition is commutative) but NOT for forward Dijkstra — another reason
+// bitwise symmetric, which holds for the label tiers (hub labels, CCH: a
+// query is a float min over fl(a+b) meet candidates and float addition is
+// commutative) but NOT for forward Dijkstra — another reason
 // ManyToManyFor declines the unpreprocessed tiers.
 //
 // Registration and Install must happen on one goroutine (the event

@@ -76,17 +76,17 @@ func TestAblationPaperStrictDecision(t *testing.T) {
 	}
 }
 
-// TestOracleAblationEquivalentOutcomes: hub labels, contraction
-// hierarchies and plain bidirectional Dijkstra are all exact oracles, so
-// outcomes must land in the same quality band (exact agreement is not
-// guaranteed: the three sum edge weights in different orders, and 1-ulp
+// TestOracleAblationEquivalentOutcomes: hub labels, customizable
+// contraction hierarchies and plain bidirectional Dijkstra are all exact
+// oracles, so outcomes must land in the same quality band (exact agreement
+// is not guaranteed: the three sum edge weights in different orders, and 1-ulp
 // differences can flip near-ties between equally good workers, after
 // which the greedy streams diverge without any quality change).
 func TestOracleAblationEquivalentOutcomes(t *testing.T) {
 	r := tinyRunner(t)
 	results := map[string]float64{}
 	servedBy := map[string]int{}
-	for _, kind := range []string{"hub", "ch", "bidijkstra"} {
+	for _, kind := range []string{"hub", "cch", "bidijkstra"} {
 		r.OracleKind = kind
 		m, err := r.RunOne(r.Base, "pruneGreedyDP")
 		if err != nil {

@@ -43,7 +43,7 @@ func (r *Runner) batchDistMode(b int, batched bool) ([]core.Result, *BatchDistPo
 	}
 	mtm := shortest.ManyToManyFor(base)
 	if mtm == nil {
-		return nil, nil, fmt.Errorf("expt: oracle %q has no batched form (use hub or ch)", kind)
+		return nil, nil, fmt.Errorf("expt: oracle %q has no batched form (use hub)", kind)
 	}
 	counter := shortest.NewCounting(base)
 	dist := shortest.NewCached(counter, 1<<18).Dist

@@ -35,7 +35,7 @@ var AblationAlgorithms = []string{
 // OracleKinds are the accepted values of Runner.OracleKind (and of the
 // CLIs' -oracle flag, whose registration and validation live in
 // internal/cliutil). "auto" resolves to one of the other tiers by vertex
-// count through shortest.Auto.
+// count through shortest.Choose.
 var OracleKinds = cliutil.OracleKinds
 
 // Runner executes simulations over one dataset, sharing the expensive
@@ -53,21 +53,18 @@ type Runner struct {
 	KineticMaxNodes int
 	// OracleKind picks the distance oracle: "hub" (default, the paper's
 	// setup), "cch" (customizable contraction hierarchies — cheap traffic
-	// epochs, see DESIGN.md §12), "ch" (classic contraction hierarchies),
-	// "bidijkstra" (no preprocessing) or "auto" (scale-aware selection via
-	// shortest.Auto — see DESIGN.md §8.3).
+	// epochs, see DESIGN.md §12), "bidijkstra" (no preprocessing) or
+	// "auto" (scale-aware selection via shortest.Choose — see DESIGN.md
+	// §8.3).
 	OracleKind string
-	// AutoBudget bounds preprocessing for OracleKind "auto"; the zero
-	// value means shortest.DefaultAutoBudget().
-	AutoBudget shortest.AutoBudget
 	// Traffic, when non-nil, replays a congestion trace against each
 	// run's event clock (urpsm-sim -traffic): the query chain runs
 	// through an epoch-aware oracle front (shortest.Versioned over a
 	// per-run roadnet.Overlay) and the engine applies each event before
-	// the first request released at or after it. Rebuilds are
-	// synchronous, so preprocessing cost is attributed to the run that
-	// caused it. With an empty profile every run is bit-identical to
-	// Traffic == nil.
+	// the first request released at or after it. Each epoch re-derives
+	// the run's tier before the engine moves on, so preprocessing cost is
+	// attributed to the run that caused it. With an empty profile every
+	// run is bit-identical to Traffic == nil.
 	Traffic *roadnet.TrafficProfile
 	// Observer, when non-nil, is attached to every run's planner for the
 	// run's duration when the planner implements core.Observable (the
@@ -75,9 +72,9 @@ type Runner struct {
 	// passes a trace.Recorder here. Read-only: decisions are unchanged.
 	Observer core.PlanObserver
 
-	hub *shortest.HubLabels // built lazily for OracleKind "hub" (or auto→hub)
-	cch *shortest.CCH       // built lazily for OracleKind "cch" (or auto→cch)
-	ch  *shortest.CH        // built lazily for OracleKind "ch" (or auto→ch)
+	// built caches the preprocessed tiers (hub, cch) by kind, built
+	// lazily on first use.
+	built map[shortest.AutoKind]shortest.Oracle
 }
 
 // NewRunner generates the dataset's road network and wraps it in a runner.
@@ -107,10 +104,21 @@ func NewRunnerOn(g *roadnet.Graph, base workload.Params, repeat int) *Runner {
 
 // HubLabels returns the shared hub labeling, building it on first use.
 func (r *Runner) HubLabels() *shortest.HubLabels {
-	if r.hub == nil {
-		r.hub = shortest.BuildHubLabels(r.G)
+	return r.tier(shortest.AutoHub).(*shortest.HubLabels)
+}
+
+// tier returns the shared preprocessed tier of the given kind, building it
+// on first use.
+func (r *Runner) tier(kind shortest.AutoKind) shortest.Oracle {
+	o, ok := r.built[kind]
+	if !ok {
+		if r.built == nil {
+			r.built = make(map[shortest.AutoKind]shortest.Oracle)
+		}
+		o = shortest.Build(kind, r.G)
+		r.built[kind] = o
 	}
-	return r.hub
+	return o
 }
 
 // RunOne executes Repeat simulations of one algorithm under params p and
@@ -129,38 +137,24 @@ func (r *Runner) RunOne(p workload.Params, algo string) (sim.Metrics, error) {
 	return sim.Average(runs), nil
 }
 
-// autoBudget returns the effective budget for OracleKind "auto".
-func (r *Runner) autoBudget() shortest.AutoBudget {
-	if r.AutoBudget == (shortest.AutoBudget{}) {
-		return shortest.DefaultAutoBudget()
-	}
-	return r.AutoBudget
-}
-
 // oracle returns the configured base distance oracle together with its
 // resolved kind ("auto" comes back as the tier it selected). Auto shares
 // the per-kind caches, so switching between "auto" and the explicit tier
 // it resolves to (the oracle ablation does) never preprocesses twice.
 func (r *Runner) oracle() (shortest.Oracle, string, error) {
-	kind := r.OracleKind
-	if kind == "auto" {
-		kind = string(r.autoBudget().Choose(r.G.NumVertices()))
+	kind := shortest.AutoKind(r.OracleKind)
+	switch kind {
+	case "":
+		kind = shortest.AutoHub
+	case "auto":
+		kind = shortest.Choose(r.G.NumVertices())
 	}
 	switch kind {
-	case "", "hub":
-		return r.HubLabels(), "hub", nil
-	case "cch":
-		if r.cch == nil {
-			r.cch = shortest.BuildCCH(r.G)
-		}
-		return r.cch, "cch", nil
-	case "ch":
-		if r.ch == nil {
-			r.ch = shortest.BuildCH(r.G)
-		}
-		return r.ch, "ch", nil
-	case "bidijkstra":
-		return shortest.NewBiDijkstra(r.G), "bidijkstra", nil
+	case shortest.AutoHub, shortest.AutoCCH:
+		return r.tier(kind), string(kind), nil
+	case shortest.AutoBiDijkstra:
+		// Stateful and cheap to make: one per run, never shared.
+		return shortest.Build(kind, r.G), string(kind), nil
 	default:
 		return nil, "", fmt.Errorf("expt: unknown oracle %q", r.OracleKind)
 	}
@@ -204,9 +198,8 @@ func (r *Runner) chain() (core.DistFunc, *shortest.Counting, *trafficWiring, err
 	var tw *trafficWiring
 	if r.Traffic != nil {
 		tw = &trafficWiring{
-			overlay: roadnet.NewOverlay(r.G),
-			versioned: shortest.AdoptVersioned(r.G, base, shortest.AutoKind(kind),
-				r.autoBudget(), false),
+			overlay:   roadnet.NewOverlay(r.G),
+			versioned: shortest.AdoptVersioned(r.G, base, shortest.AutoKind(kind)),
 		}
 		base = tw.versioned
 	}

@@ -55,11 +55,11 @@ func TestRunnerTrafficDeterministicAndEffective(t *testing.T) {
 	}
 }
 
-// TestRunnerTrafficRetiersAutoOracle pins the Auto/traffic interaction:
+// TestRunnerTrafficRetiersAutoOracle pins the auto/traffic interaction:
 // with OracleKind "auto" the resolved tier is adopted at epoch 0 and the
-// front re-tiers on every epoch advance without serving stale weights
-// (the run would otherwise produce infeasible-looking metrics or diverge
-// between repeats).
+// front rebuilds that tier on every epoch advance without serving stale
+// weights (the run would otherwise produce infeasible-looking metrics or
+// diverge between repeats).
 func TestRunnerTrafficRetiersAutoOracle(t *testing.T) {
 	r := tinyRunner(t)
 	r.OracleKind = "auto"

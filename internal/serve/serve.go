@@ -68,7 +68,8 @@ type Config struct {
 	Snapshot *Snapshot
 	// Oracle is the base distance oracle (see cliutil.BuildOracle); the
 	// server wraps it in the same cache/counter chain the experiment
-	// harness uses. OracleKind names it in /v1/stats.
+	// harness uses. OracleKind names its tier (hub, cch or bidijkstra):
+	// /v1/stats reports it, and every traffic epoch rebuilds that tier.
 	Oracle     shortest.Oracle
 	OracleKind string
 	// Alpha is the unified-cost weight α; 0 means 1.
@@ -108,26 +109,8 @@ type Config struct {
 	// a flush leaves the segment at least this large; 0 means
 	// DefaultCheckpointBytes, negative disables auto-checkpointing.
 	CheckpointBytes int64
-	// AsyncRebuild rebuilds the preprocessed oracle tier in the
-	// background after a traffic update, serving queries from a live
-	// bidirectional-Dijkstra tier meanwhile: POST /v1/traffic returns
-	// immediately and decisions keep flowing at degraded query latency.
-	// The cost is the last bits of Δ* — but only while the live tier is
-	// actually answering: different exact tiers sum the same shortest
-	// path in different orders, so a decision taken mid-rebuild may
-	// differ from the offline reference in the final float bits
-	// (accept/reject and assignments still match in practice). With the
-	// CCH tier the window is milliseconds (customization, not a
-	// from-scratch contraction), and once the customized tier is
-	// installed distances are bit-identical to a fresh build — quiesce
-	// with WaitRebuild and replay equivalence is bit-exact even in async
-	// mode (see TestLockstepEquivalenceCCHCustomize). Off by default —
-	// the deterministic mode blocks the traffic update until the rebuild
-	// lands and keeps replay equivalence bit-exact unconditionally. See
-	// DESIGN.md §11.4 and §12.
-	AsyncRebuild bool
 	// NoBatchPrefetch disables the batched distance-table prefetch: by
-	// default, on the tiers with a table filler (hub, ch), flush builds one
+	// default, on the tier with a table filler (hub), flush builds one
 	// dense many-to-many table per admission batch (request endpoints ×
 	// candidate route vertices, one shortest.ManyToMany sweep) and plans
 	// the batch against it, collapsing per-batch dist_queries from
@@ -379,11 +362,17 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 
-	versioned := shortest.AdoptVersioned(cfg.Graph, cfg.Oracle, shortest.AutoKind(cfg.OracleKind),
-		shortest.DefaultAutoBudget(), cfg.AsyncRebuild)
+	// The front rebuilds this kind on every traffic epoch, so it must name
+	// a tier shortest.Build knows.
+	switch shortest.AutoKind(cfg.OracleKind) {
+	case shortest.AutoHub, shortest.AutoCCH, shortest.AutoBiDijkstra:
+	default:
+		return nil, fmt.Errorf("serve: OracleKind %q names no oracle tier (hub, cch or bidijkstra)", cfg.OracleKind)
+	}
+	versioned := shortest.AdoptVersioned(cfg.Graph, cfg.Oracle, shortest.AutoKind(cfg.OracleKind))
 	if overlay.Epoch() > 0 {
 		// The adopted tier was built on the base weights; move the front to
-		// the restored epoch (the live tier serves until the rebuild lands).
+		// the restored epoch.
 		versioned.Advance(overlay.Graph(), overlay.Epoch())
 	}
 	dist, queries := queryChain(versioned)
@@ -818,15 +807,12 @@ const maxPrefetchCells = 1 << 22
 // untouched point chain, so coverage gaps cost a point query, never a
 // different decision. Prefetch is skipped on a tier without a table filler
 // (cch plans from its labels, bidijkstra has no bit-identical batched
-// form) and while an async rebuild is pending (CurrentTier declines).
+// form).
 func (s *Server) prefetchLocked(batch []*pending) bool {
 	if s.table == nil || len(batch) == 0 {
 		return false
 	}
-	tier, _, ok := s.versioned.CurrentTier()
-	if !ok {
-		return false
-	}
+	tier, _ := s.versioned.CurrentTier()
 	mtm := shortest.ManyToManyFor(tier)
 	if mtm == nil {
 		return false
@@ -996,9 +982,7 @@ func (s *Server) ApplyTraffic(at *float64, ups []roadnet.TrafficUpdate) (Traffic
 	}
 	if s.rec != nil {
 		s.rec.TrafficEpoch(t, res.Epoch, res.ChangedEdges)
-		// In synchronous mode the rebuild/customization has landed by now;
-		// in async mode the counters describe the last completed one — the
-		// in-flight rebuild appears on the next event.
+		// The rebuild/customization has landed by now.
 		s.rec.Oracle(t, res.Epoch, s.versioned.Rebuilds(), s.versioned.LastRebuild())
 	}
 	s.log.Info("traffic applied",
@@ -1221,8 +1205,7 @@ func OfflineDecisions(g *roadnet.Graph, inst *workload.Instance, oracle shortest
 		alpha = 1
 	}
 	overlay := roadnet.NewOverlay(g)
-	versioned := shortest.AdoptVersioned(g, oracle, shortest.AutoKind(oracleKind),
-		shortest.DefaultAutoBudget(), false)
+	versioned := shortest.AdoptVersioned(g, oracle, shortest.AutoKind(oracleKind))
 	dist, queries := queryChain(versioned)
 	fleet, err := core.NewFleet(g, dist, cloneWorkers(inst.Workers), 2000)
 	if err != nil {

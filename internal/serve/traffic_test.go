@@ -150,14 +150,12 @@ func TestLockstepEquivalenceWithTraffic(t *testing.T) {
 }
 
 // TestLockstepEquivalenceCCHCustomize is the customize fast path's
-// end-to-end guarantee: a server on the CCH tier with ASYNC rebuilds,
-// quiesced after each traffic event, decides bit-identically to the
-// offline reference — every epoch advance re-derives shortcut weights
-// over the shared skeleton (no from-scratch contraction), and because
-// skeleton and customization are deterministic, two independently built
-// hierarchies agree to the last float bit. This is the narrowed version
-// of the DESIGN.md §11.4 caveat: with CCH, async mode only loses
-// bit-comparability while the live tier is actually answering.
+// end-to-end guarantee: a server on the CCH tier decides bit-identically
+// to the offline reference across traffic events — every epoch advance
+// re-derives shortcut weights over the shared skeleton (no from-scratch
+// contraction) before the traffic POST returns, and because skeleton and
+// customization are deterministic, two independently built hierarchies
+// agree to the last float bit.
 func TestLockstepEquivalenceCCHCustomize(t *testing.T) {
 	g, inst := testInstance(t)
 	reqs := sortedRequests(inst)
@@ -172,7 +170,6 @@ func TestLockstepEquivalenceCCHCustomize(t *testing.T) {
 	s := newTestServer(t, g, inst, func(c *Config) {
 		c.Oracle = shortest.BuildCCH(g)
 		c.OracleKind = "cch"
-		c.AsyncRebuild = true
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -183,9 +180,6 @@ func TestLockstepEquivalenceCCHCustomize(t *testing.T) {
 		for next < len(profile.Events) && profile.Events[next].At <= r.Release {
 			e := profile.Events[next]
 			postTraffic(t, ts.URL, e.At, e.Updates)
-			// Quiesce: once the async customization lands, the CCH tier
-			// answers and decisions are bit-comparable again.
-			s.versioned.WaitRebuild()
 			next++
 		}
 		d := postRequest(t, ts.URL, r)
@@ -207,39 +201,6 @@ func TestLockstepEquivalenceCCHCustomize(t *testing.T) {
 	if st.OracleRebuilds != 2 || st.OracleCustomizations != 2 {
 		t.Fatalf("rebuilds=%d customizations=%d, want 2 of each (fast path not taken?)",
 			st.OracleRebuilds, st.OracleCustomizations)
-	}
-}
-
-// TestTrafficAsyncRebuildServes exercises the availability mode: with
-// AsyncRebuild the traffic POST returns while the preprocessed tier is
-// still rebuilding, and requests decided meanwhile are served off the
-// live tier — decisions are still made on the new weights (exact, just
-// not bit-comparable across tiers; see DESIGN.md §11.4).
-func TestTrafficAsyncRebuildServes(t *testing.T) {
-	g, inst := testInstance(t)
-	s := newTestServer(t, g, inst, func(c *Config) { c.AsyncRebuild = true })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	tr := postTraffic(t, ts.URL, 0, []roadnet.TrafficUpdate{{Factor: 2}})
-	if tr.Epoch != 1 {
-		t.Fatalf("result: %+v", tr)
-	}
-	// Decide requests immediately — the rebuild may or may not have
-	// landed; either way the decision must come back.
-	reqs := sortedRequests(inst)
-	accepted := 0
-	for _, r := range reqs[:20] {
-		if postRequest(t, ts.URL, r).Accepted {
-			accepted++
-		}
-	}
-	if accepted == 0 {
-		t.Fatal("no request accepted after async traffic update")
-	}
-	s.versioned.WaitRebuild()
-	if st := s.Stats(); st.OracleRebuilds != 1 || st.TrafficEpoch != 1 {
-		t.Fatalf("stats after rebuild: rebuilds=%d epoch=%d", st.OracleRebuilds, st.TrafficEpoch)
 	}
 }
 
@@ -289,7 +250,6 @@ func TestSnapshotCarriesTrafficState(t *testing.T) {
 		t.Fatalf("restored counters regressed: updates=%d infeasible=%d (snapshot %d)",
 			st.TrafficUpdates, st.InfeasibleStops, sn2.InfeasibleStops)
 	}
-	s2.versioned.WaitRebuild()
 	// Distances after restore match an overlay replayed from the history.
 	overlay := roadnet.NewOverlay(g)
 	for _, batch := range sn2.Traffic {
@@ -315,5 +275,18 @@ func TestSnapshotCarriesTrafficState(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(bytes.NewReader(buf3.Bytes())); err == nil {
 		t.Fatal("epoch/history mismatch accepted")
+	}
+}
+
+// TestNewServerRejectsUnknownOracleKind: every traffic epoch rebuilds the
+// configured kind, so a kind shortest.Build does not know is refused at
+// construction, not at the first traffic update.
+func TestNewServerRejectsUnknownOracleKind(t *testing.T) {
+	g, inst := testInstance(t)
+	hub := shortest.BuildHubLabels(g)
+	for _, kind := range []string{"", "auto", "ch"} {
+		if _, err := NewServer(Config{Graph: g, Workers: inst.Workers, Oracle: hub, OracleKind: kind}); err == nil {
+			t.Errorf("OracleKind %q accepted", kind)
+		}
 	}
 }

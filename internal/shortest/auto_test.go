@@ -9,50 +9,43 @@ import (
 	"repro/internal/roadnet"
 )
 
+// TestAutoBudgetChoose pins the two thresholds "auto" resolves by: hub
+// labels up to MaxHubVertices, CCH up to MaxCCHVertices, bidirectional
+// Dijkstra beyond.
 func TestAutoBudgetChoose(t *testing.T) {
-	b := AutoBudget{MaxHubVertices: 100, MaxCCHVertices: 500, MaxCHVertices: 1000}
 	cases := []struct {
 		n    int
 		want AutoKind
 	}{
-		{1, AutoHub}, {100, AutoHub},
-		{101, AutoCCH}, {500, AutoCCH},
-		{501, AutoCH}, {1000, AutoCH},
-		{1001, AutoBiDijkstra}, {1 << 30, AutoBiDijkstra},
+		{1, AutoHub}, {MaxHubVertices, AutoHub},
+		{MaxHubVertices + 1, AutoCCH}, {MaxCCHVertices, AutoCCH},
+		{MaxCCHVertices + 1, AutoBiDijkstra}, {1 << 30, AutoBiDijkstra},
 	}
 	for _, tc := range cases {
-		if got := b.Choose(tc.n); got != tc.want {
+		if got := Choose(tc.n); got != tc.want {
 			t.Errorf("Choose(%d) = %q, want %q", tc.n, got, tc.want)
 		}
 	}
-	// A zero MaxCCHVertices (every pre-CCH budget literal) never selects
-	// the CCH tier, preserving old budgets' behavior.
-	legacy := AutoBudget{MaxHubVertices: 100, MaxCHVertices: 1000}
-	if got := legacy.Choose(500); got != AutoCH {
-		t.Errorf("legacy budget Choose(500) = %q, want %q", got, AutoCH)
+}
+
+// TestAutoDefaultBudgetOrdering: the thresholds grow down the ladder, so
+// every tier gets a band of graph sizes.
+func TestAutoDefaultBudgetOrdering(t *testing.T) {
+	if MaxHubVertices <= 0 || MaxCCHVertices <= MaxHubVertices {
+		t.Fatalf("thresholds not ordered: hub %d, cch %d", MaxHubVertices, MaxCCHVertices)
 	}
 }
 
-// TestAutoMatchesDijkstra forces each tier in turn via the budget and
-// asserts its distances equal plain Dijkstra's on sampled pairs — the
-// equivalence contract that makes the tier choice a pure performance
-// decision.
+// TestAutoMatchesDijkstra builds each tier in turn and asserts its
+// distances equal plain Dijkstra's on sampled pairs — the equivalence
+// contract that makes the tier choice a pure performance decision.
 func TestAutoMatchesDijkstra(t *testing.T) {
 	g := testGraph(t, 16, 16, 42)
 	n := g.NumVertices()
-	budgets := map[AutoKind]AutoBudget{
-		AutoHub:        {MaxHubVertices: n, MaxCHVertices: n},
-		AutoCCH:        {MaxHubVertices: 0, MaxCCHVertices: n, MaxCHVertices: n},
-		AutoCH:         {MaxHubVertices: 0, MaxCHVertices: n},
-		AutoBiDijkstra: {MaxHubVertices: 0, MaxCHVertices: 0},
-	}
 	ref := NewDijkstra(g)
-	for want, budget := range budgets {
-		t.Run(string(want), func(t *testing.T) {
-			oracle, kind := Auto(g, budget)
-			if kind != want {
-				t.Fatalf("Auto chose %q, want %q", kind, want)
-			}
+	for _, kind := range []AutoKind{AutoHub, AutoCCH, AutoBiDijkstra} {
+		t.Run(string(kind), func(t *testing.T) {
+			oracle := Build(kind, g)
 			rng := rand.New(rand.NewSource(7))
 			for q := 0; q < 300; q++ {
 				s := roadnet.VertexID(rng.Intn(n))
@@ -65,37 +58,19 @@ func TestAutoMatchesDijkstra(t *testing.T) {
 	}
 }
 
-func TestAutoDefaultBudgetOrdering(t *testing.T) {
-	b := DefaultAutoBudget()
-	if b.MaxHubVertices <= 0 || b.MaxCHVertices <= b.MaxHubVertices {
-		t.Fatalf("default budget not ordered: %+v", b)
-	}
-	// The default makes CCH the whole mid tier (its epoch advances cost
-	// milliseconds, classic CH's cost a full rebuild).
-	if b.MaxCCHVertices < b.MaxCHVertices {
-		t.Fatalf("default budget leaves a CH band above CCH: %+v", b)
-	}
-}
-
-// BenchmarkOracleTiers backs the Auto thresholds with numbers: per-tier
+// BenchmarkOracleTiers backs the Choose thresholds with numbers: per-tier
 // preprocessing cost and query latency on one mid-size synthetic city.
 // Run with: go test ./internal/shortest -bench OracleTiers -benchtime 10x
 func BenchmarkOracleTiers(b *testing.B) {
 	g := testGraph(b, 45, 45, 3)
 	n := g.NumVertices()
-	build := map[AutoKind]func() Oracle{
-		AutoHub:        func() Oracle { return BuildHubLabels(g) },
-		AutoCCH:        func() Oracle { return BuildCCH(g) },
-		AutoCH:         func() Oracle { return BuildCH(g) },
-		AutoBiDijkstra: func() Oracle { return NewBiDijkstra(g) },
-	}
-	for _, kind := range []AutoKind{AutoHub, AutoCCH, AutoCH, AutoBiDijkstra} {
+	for _, kind := range []AutoKind{AutoHub, AutoCCH, AutoBiDijkstra} {
 		b.Run(fmt.Sprintf("build/%s", kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				build[kind]()
+				Build(kind, g)
 			}
 		})
-		oracle := build[kind]()
+		oracle := Build(kind, g)
 		b.Run(fmt.Sprintf("query/%s", kind), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {

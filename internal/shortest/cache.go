@@ -144,9 +144,9 @@ func (c *LRU) moveToFront(i int32) {
 // Over a CCH (bare, or behind counting, locking or caching shims) there is
 // no cache: a warm label query is two table reads and a zip, cheaper than
 // the LRU probe in front of it, so every query is forwarded and counted
-// as a miss (DESIGN.md §12.4). The same holds over a synchronous Versioned
-// front that customizes a CCH skeleton: every epoch's tier is a CCH,
-// installed before Advance returns, and its labels are the cache.
+// as a miss (DESIGN.md §12.4). The same holds over a Versioned front whose
+// tier is a CCH: every epoch's tier is a CCH, customized before Advance
+// returns, and its labels are the cache.
 type Cached struct {
 	inner  Oracle
 	cache  *LRU   // nil over CCH labels
@@ -163,7 +163,7 @@ func NewCached(inner Oracle, capacity int) *Cached {
 	case *CCH:
 		return c
 	case *Versioned:
-		if x.customizesCCH() {
+		if x.cchSkel != nil {
 			return c
 		}
 	}

@@ -5,16 +5,15 @@ package shortest
 // preprocessing into a metric-INDEPENDENT contraction done once per
 // topology and a cheap metric customization re-run per weight epoch.
 //
-// The classic CH (ch.go) entangles the two: witness searches consult the
-// current edge weights, so a traffic update invalidates the whole
-// hierarchy. Here the contraction order and the shortcut skeleton are
+// The classic CH entangles the two: witness searches consult the current
+// edge weights, so a traffic update invalidates the whole hierarchy. Here the contraction order and the shortcut skeleton are
 // functions of the topology alone — contracting a vertex adds a shortcut
 // between EVERY pair of its uncontracted neighbors (no witness search),
 // yielding the chordal supergraph of the contraction order. A weight
 // change then only re-derives the shortcut weights over that fixed
 // skeleton: a bottom-up sweep over precomputed lower triangles, a few
-// milliseconds where BuildCH took tens to hundreds (see
-// BenchmarkDistUnderRebuild advance=customize-cch vs advance=rebuild-ch).
+// milliseconds where the repository's classic CH took tens to hundreds to
+// contract again (DESIGN.md §12).
 //
 // Determinism is load-bearing (DESIGN.md §12): the skeleton is built in a
 // canonical order (order-free fill-in counts, vertex-ID tie-breaks,
@@ -216,8 +215,8 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 	// Every uncontracted vertex has exactly one entry, so the keys are
 	// distinct and the top is the unique minimum: the contraction order is
 	// a function of the keys alone, not of how the heap arranges them.
-	// Priorities are integers, so `prio > next` is the test BuildCH writes
-	// as the float `prio > next+1e-9`.
+	// Priorities are integers, so `prio > next` is the test the classic
+	// CH build wrote as the float `prio > next+1e-9`.
 	pq := make(cchQueue, n)
 	for v := range pq {
 		pq[v] = cchPrio{prio: fillIn(roadnet.VertexID(v)) - len(adj[v]), v: roadnet.VertexID(v)}
@@ -226,7 +225,7 @@ func BuildCCHSkeleton(g *roadnet.Graph) *CCHSkeleton {
 
 	for r := int32(0); len(pq) > 0; {
 		v := pq[0].v
-		// Lazy update, same discipline as BuildCH: a vertex whose fresh
+		// Lazy update, same discipline as the classic CH: a vertex whose fresh
 		// priority exceeds the next key goes back under that priority.
 		prio := fillIn(v) - len(adj[v]) + 2*int(neighborsContracted[v])
 		if next, ok := pq.nextPrio(); ok && prio > next {
@@ -654,8 +653,9 @@ func (c *CCH) Skeleton() *CCHSkeleton { return c.skel }
 // the common ancestors of s and t — depths 0..d, d the depth of their
 // lowest common ancestor (two sparse-table reads) — and the answer is the
 // min over those of label(s)[i]+label(t)[i]: the same float min over the
-// same fl(a+b) candidates as upwardDist on these arrays, hence the same
-// bits (DESIGN.md §12.4).
+// same fl(a+b) candidates as the bidirectional upward search on these
+// arrays (upwardDist, kept as a test reference), hence the same bits
+// (DESIGN.md §12.4).
 func (c *CCH) Dist(s, t roadnet.VertexID) float64 {
 	if s == t {
 		return 0

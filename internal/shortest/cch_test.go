@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -503,10 +502,8 @@ func TestCCHStatsSane(t *testing.T) {
 // full rebuilds) instead of contracting from scratch, and stays exact.
 func TestVersionedCustomizeFastPath(t *testing.T) {
 	g := testGraph(t, 12, 12, 21)
-	n := g.NumVertices()
-	budget := AutoBudget{MaxHubVertices: 0, MaxCCHVertices: n, MaxCHVertices: n}
 	overlay := roadnet.NewOverlay(g)
-	v := NewVersioned(g, budget, false)
+	v := AdoptVersioned(g, BuildCCH(g), AutoCCH)
 	if v.ResolvedKind() != AutoCCH {
 		t.Fatalf("epoch 0 kind %s, want cch", v.ResolvedKind())
 	}
@@ -534,95 +531,14 @@ func TestVersionedCustomizeFastPath(t *testing.T) {
 
 // TestVersionedConcurrentDistDuringCustomize is the -race check for the
 // customize fast path: queries hammer the front from several goroutines
-// while epochs advance with asynchronous customization over the shared
-// skeleton, and every observed distance must belong to SOME applied epoch.
+// while epochs advance with customization over the shared skeleton, and
+// every observed distance must belong to SOME applied epoch.
 func TestVersionedConcurrentDistDuringCustomize(t *testing.T) {
 	g := testGraph(t, 10, 10, 5)
-	n := g.NumVertices()
-	budget := AutoBudget{MaxHubVertices: 0, MaxCCHVertices: n, MaxCHVertices: n}
-	overlay := roadnet.NewOverlay(g)
-	v := NewVersioned(g, budget, true)
-	cached := NewLocked(NewCached(NewCounting(v), 1<<10))
-
-	const epochs = 4
-	const pairs = 32
-	rng := rand.New(rand.NewSource(29))
-	ss := make([]roadnet.VertexID, pairs)
-	ts := make([]roadnet.VertexID, pairs)
-	for i := range ss {
-		ss[i] = roadnet.VertexID(rng.Intn(n))
-		ts[i] = roadnet.VertexID(rng.Intn(n))
-	}
-	factors := []float64{1, 1.5, 2, 2.5, 3}
-	want := make([][]float64, epochs+1)
-	graphs := make([]*roadnet.Graph, epochs+1)
-	graphs[0] = g
-	pre := roadnet.NewOverlay(g)
-	for e := 1; e <= epochs; e++ {
-		cur, _, _, err := pre.Apply([]roadnet.TrafficUpdate{{Factor: factors[e]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs[e] = cur
-	}
-	for e := 0; e <= epochs; e++ {
-		ref := NewDijkstra(graphs[e])
-		want[e] = make([]float64, pairs)
-		for i := range ss {
-			want[e][i] = ref.Dist(ss[i], ts[i])
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			o := Oracle(v)
-			if w%2 == 1 {
-				o = cached
-			}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := i % pairs
-				got := o.Dist(ss[k], ts[k])
-				ok := false
-				for e := 0; e <= epochs; e++ {
-					if math.Abs(got-want[e][k]) <= 1e-6*(1+got) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Errorf("worker %d: Dist(%d,%d)=%v matches no epoch", w, ss[k], ts[k], got)
-					return
-				}
-			}
-		}(w)
-	}
-	for e := 1; e <= epochs; e++ {
-		cur, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: factors[e]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.Advance(cur, epoch)
-	}
-	v.WaitRebuild()
-	close(stop)
-	wg.Wait()
-
-	if v.Customizations() == 0 {
-		t.Fatal("no Advance took the customize fast path")
-	}
-	for i := range ss {
-		if got := cached.Dist(ss[i], ts[i]); math.Abs(got-want[epochs][i]) > 1e-6*(1+got) {
-			t.Fatalf("final epoch: Dist(%d,%d)=%v want %v", ss[i], ts[i], got, want[epochs][i])
-		}
+	v := AdoptVersioned(g, BuildCCH(g), AutoCCH)
+	hammerVersioned(t, g, v, 29)
+	if v.Customizations() != hammerEpochs {
+		t.Fatalf("customizations=%d, want %d", v.Customizations(), hammerEpochs)
 	}
 }
 
@@ -844,7 +760,7 @@ func TestCCHLabelsDoNotLeakAcrossEpochs(t *testing.T) {
 		t.Fatal("the two metrics never disagree; the test cannot see a leak")
 	}
 
-	v := NewVersioned(g, AutoBudget{MaxCCHVertices: n, MaxCHVertices: n}, false)
+	v := AdoptVersioned(g, BuildCCH(g), AutoCCH)
 	for _, p := range pairs { // warm epoch 0's labels
 		v.Dist(p.s, p.d)
 	}

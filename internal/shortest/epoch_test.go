@@ -60,15 +60,10 @@ func checkAgainstDijkstra(t *testing.T, o Oracle, g *roadnet.Graph, rng *rand.Ra
 // customizes once per epoch, the others rebuild their own kind.
 func TestVersionedMatchesDijkstraAcrossEpochs(t *testing.T) {
 	g := testGraph(t, 13, 13, 21)
-	builds := map[AutoKind]func(*roadnet.Graph) Oracle{
-		AutoHub:        func(g *roadnet.Graph) Oracle { return BuildHubLabels(g) },
-		AutoCCH:        func(g *roadnet.Graph) Oracle { return BuildCCH(g) },
-		AutoBiDijkstra: func(g *roadnet.Graph) Oracle { return NewBiDijkstra(g) },
-	}
-	for kind, build := range builds {
+	for _, kind := range []AutoKind{AutoHub, AutoCCH, AutoBiDijkstra} {
 		t.Run(string(kind), func(t *testing.T) {
 			overlay := roadnet.NewOverlay(g)
-			v := AdoptVersioned(g, build(g), kind, DefaultAutoBudget(), false)
+			v := AdoptVersioned(g, Build(kind, g), kind)
 			cached := NewCached(NewCounting(v), 1<<12)
 			rng := rand.New(rand.NewSource(7))
 			const epochs = 4
@@ -101,57 +96,58 @@ func TestVersionedMatchesDijkstraAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestVersionedNeverServesStaleTier pins the re-tiering contract: the
-// moment Advance returns, queries reflect the new weights — first through
-// the live tier while the preprocessed rebuild is still in flight, then
-// through the rebuilt tier — and the resolved kind transitions
-// hub → bidijkstra (live) → hub without ever answering from the stale
-// hub labels.
+// TestVersionedNeverServesStaleTier pins the epoch contract: the moment
+// Advance returns, queries reflect the new weights, answered by the same
+// hub tier rebuilt on them — never by the stale labels.
 func TestVersionedNeverServesStaleTier(t *testing.T) {
 	g := testGraph(t, 12, 12, 3)
-	budget := AutoBudget{MaxHubVertices: g.NumVertices(), MaxCHVertices: g.NumVertices()}
 	overlay := roadnet.NewOverlay(g)
-	v := NewVersioned(g, budget, true)
-	if v.ResolvedKind() != AutoHub {
-		t.Fatalf("epoch 0 kind %s", v.ResolvedKind())
-	}
+	v := AdoptVersioned(g, BuildHubLabels(g), AutoHub)
 
 	cur, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: 2.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v.Advance(cur, epoch)
-	// Immediately after Advance (rebuild may still be running) every
-	// answer must already be a new-weight distance.
-	rng := rand.New(rand.NewSource(11))
-	checkAgainstDijkstra(t, v, cur, rng, 60, "during rebuild")
-
-	v.WaitRebuild()
 	if v.ResolvedKind() != AutoHub {
 		t.Fatalf("kind after rebuild %s, want hub", v.ResolvedKind())
 	}
 	if v.Rebuilds() != 1 || v.LastRebuild() <= 0 {
 		t.Fatalf("rebuilds=%d last=%v", v.Rebuilds(), v.LastRebuild())
 	}
-	checkAgainstDijkstra(t, v, cur, rng, 60, "after rebuild")
+	rng := rand.New(rand.NewSource(11))
+	checkAgainstDijkstra(t, v, cur, rng, 120, "after Advance")
 }
 
 // TestVersionedConcurrentDistDuringRebuild hammers Dist from many
-// goroutines while epochs advance with asynchronous rebuilds; run under
-// -race it is the data-race check, and every observed value must be the
-// exact distance of SOME applied epoch for that pair (queries may
-// linearize on either side of an in-flight Advance, but never off-epoch).
+// goroutines while epochs advance with hub rebuilds; run under -race it is
+// the data-race check for the write lock Advance holds across a rebuild.
 func TestVersionedConcurrentDistDuringRebuild(t *testing.T) {
 	g := testGraph(t, 10, 10, 5)
+	v := AdoptVersioned(g, BuildHubLabels(g), AutoHub)
+	hammerVersioned(t, g, v, 13)
+	if v.Rebuilds() != hammerEpochs || v.Customizations() != 0 {
+		t.Fatalf("rebuilds=%d customizations=%d, want %d and 0", v.Rebuilds(), v.Customizations(), hammerEpochs)
+	}
+}
+
+// hammerEpochs is how many epochs hammerVersioned advances through.
+const hammerEpochs = 4
+
+// hammerVersioned queries v from four goroutines, half of them through a
+// locked cache, while the main goroutine advances it hammerEpochs times.
+// Every observed value must be the exact distance of SOME applied epoch
+// for that pair (queries linearize on either side of an Advance, never off
+// epoch), and once the last Advance has returned only the final epoch may
+// answer.
+func hammerVersioned(t *testing.T, g *roadnet.Graph, v *Versioned, seed int64) {
+	t.Helper()
 	n := g.NumVertices()
-	budget := AutoBudget{MaxHubVertices: n, MaxCHVertices: n}
 	overlay := roadnet.NewOverlay(g)
-	v := NewVersioned(g, budget, true)
 	cached := NewLocked(NewCached(NewCounting(v), 1<<10))
 
-	const epochs = 4
 	const pairs = 32
-	rng := rand.New(rand.NewSource(13))
+	rng := rand.New(rand.NewSource(seed))
 	ss := make([]roadnet.VertexID, pairs)
 	ts := make([]roadnet.VertexID, pairs)
 	for i := range ss {
@@ -160,18 +156,18 @@ func TestVersionedConcurrentDistDuringRebuild(t *testing.T) {
 	}
 	// Precompute the admissible per-epoch answers.
 	factors := []float64{1, 1.5, 2, 2.5, 3}
-	want := make([][]float64, epochs+1)
-	graphs := make([]*roadnet.Graph, epochs+1)
+	want := make([][]float64, hammerEpochs+1)
+	graphs := make([]*roadnet.Graph, hammerEpochs+1)
 	graphs[0] = g
 	pre := roadnet.NewOverlay(g)
-	for e := 1; e <= epochs; e++ {
+	for e := 1; e <= hammerEpochs; e++ {
 		cur, _, _, err := pre.Apply([]roadnet.TrafficUpdate{{Factor: factors[e]}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		graphs[e] = cur
 	}
-	for e := 0; e <= epochs; e++ {
+	for e := 0; e <= hammerEpochs; e++ {
 		ref := NewDijkstra(graphs[e])
 		want[e] = make([]float64, pairs)
 		for i := range ss {
@@ -198,7 +194,7 @@ func TestVersionedConcurrentDistDuringRebuild(t *testing.T) {
 				k := i % pairs
 				got := o.Dist(ss[k], ts[k])
 				ok := false
-				for e := 0; e <= epochs; e++ {
+				for e := 0; e <= hammerEpochs; e++ {
 					if math.Abs(got-want[e][k]) <= 1e-6*(1+got) {
 						ok = true
 						break
@@ -211,21 +207,19 @@ func TestVersionedConcurrentDistDuringRebuild(t *testing.T) {
 			}
 		}(w)
 	}
-	for e := 1; e <= epochs; e++ {
+	for e := 1; e <= hammerEpochs; e++ {
 		cur, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: factors[e]}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		v.Advance(cur, epoch)
 	}
-	v.WaitRebuild()
 	close(stop)
 	wg.Wait()
 
-	// After the dust settles, only the final epoch may answer.
 	for i := range ss {
-		if got := cached.Dist(ss[i], ts[i]); math.Abs(got-want[epochs][i]) > 1e-6*(1+got) {
-			t.Fatalf("final epoch: Dist(%d,%d)=%v want %v", ss[i], ts[i], got, want[epochs][i])
+		if got := cached.Dist(ss[i], ts[i]); math.Abs(got-want[hammerEpochs][i]) > 1e-6*(1+got) {
+			t.Fatalf("final epoch: Dist(%d,%d)=%v want %v", ss[i], ts[i], got, want[hammerEpochs][i])
 		}
 	}
 }
@@ -235,7 +229,7 @@ func TestVersionedConcurrentDistDuringRebuild(t *testing.T) {
 func TestCachedFlushOnEpochAdvance(t *testing.T) {
 	g := testGraph(t, 8, 8, 9)
 	overlay := roadnet.NewOverlay(g)
-	v := NewVersioned(g, AutoBudget{MaxHubVertices: g.NumVertices(), MaxCHVertices: g.NumVertices()}, false)
+	v := AdoptVersioned(g, BuildHubLabels(g), AutoHub)
 	c := NewCached(v, 1<<10)
 	s, d := roadnet.VertexID(1), roadnet.VertexID(g.NumVertices()-2)
 	before := c.Dist(s, d)
@@ -254,64 +248,6 @@ func TestCachedFlushOnEpochAdvance(t *testing.T) {
 	}
 	if after == before {
 		t.Fatalf("slowdown did not change the distance (%v); test graph too small", after)
-	}
-}
-
-// TestVersionedLiveTierBuiltOnDemand pins who pays for the fallback
-// engine: a synchronous Advance has the built tier back before it returns
-// and allocates no live engine; the first query that does fall back (here
-// forced, as a caller racing Advance from another goroutine would see it)
-// builds one on the current snapshot, later fallbacks of the epoch reuse
-// it, and the next epoch drops it. Async mode builds it in Advance, where
-// queries are expected to need it.
-func TestVersionedLiveTierBuiltOnDemand(t *testing.T) {
-	g := testGraph(t, 9, 9, 4)
-	overlay := roadnet.NewOverlay(g)
-	v := AdoptVersioned(g, BuildCCH(g), AutoCCH, DefaultAutoBudget(), false)
-	if v.live != nil {
-		t.Fatal("live engine allocated at construction")
-	}
-	cur, epoch, _, err := overlay.Apply([]roadnet.TrafficUpdate{{Factor: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.Advance(cur, epoch)
-	rng := rand.New(rand.NewSource(3))
-	checkAgainstDijkstra(t, v, cur, rng, 40, "built tier")
-	if v.live != nil {
-		t.Fatal("synchronous Advance (or a query the built tier answered) allocated a live engine")
-	}
-
-	v.builtOK = false // what a query racing Advance observes
-	checkAgainstDijkstra(t, v, cur, rng, 40, "forced fallback")
-	first := v.live
-	if first == nil {
-		t.Fatal("fallback query answered without a live engine")
-	}
-	v.Dist(0, roadnet.VertexID(g.NumVertices()-1))
-	if v.live != first {
-		t.Fatal("live engine rebuilt within one epoch")
-	}
-	v.builtOK = true
-
-	cur, epoch, _, err = overlay.Apply([]roadnet.TrafficUpdate{{Factor: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.Advance(cur, epoch)
-	if v.live != nil {
-		t.Fatal("live engine of a superseded epoch kept")
-	}
-	checkAgainstDijkstra(t, v, cur, rng, 40, "next epoch")
-
-	av := AdoptVersioned(g, BuildCCH(g), AutoCCH, DefaultAutoBudget(), true)
-	av.Advance(cur, epoch)
-	av.mu.RLock()
-	eager := av.live != nil
-	av.mu.RUnlock()
-	av.WaitRebuild()
-	if !eager {
-		t.Fatal("async Advance left the live tier unbuilt")
 	}
 }
 

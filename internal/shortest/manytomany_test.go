@@ -44,17 +44,17 @@ func requireBitIdentical(t *testing.T, tag string, cells []float64,
 }
 
 // TestManyToManyMatchesPointDist is the tentpole equivalence suite: for
-// every tier that has a batched filler (cch answers from labels and has
-// none, see TestManyToManyFor), on several randomized graphs, a batched
-// table fill must reproduce the point oracle bit-for-bit — including the
-// diagonal, duplicates, and arena reuse across consecutive batches.
+// every tier that has a batched filler (only hub: cch answers from labels
+// and has none, see TestManyToManyFor), on several randomized graphs, a
+// batched table fill must reproduce the point oracle bit-for-bit —
+// including the diagonal, duplicates, and arena reuse across consecutive
+// batches.
 func TestManyToManyMatchesPointDist(t *testing.T) {
 	tiers := []struct {
 		name  string
 		build func(g *roadnet.Graph) Oracle
 	}{
 		{"hub", func(g *roadnet.Graph) Oracle { return BuildHubLabels(g) }},
-		{"ch", func(g *roadnet.Graph) Oracle { return BuildCH(g) }},
 	}
 	for _, tier := range tiers {
 		t.Run(tier.name, func(t *testing.T) {
@@ -88,29 +88,11 @@ func TestManyToManyMatchesPointDist(t *testing.T) {
 	}
 }
 
-// TestDijkstraMtMMatchesDijkstra pins the fallback filler to forward
-// Dijkstra point queries (its bit-reference; BiDijkstra's meet sums round
-// differently, which is why the bidijkstra tier gets no batched form).
-func TestDijkstraMtMMatchesDijkstra(t *testing.T) {
-	g := testGraph(t, 10, 14, 5)
-	mtm := NewDijkstraMtM(g)
-	point := NewDijkstra(g)
-	rng := rand.New(rand.NewSource(5))
-	a := NewTableArena()
-	n := g.NumVertices()
-	for batch := 0; batch < 3; batch++ {
-		sources := pickBatch(rng, n, 5)
-		targets := pickBatch(rng, n, 8)
-		cells := mtm.Table(a, sources, targets)
-		requireBitIdentical(t, "dijkstra", cells, sources, targets, point)
-	}
-}
-
 // TestManyToManyFor pins which tier gets which filler, through every shim
-// the query chains wrap a tier in: hub labels scatter-merge, CH bucket-
-// sweeps, and the two tiers without a filler yield nil — BiDijkstra has no
-// bit-identical batched form, and a CCH label already is the cached upward
-// sweep a table fill would redo.
+// the query chains wrap a tier in: hub labels scatter-merge, and the two
+// tiers without a filler yield nil — BiDijkstra has no bit-identical
+// batched form, and a CCH label already is the cached upward sweep a table
+// fill would redo.
 func TestManyToManyFor(t *testing.T) {
 	g := testGraph(t, 8, 8, 3)
 	shims := []struct {
@@ -129,7 +111,6 @@ func TestManyToManyFor(t *testing.T) {
 		want string
 	}{
 		{"hub", BuildHubLabels(g), "*shortest.HubMtM"},
-		{"ch", BuildCH(g), "*shortest.BucketMtM"},
 		{"cch", BuildCCH(g), "<nil>"},
 		{"bidijkstra", NewBiDijkstra(g), "<nil>"},
 	}
@@ -143,14 +124,14 @@ func TestManyToManyFor(t *testing.T) {
 }
 
 // TestCurrentTier checks the Versioned accessor batch prefetchers use:
-// it must expose the unwrapped built tier while current and decline
-// while a rebuild is pending.
+// it must expose the unwrapped tier.
 func TestCurrentTier(t *testing.T) {
 	g := testGraph(t, 9, 9, 2)
-	v := NewVersioned(g, DefaultAutoBudget(), false)
-	tier, kind, ok := v.CurrentTier()
-	if !ok || tier == nil {
-		t.Fatal("CurrentTier not available after synchronous construction")
+	kind := Choose(g.NumVertices())
+	v := AdoptVersioned(g, Build(kind, g), kind)
+	tier, kind := v.CurrentTier()
+	if tier == nil {
+		t.Fatal("CurrentTier returned no tier")
 	}
 	if kind != v.ResolvedKind() {
 		t.Fatalf("kind %v != resolved %v", kind, v.ResolvedKind())

@@ -79,7 +79,7 @@ const matrixOverheadBytes = 32
 func NewMatrix(g *roadnet.Graph) *Matrix {
 	n := g.NumVertices()
 	if n > maxMatrixVertices {
-		panic(fmt.Sprintf("shortest: NewMatrix on %d vertices needs %.1f GiB for the dense table (limit %d vertices); use a preprocessed tier (hub labels, CH, CCH) instead",
+		panic(fmt.Sprintf("shortest: NewMatrix on %d vertices needs %.1f GiB for the dense table (limit %d vertices); use a preprocessed tier (hub labels, CCH) instead",
 			n, float64(n)*float64(n)*8/(1<<30), maxMatrixVertices))
 	}
 	m := &Matrix{n: n, dist: make([]float64, n*n)}

@@ -444,16 +444,14 @@ func TestCachedOracleCorrectAndCounts(t *testing.T) {
 }
 
 // TestCachedDeclinesLabelTier: over a CCH, bare or behind the counting and
-// locking shims, or behind a synchronous epoch front that customizes it,
-// NewCached keeps no LRU and forwards every query, counting each as a
-// miss; over every other tier — an asynchronous front over a CCH included,
-// whose epochs answer from the live engine until the rebuild lands — it
-// caches and hits as before.
+// locking shims, or behind an epoch front that customizes it, NewCached
+// keeps no LRU and forwards every query, counting each as a miss; over
+// every other tier it caches and hits as before.
 func TestCachedDeclinesLabelTier(t *testing.T) {
 	g := testGraph(t, 8, 8, 5)
 	n := g.NumVertices()
 	cch := BuildCCH(g)
-	budget := AutoBudget{MaxCCHVertices: n, MaxCHVertices: n}
+	versioned := func(kind AutoKind) *Versioned { return AdoptVersioned(g, Build(kind, g), kind) }
 	for _, c := range []struct {
 		name     string
 		oracle   Oracle
@@ -464,10 +462,9 @@ func TestCachedDeclinesLabelTier(t *testing.T) {
 		{"Locked(cch)", NewLocked(cch), true},
 		{"hub", BuildHubLabels(g), false},
 		{"bidijkstra", NewBiDijkstra(g), false},
-		{"Versioned(cch)", NewVersioned(g, budget, false), true},
-		{"Counting(Versioned(cch))", NewCounting(NewVersioned(g, budget, false)), true},
-		{"Versioned(cch),async", NewVersioned(g, budget, true), false},
-		{"Versioned(hub)", NewVersioned(g, AutoBudget{MaxHubVertices: n, MaxCHVertices: n}, false), false},
+		{"Versioned(cch)", versioned(AutoCCH), true},
+		{"Counting(Versioned(cch))", NewCounting(versioned(AutoCCH)), true},
+		{"Versioned(hub)", versioned(AutoHub), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cached := NewCached(c.oracle, 128)

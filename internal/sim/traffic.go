@@ -4,8 +4,8 @@ package sim
 // consequence of the edge weights:
 //
 //	roadnet.Overlay      — the weights themselves (new immutable snapshot)
-//	shortest.Versioned   — the distance-oracle front (tier invalidation,
-//	                       live tier while an async rebuild runs)
+//	shortest.Versioned   — the distance-oracle front (the same tier,
+//	                       customized or rebuilt on the new weights)
 //	core.Fleet           — the graph handle planners read EdgeCost from,
 //	                       and the route repair pass (Arr + Eq. 6 ddl)
 //	sim.World            — the per-worker leg caches and the leg-path

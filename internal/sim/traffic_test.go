@@ -41,8 +41,7 @@ func newTrafficPipelineSized(t testing.TB, seed int64, side, nWorkers, nRequests
 		t.Fatal(err)
 	}
 	overlay := roadnet.NewOverlay(g)
-	budget := shortest.AutoBudget{MaxHubVertices: g.NumVertices(), MaxCHVertices: g.NumVertices()}
-	versioned := shortest.NewVersioned(g, budget, false)
+	versioned := shortest.AdoptVersioned(g, shortest.BuildHubLabels(g), shortest.AutoHub)
 	counter := shortest.NewCounting(versioned)
 	cached := shortest.NewCached(counter, 1<<16)
 	inst, err := workload.BuildOn(p, g, cached.Dist)
