@@ -506,28 +506,6 @@ func mtmGen(dim int) roadnet.GenConfig {
 	}
 }
 
-var (
-	mtmMu     sync.Mutex
-	mtmGraphs = map[int]*roadnet.Graph{}
-)
-
-// mtmGraph returns the cached benchmark graph for one grid dimension.
-func mtmGraph(b *testing.B, dim int) *roadnet.Graph {
-	b.Helper()
-	mtmMu.Lock()
-	defer mtmMu.Unlock()
-	g, ok := mtmGraphs[dim]
-	if !ok {
-		var err error
-		g, err = roadnet.Generate(mtmGen(dim))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mtmGraphs[dim] = g
-	}
-	return g
-}
-
 // mtmBatch draws a deterministic 32×32 batch of endpoints spread over the
 // graph — the size of a busy admission batch's distance table.
 func mtmBatch(g *roadnet.Graph) (sources, targets []roadnet.VertexID) {
@@ -546,7 +524,10 @@ func mtmBatch(g *roadnet.Graph) (sources, targets []roadnet.VertexID) {
 // replaces (TestManyToManyMatchesPointDist), so ns/op is the only delta.
 // CCH has no rung: it answers from cached labels (BenchmarkCCHQuery).
 func BenchmarkManyToMany(b *testing.B) {
-	g := mtmGraph(b, 40)
+	g, err := roadnet.Generate(mtmGen(40))
+	if err != nil {
+		b.Fatal(err)
+	}
 	sources, targets := mtmBatch(g)
 	hub := shortest.BuildHubLabels(g)
 	mtm := shortest.ManyToManyFor(hub)
