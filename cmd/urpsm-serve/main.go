@@ -5,23 +5,21 @@
 // DESIGN.md §9).
 //
 //	urpsm-serve -net city.net -load city.load -oracle auto -addr :8650
-//	urpsm-serve -net city.net -load city.load -snapshot state.json
+//	urpsm-serve -net city.net -load city.load -wal state/
 //
 // The -load file supplies the fleet (its workers); its requests, if any,
-// are ignored — live requests arrive via POST /v1/requests. With
-// -snapshot the daemon warm-starts from the file when it exists and
-// writes the final state back on graceful shutdown (SIGINT/SIGTERM), so a
-// restart resumes exactly where the previous run stopped.
+// are ignored — live requests arrive via POST /v1/requests.
 //
 // With -wal DIR the daemon write-ahead-logs every admission, decision
 // and traffic update to DIR/wal.log (fsynced once per commit group,
-// before any decision is acknowledged) and checkpoints to
-// DIR/checkpoint.json. After a crash — kill -9 included — a restart
-// replays the log tail through the same decide path as live traffic and
-// resumes with identical state; a torn tail is discarded at the last
-// complete commit group, which by construction holds nothing the server
-// ever acknowledged. -wal and -snapshot are mutually exclusive (the
-// checkpoint is the snapshot). See DESIGN.md §13 and FORMATS.md §7–8.
+// before any decision is acknowledged) and checkpoints the fleet, the
+// counters and the traffic overlay's arc factors to DIR/checkpoint.json.
+// A restart on DIR resumes exactly where the previous run stopped, after
+// a graceful SIGINT/SIGTERM drain or a crash — kill -9 included: the log
+// tail replays through the same decide path as live traffic, and a torn
+// tail is discarded at the last complete commit group, which by
+// construction holds nothing the server ever acknowledged. Without -wal
+// no state survives the process. See DESIGN.md §13 and FORMATS.md §7–8.
 //
 // Overload (DESIGN.md §15): with -max-queue N admission is bounded —
 // beyond N pending requests the deterministic shed policy turns away
@@ -89,8 +87,7 @@ func main() {
 		degWindow  = flag.Int("degrade-window", serve.DefaultDegradeWindow, "consecutive groups breaching (or clearing) the SLO before the ladder moves a stage")
 		gridKm     = flag.Float64("grid", 2, "grid cell size g in km")
 		alpha      = flag.Float64("alpha", 1, "unified-cost weight α")
-		snapshot   = flag.String("snapshot", "", "state file: restored at startup when present, written on graceful shutdown")
-		walDir     = flag.String("wal", "", "write-ahead-log directory: crash-safe durability with replay recovery (mutually exclusive with -snapshot)")
+		walDir     = flag.String("wal", "", "write-ahead-log directory: the checkpoint plus log a restart on the same directory resumes from, crash-safe (empty = no state survives the process)")
 		walCkpt    = flag.Int64("wal-checkpoint-bytes", serve.DefaultCheckpointBytes, "auto-checkpoint once the log exceeds this size (negative = explicit POST /v1/checkpoint only)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		noPrefetch = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16); only the hub tier has a table, cch and bidijkstra always plan from point queries")
@@ -99,7 +96,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*netFile, *loadFile, *oracle, *addr,
-		*gridKm, *alpha, *snapshot, *walDir, *walCkpt, *pprofAddr,
+		*gridKm, *alpha, *walDir, *walCkpt, *pprofAddr,
 		*noPrefetch, *traceEv, *logLevel,
 		overload{maxQueue: *maxQueue, target: *degTarget, window: *degWindow}); err != nil {
 		fmt.Fprintln(os.Stderr, "urpsm-serve:", err)
@@ -116,7 +113,7 @@ type overload struct {
 }
 
 func run(netFile, loadFile, oracleKind, addr string,
-	gridKm, alpha float64, snapshotFile, walDir string,
+	gridKm, alpha float64, walDir string,
 	walCkptBytes int64, pprofAddr string, noPrefetch bool,
 	traceEvents int, logLevel string, ovl overload) error {
 	if netFile == "" || loadFile == "" {
@@ -125,9 +122,6 @@ func run(netFile, loadFile, oracleKind, addr string,
 	logger, err := cliutil.NewLogger(logLevel)
 	if err != nil {
 		return err
-	}
-	if walDir != "" && snapshotFile != "" {
-		return fmt.Errorf("-wal and -snapshot are mutually exclusive (the WAL checkpoint is the snapshot)")
 	}
 	if err := cliutil.CheckOracle(oracleKind); err != nil {
 		return err
@@ -167,27 +161,10 @@ func run(netFile, loadFile, oracleKind, addr string,
 		DegradeWindow:   ovl.window,
 		NoBatchPrefetch: noPrefetch,
 		WALDir:          walDir,
+		CheckpointBytes: walCkptBytes,
 		TraceEvents:     traceEvents,
 		Logger:          logger,
 		Version:         version,
-	}
-	if walDir != "" {
-		cfg.CheckpointBytes = walCkptBytes
-	}
-	if snapshotFile != "" {
-		if sf, err := os.Open(snapshotFile); err == nil {
-			sn, rerr := serve.ReadSnapshot(sf)
-			sf.Close()
-			if rerr != nil {
-				return fmt.Errorf("restore %s: %w", snapshotFile, rerr)
-			}
-			cfg.Snapshot = sn
-			logger.Info("restored snapshot", "file", snapshotFile,
-				"sim_time", sn.SimTime, "decided", sn.Accepted+sn.Rejected,
-				"workers", len(sn.Workers))
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
 	}
 
 	srv, err := serve.NewServer(cfg)
@@ -196,8 +173,8 @@ func run(netFile, loadFile, oracleKind, addr string,
 	}
 	if walDir != "" {
 		st := srv.Stats()
-		fmt.Printf("wal %s: recovered %d records (%d torn bytes discarded), state checkpointed\n",
-			walDir, st.WALRecovered, st.WALTornBytes)
+		fmt.Printf("wal %s: recovered %d records (%d torn bytes discarded), state checkpointed at %d decided requests, traffic epoch %d\n",
+			walDir, st.WALRecovered, st.WALTornBytes, st.Requests, st.TrafficEpoch)
 	}
 
 	// Listen explicitly so the line below reports the actual bound
@@ -263,8 +240,9 @@ func run(netFile, loadFile, oracleKind, addr string,
 		logger.Info("draining", "signal", sig.String())
 	}
 
-	// Drain first (new submissions get 503, admitted ones are decided),
-	// then let in-flight HTTP responses finish, then persist.
+	// Drain first (new submissions get 503, admitted ones are decided and,
+	// with -wal, the final checkpoint is taken), then let in-flight HTTP
+	// responses finish.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -277,12 +255,6 @@ func run(netFile, loadFile, oracleKind, addr string,
 		if err := pprofSrv.Shutdown(ctx); err != nil {
 			return fmt.Errorf("pprof shutdown: %w", err)
 		}
-	}
-	if snapshotFile != "" {
-		if err := serve.SaveSnapshotFile(snapshotFile, srv.TakeSnapshot()); err != nil {
-			return err
-		}
-		logger.Info("wrote snapshot", "file", snapshotFile)
 	}
 	if walDir != "" {
 		// Server.Shutdown took the final checkpoint and truncated the log.

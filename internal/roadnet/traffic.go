@@ -29,6 +29,7 @@ package roadnet
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -178,21 +179,81 @@ func (o *Overlay) Graph() *Graph { return o.cur }
 // Epoch returns the number of Apply calls so far.
 func (o *Overlay) Epoch() uint64 { return o.epoch }
 
-// ArcCosts returns the current epoch's per-arc cost array (see
-// Graph.ArcCosts) — the input a shortest.CCHSkeleton customization
-// consumes to re-derive shortcut weights after an Apply.
-func (o *Overlay) ArcCosts() []float64 { return o.cur.ArcCosts() }
+// ArcFactor is the multiplier of one arc (u,v), the unit of an overlay's
+// persisted state (Overlay.Factors, RestoreOverlay). Its JSON form is
+// [u, v, factor].
+type ArcFactor struct {
+	U, V   VertexID
+	Factor float64
+}
 
-// Multiplier returns the current weight multiplier of undirected edge
-// (u,v), or (0, false) if no such edge exists.
-func (o *Overlay) Multiplier(u, v VertexID) (float64, bool) {
+// MarshalJSON encodes the factor as [u, v, factor].
+func (f ArcFactor) MarshalJSON() ([]byte, error) { return json.Marshal([3]any{f.U, f.V, f.Factor}) }
+
+// UnmarshalJSON decodes [u, v, factor]; RestoreOverlay checks ranges.
+func (f *ArcFactor) UnmarshalJSON(b []byte) error {
+	var a []float64
+	if err := json.Unmarshal(b, &a); err != nil || len(a) != 3 ||
+		a[0] != float64(int32(a[0])) || a[1] != float64(int32(a[1])) {
+		return fmt.Errorf("roadnet: arc factor %s is not [u, v, factor]", b)
+	}
+	f.U, f.V, f.Factor = VertexID(a[0]), VertexID(a[1]), a[2]
+	return nil
+}
+
+// Factors returns the overlay's weight state: one entry per arc whose
+// multiplier is not 1, in arc (CSR) order. Its size is bounded by the
+// graph, however many Applies led to it.
+func (o *Overlay) Factors() []ArcFactor {
 	g := o.base
-	for i := g.adjStart[u]; i < g.adjStart[u+1]; i++ {
-		if g.adjTo[i] == v {
-			return o.mult[i], true
+	var out []ArcFactor
+	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
+		for a := g.adjStart[v]; a < g.adjStart[v+1]; a++ {
+			if o.mult[a] != 1 {
+				out = append(out, ArcFactor{U: v, V: g.adjTo[a], Factor: o.mult[a]})
+			}
 		}
 	}
-	return 0, false
+	return out
+}
+
+// RestoreOverlay is the inverse of Factors: base at epoch with the listed
+// arc multipliers and every other arc at 1, so its Graph has the source
+// overlay's arc costs bit for bit and its WeightEpoch (a reweighted
+// snapshot even with no factors, as after a clear). The factors come from
+// outside the program and are checked: each names an arc of base, in arc
+// order without repeats, with a factor in [1, MaxTrafficFactor] equal to
+// its reverse arc's; and there are none at epoch 0.
+func RestoreOverlay(base *Graph, epoch uint64, factors []ArcFactor) (*Overlay, error) {
+	if epoch == 0 && len(factors) > 0 {
+		return nil, fmt.Errorf("roadnet: %d arc factors at epoch 0", len(factors))
+	}
+	o := NewOverlay(base)
+	prev := int32(-1)
+	for _, f := range factors {
+		if f.U < 0 || int(f.U) >= base.NumVertices() {
+			return nil, fmt.Errorf("roadnet: arc factor (%d,%d) out of range [0,%d)", f.U, f.V, base.NumVertices())
+		}
+		a := base.ArcIndex(f.U, f.V)
+		switch {
+		case a < 0:
+			return nil, fmt.Errorf("roadnet: arc factor (%d,%d) names no edge", f.U, f.V)
+		case a <= prev:
+			return nil, fmt.Errorf("roadnet: arc (%d,%d) out of arc order or listed twice", f.U, f.V)
+		case math.IsNaN(f.Factor) || f.Factor < 1 || f.Factor > MaxTrafficFactor:
+			return nil, fmt.Errorf("roadnet: arc (%d,%d) factor %v outside [1,%d]", f.U, f.V, f.Factor, MaxTrafficFactor)
+		}
+		o.mult[a], prev = f.Factor, a
+	}
+	for _, f := range factors {
+		if r := o.mult[base.ArcIndex(f.V, f.U)]; r != f.Factor {
+			return nil, fmt.Errorf("roadnet: arc (%d,%d) factor %v but its reverse %v", f.U, f.V, f.Factor, r)
+		}
+	}
+	if o.epoch = epoch; epoch > 0 {
+		o.freeze()
+	}
+	return o, nil
 }
 
 // Apply validates the whole batch, then sets the multiplier of every arc
@@ -252,26 +313,27 @@ func (o *Overlay) Apply(ups []TrafficUpdate) (*Graph, uint64, int, error) {
 			}
 		}
 	}
+	o.epoch++
+	o.freeze()
+	return o.cur, o.epoch, changedArcs / 2, nil
+}
+
+// freeze makes the current snapshot from the multipliers: base cost times
+// multiplier per arc, at the current epoch.
+func (o *Overlay) freeze() {
+	g := o.base
 	costs := make([]float64, len(g.adjCost))
 	for i := range costs {
 		costs[i] = g.adjCost[i] * o.mult[i]
 	}
-	o.epoch++
 	o.cur = g.reweighted(costs, o.epoch)
-	return o.cur, o.epoch, changedArcs / 2, nil
 }
 
 // setArcMult sets the multiplier of arc (u,v), returning 1 if it changed.
 func (o *Overlay) setArcMult(u, v VertexID, factor float64) int {
-	g := o.base
-	for i := g.adjStart[u]; i < g.adjStart[u+1]; i++ {
-		if g.adjTo[i] == v {
-			if o.mult[i] != factor {
-				o.mult[i] = factor
-				return 1
-			}
-			return 0
-		}
+	if a := o.base.ArcIndex(u, v); a >= 0 && o.mult[a] != factor {
+		o.mult[a] = factor
+		return 1
 	}
 	return 0
 }

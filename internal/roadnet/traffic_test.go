@@ -2,7 +2,9 @@ package roadnet
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,6 +76,108 @@ func TestOverlayApplySetsMultipliersRelativeToBase(t *testing.T) {
 		}
 		if old, _ := g1.EdgeCost(e.U, e.V); math.Abs(old-2*base) > 1e-12 {
 			t.Fatalf("earlier snapshot mutated")
+		}
+	}
+}
+
+// TestOverlayFactorsRoundTrip: RestoreOverlay of an overlay's Factors at
+// its epoch reproduces the overlay — same epoch, same factors and
+// bit-identical arc costs — after every Apply of a mixed sequence, the
+// clear included.
+func TestOverlayFactorsRoundTrip(t *testing.T) {
+	g := trafficTestGraph(t)
+	e := g.Edges()[7]
+	o := NewOverlay(g)
+	for i, ups := range [][]TrafficUpdate{
+		{{Factor: 2.5, Class: "arterial"}},
+		{{Factor: 1.75, Edges: [][2]int64{{int64(e.U), int64(e.V)}}}, {Factor: 3, BBox: []float64{0, 0, 600, 600}}},
+		{{Factor: 1}},
+		{{Factor: 1.3}, {Factor: 1, Class: "motorway"}},
+	} {
+		if _, _, _, err := o.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		factors := o.Factors()
+		for k := 1; k < len(factors); k++ {
+			if g.ArcIndex(factors[k-1].U, factors[k-1].V) >= g.ArcIndex(factors[k].U, factors[k].V) {
+				t.Fatalf("epoch %d: factors not in arc order at %d", o.Epoch(), k)
+			}
+		}
+		if i == 2 && len(factors) != 0 {
+			t.Fatalf("clear left %d factors", len(factors))
+		}
+		r, err := RestoreOverlay(g, o.Epoch(), factors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Epoch() != o.Epoch() || r.Graph().WeightEpoch() != o.Graph().WeightEpoch() || r.Graph() == g {
+			t.Fatalf("restored epoch %d (graph %d), want %d", r.Epoch(), r.Graph().WeightEpoch(), o.Epoch())
+		}
+		got, want := r.Graph().ArcCosts(), o.Graph().ArcCosts()
+		for a := range want {
+			if math.Float64bits(got[a]) != math.Float64bits(want[a]) {
+				t.Fatalf("epoch %d arc %d: restored cost %v, want %v", o.Epoch(), a, got[a], want[a])
+			}
+		}
+		if !slices.Equal(r.Factors(), factors) {
+			t.Fatalf("epoch %d: restored factors differ", o.Epoch())
+		}
+	}
+	if r, err := RestoreOverlay(g, 0, nil); err != nil || r.Graph() != g || r.Epoch() != 0 {
+		t.Fatalf("epoch 0 restore: %v", err)
+	}
+}
+
+// TestRestoreOverlayRejectsBadFactors: checkpoint factors are input from
+// outside the program; each malformed kind is refused with an error.
+func TestRestoreOverlayRejectsBadFactors(t *testing.T) {
+	g := trafficTestGraph(t)
+	e := g.Edges()[0]
+	u, v := e.U, e.V
+	nonEdge := VertexID(1)
+	for g.ArcIndex(0, nonEdge) >= 0 {
+		nonEdge++
+	}
+	nv := VertexID(g.NumVertices())
+	for _, tc := range []struct {
+		name    string
+		epoch   uint64
+		factors []ArcFactor
+		want    string
+	}{
+		{"non-edge", 1, []ArcFactor{{0, nonEdge, 2}, {nonEdge, 0, 2}}, "names no edge"},
+		{"vertex out of range", 1, []ArcFactor{{u, nv, 2}}, "names no edge"},
+		{"first vertex out of range", 1, []ArcFactor{{nv, u, 2}}, "out of range"},
+		{"negative vertex", 1, []ArcFactor{{-1, v, 2}}, "out of range"},
+		{"nan factor", 1, []ArcFactor{{u, v, math.NaN()}, {v, u, math.NaN()}}, "outside [1,1000]"},
+		{"factor below 1", 1, []ArcFactor{{u, v, 0.5}, {v, u, 0.5}}, "outside [1,1000]"},
+		{"factor above max", 1, []ArcFactor{{u, v, MaxTrafficFactor * 2}, {v, u, MaxTrafficFactor * 2}}, "outside [1,1000]"},
+		{"duplicate arc", 1, []ArcFactor{{u, v, 2}, {u, v, 2}, {v, u, 2}}, "listed twice"},
+		{"out of arc order", 1, []ArcFactor{{v, u, 2}, {u, v, 2}}, "out of arc order"},
+		{"factors at epoch 0", 0, []ArcFactor{{u, v, 2}, {v, u, 2}}, "at epoch 0"},
+		{"asymmetric edge", 1, []ArcFactor{{u, v, 2}}, "its reverse"},
+	} {
+		if _, err := RestoreOverlay(g, tc.epoch, tc.factors); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestArcFactorJSON: the wire form is [u, v, factor] and anything else is
+// refused at decode.
+func TestArcFactorJSON(t *testing.T) {
+	b, err := json.Marshal([]ArcFactor{{3, 17, 1.5}, {17, 3, 2}})
+	if err != nil || string(b) != `[[3,17,1.5],[17,3,2]]` {
+		t.Fatalf("marshal: %s %v", b, err)
+	}
+	var back []ArcFactor
+	if err := json.Unmarshal(b, &back); err != nil || !slices.Equal(back, []ArcFactor{{3, 17, 1.5}, {17, 3, 2}}) {
+		t.Fatalf("unmarshal: %v %v", back, err)
+	}
+	for _, bad := range []string{`[3,17]`, `[3,17,1.5,2]`, `[3.5,17,2]`, `["3",17,2]`, `[3,17,"x"]`, `{"u":3}`, `[3,4294967296,2]`} {
+		var f ArcFactor
+		if err := json.Unmarshal([]byte(bad), &f); err == nil {
+			t.Errorf("%s decoded as %+v", bad, f)
 		}
 	}
 }
@@ -154,8 +258,8 @@ func TestOverlaySelectors(t *testing.T) {
 		if got, _ := cur.EdgeCost(e.V, e.U); math.Abs(got-4*base) > 1e-12 {
 			t.Fatalf("reverse arc not updated")
 		}
-		if m, ok := o.Multiplier(e.U, e.V); !ok || m != 4 {
-			t.Fatalf("Multiplier=%v,%v", m, ok)
+		if f := o.Factors(); !slices.Equal(f, []ArcFactor{{e.U, e.V, 4}, {e.V, e.U, 4}}) {
+			t.Fatalf("Factors=%v", f)
 		}
 	})
 }

@@ -1,8 +1,9 @@
 package serve
 
-// Fuzzing for the two new untrusted-input decoders: snapshot files (read
-// at warm restart) and /v1/requests bodies (read from the network). Both
-// must never panic and must only hand back state that passes validation.
+// Fuzzing for the two untrusted-input decoders: snapshot files (a WAL
+// checkpoint, read at restart) and /v1/requests bodies (read from the
+// network). Both must never panic and must only hand back state that
+// passes validation.
 
 import (
 	"bytes"
@@ -18,12 +19,22 @@ func FuzzReadSnapshot(f *testing.F) {
 	if seed, err := os.ReadFile(filepath.Join("testdata", "snapshot.json")); err == nil {
 		f.Add(seed)
 	}
-	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 1}`))
-	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 1, "workers": [{"id": 0, "capacity": 1, "route": {"loc": 0, "stops": [], "arr": []}}]}`))
-	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 1, "epoch": 1, "traffic": [[{"factor": 1.5, "class": "motorway"}]]}`))
-	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 1, "epoch": 7, "traffic": []}`))
-	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 1, "epoch": 1, "traffic": [[]]}`))
+	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 2}`))
+	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 2, "workers": [{"id": 0, "capacity": 1, "route": {"loc": 0, "stops": [], "arr": []}}]}`))
+	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 2, "epoch": 3, "traffic_factors": [[0, 1, 1.5], [1, 0, 1.5]]}`))
+	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 2, "epoch": 1, "traffic_factors": [[0, 63, 2], [63, 0, 2]]}`))
+	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 2, "traffic_factors": [[0, 1, 2], [1, 0, 2]]}`))
+	f.Add([]byte(`{"format": "urpsm-snapshot", "version": 2, "epoch": 7}`))
 	f.Add([]byte(`{`))
+	// Vertex IDs in a checkpoint come from outside the program: decoded
+	// factors are restored onto one fixed small graph, which may refuse
+	// them but must not panic.
+	cfg := roadnet.DefaultGenConfig()
+	cfg.Rows, cfg.Cols = 8, 8
+	g, err := roadnet.Generate(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sn, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
@@ -34,6 +45,11 @@ func FuzzReadSnapshot(f *testing.F) {
 		var buf bytes.Buffer
 		if err := WriteSnapshot(&buf, sn); err != nil {
 			t.Fatalf("decoded snapshot failed to encode: %v", err)
+		}
+		if o, err := roadnet.RestoreOverlay(g, sn.Epoch, sn.TrafficFactors); err == nil {
+			if o.Epoch() != sn.Epoch || o.Graph().WeightEpoch() != sn.Epoch {
+				t.Fatalf("restored overlay at epoch %d/%d, want %d", o.Epoch(), o.Graph().WeightEpoch(), sn.Epoch)
+			}
 		}
 		workers, err := sn.Restore(1024)
 		if err != nil {

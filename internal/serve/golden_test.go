@@ -91,7 +91,9 @@ func goldenCases() map[string]any {
 			PenaltySum: 5120, Batches: 40, MaxBatch: 17, LateAdmissions: 0,
 			Completions: 180, LateArrivals: 0, InfeasibleStops: 1,
 			Workers: []core.WorkerState{snapshotWorker()},
-			Traffic: [][]roadnet.TrafficUpdate{{{Factor: 1.5, Class: "motorway"}}},
+			TrafficFactors: []roadnet.ArcFactor{
+				{U: 9, V: 23, Factor: 1.5}, {U: 23, V: 9, Factor: 1.5},
+			},
 		},
 	}
 }

@@ -61,11 +61,8 @@ type Config struct {
 	// Graph is the road network requests reference by vertex ID.
 	Graph *roadnet.Graph
 	// Workers is the initial fleet; the server operates on a private deep
-	// copy. Ignored when Snapshot is set.
+	// copy. Ignored when WALDir holds a checkpoint, which it warm-starts from.
 	Workers []*core.Worker
-	// Snapshot, when non-nil, warm-starts the server from a saved state
-	// (fleet routes mid-flight, counters, event clock) instead of Workers.
-	Snapshot *Snapshot
 	// Oracle is the base distance oracle (see cliutil.BuildOracle); the
 	// server wraps it in the same cache/counter chain the experiment
 	// harness uses. OracleKind names its tier (hub, cch or bidijkstra):
@@ -102,8 +99,8 @@ type Config struct {
 	// from WALDir/checkpoint.json plus the log tail, replayed through the
 	// same event-loop code path as live traffic, then checkpoints and
 	// truncates the log — so after NewServer returns, the state is durably
-	// snapshotted and the segment is empty. Mutually exclusive with
-	// Snapshot (the checkpoint IS the snapshot). See DESIGN.md §13.
+	// snapshotted and the segment is empty. Without WALDir no state
+	// survives the process. See DESIGN.md §13.
 	WALDir string
 	// CheckpointBytes auto-checkpoints (snapshot + log truncation) after
 	// a flush leaves the segment at least this large; 0 means
@@ -229,12 +226,8 @@ type Server struct {
 	effQueue     atomic.Int64
 	degradeStage atomic.Int32
 
-	smu sync.Mutex
-	// trafficHistory records every applied update batch in order; it is
-	// part of the snapshot so a warm restart reconstructs the weights
-	// (the overlay itself is derived state). len(trafficHistory) == epoch.
-	trafficHistory [][]roadnet.TrafficUpdate
-	simTime        float64
+	smu     sync.Mutex
+	simTime float64
 	// simTimeBits mirrors simTime (float64 bits) for lock-free reads on
 	// the admission path; written only under smu (flush and ApplyTraffic).
 	simTimeBits    atomic.Uint64
@@ -313,52 +306,36 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.DegradeWindow = DefaultDegradeWindow
 	}
 
-	// WAL recovery, phase 1: the checkpoint becomes the warm-start
-	// snapshot and the segment tail is decoded (torn bytes discarded at
-	// the last complete record); the tail is replayed in phase 2, after
-	// the platform state exists to replay it against.
+	// WAL recovery, phase 1: the checkpoint (nil when absent) becomes the
+	// warm-start state and the segment tail is decoded (torn bytes
+	// discarded at the last complete record); the tail is replayed in
+	// phase 2, after the platform state exists to replay it against.
+	var sn *Snapshot
 	var walRecs []wal.Record
 	var walNext uint64
 	var walTorn int
 	if cfg.WALDir != "" {
-		if cfg.Snapshot != nil {
-			return nil, fmt.Errorf("serve: WALDir and Snapshot are mutually exclusive (the WAL checkpoint is the snapshot)")
-		}
-		sn, recs, next, torn, err := loadWALDir(cfg.WALDir)
+		var err error
+		sn, walRecs, walNext, walTorn, err = loadWALDir(cfg.WALDir)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Snapshot, walRecs, walNext, walTorn = sn, recs, next, torn
 	}
 
 	var workers []*core.Worker
-	if cfg.Snapshot != nil {
-		ws, err := cfg.Snapshot.Restore(cfg.Graph.NumVertices())
-		if err != nil {
-			return nil, fmt.Errorf("serve: snapshot: %w", err)
-		}
-		workers = ws
-	} else {
-		workers = cloneWorkers(cfg.Workers)
-	}
-
-	// The weight overlay is derived state: a snapshot carries the applied
-	// update history, and replaying it reconstructs the exact multipliers
-	// and epoch the previous run served under.
 	overlay := roadnet.NewOverlay(cfg.Graph)
-	var history [][]roadnet.TrafficUpdate
-	if cfg.Snapshot != nil {
-		for i, batch := range cfg.Snapshot.Traffic {
-			if _, _, _, err := overlay.Apply(batch); err != nil {
-				return nil, fmt.Errorf("serve: snapshot traffic batch %d: %w", i, err)
-			}
+	if sn == nil {
+		workers = cloneWorkers(cfg.Workers)
+	} else {
+		var err error
+		if workers, err = sn.Restore(cfg.Graph.NumVertices()); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint: %w", err)
 		}
-		if overlay.Epoch() != cfg.Snapshot.Epoch {
-			return nil, fmt.Errorf("serve: snapshot epoch %d != %d replayed traffic batches",
-				cfg.Snapshot.Epoch, overlay.Epoch())
-		}
-		for _, batch := range cfg.Snapshot.Traffic {
-			history = append(history, append([]roadnet.TrafficUpdate(nil), batch...))
+		// The checkpoint carries the overlay's arc factors, not its
+		// history: applying them once reproduces the arc costs and epoch
+		// the previous run served under.
+		if overlay, err = roadnet.RestoreOverlay(cfg.Graph, sn.Epoch, sn.TrafficFactors); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint traffic: %w", err)
 		}
 	}
 
@@ -388,25 +365,24 @@ func NewServer(cfg Config) (*Server, error) {
 
 	world := sim.NewWorld(fleet, shortest.NewBiDijkstra(overlay.Graph()))
 	s := &Server{
-		cfg:            cfg,
-		alpha:          cfg.Alpha,
-		fleet:          fleet,
-		planner:        core.NewPruneGreedyDP(fleet, cfg.Alpha),
-		world:          world,
-		queries:        queries,
-		versioned:      versioned,
-		traffic:        sim.NewTraffic(overlay, versioned, fleet, world),
-		trafficHistory: history,
-		latency:        newLatencyRing(8192),
-		log:            logger,
-		histPlan:       trace.NewHistogram(trace.LatencyBuckets()),
-		histFlush:      trace.NewHistogram(trace.LatencyBuckets()),
-		histWALSync:    trace.NewHistogram(trace.LatencyBuckets()),
-		histAck:        trace.NewHistogram(trace.LatencyBuckets()),
-		wakeC:          make(chan struct{}, 1),
-		stopC:          make(chan struct{}),
-		doneC:          make(chan struct{}),
-		killC:          make(chan struct{}),
+		cfg:         cfg,
+		alpha:       cfg.Alpha,
+		fleet:       fleet,
+		planner:     core.NewPruneGreedyDP(fleet, cfg.Alpha),
+		world:       world,
+		queries:     queries,
+		versioned:   versioned,
+		traffic:     sim.NewTraffic(overlay, versioned, fleet, world),
+		latency:     newLatencyRing(8192),
+		log:         logger,
+		histPlan:    trace.NewHistogram(trace.LatencyBuckets()),
+		histFlush:   trace.NewHistogram(trace.LatencyBuckets()),
+		histWALSync: trace.NewHistogram(trace.LatencyBuckets()),
+		histAck:     trace.NewHistogram(trace.LatencyBuckets()),
+		wakeC:       make(chan struct{}, 1),
+		stopC:       make(chan struct{}),
+		doneC:       make(chan struct{}),
+		killC:       make(chan struct{}),
 	}
 	s.effQueue.Store(int64(cfg.MaxQueue))
 	if !cfg.NoBatchPrefetch {
@@ -421,31 +397,29 @@ func NewServer(cfg Config) (*Server, error) {
 		s.rec.PlanSeconds = s.histPlan
 		s.planner.SetObserver(s.rec)
 	}
-	if cfg.Snapshot != nil {
-		s.simTime = cfg.Snapshot.SimTime
-		s.nextID = cfg.Snapshot.NextID
-		s.accepted = cfg.Snapshot.Accepted
-		s.rejected = cfg.Snapshot.Rejected
-		s.penaltySum = cfg.Snapshot.PenaltySum
-		s.batches = cfg.Snapshot.Batches
-		s.maxBatch = cfg.Snapshot.MaxBatch
-		s.lateAdmissions = cfg.Snapshot.LateAdmissions
-		s.shed = cfg.Snapshot.Shed
-		s.submitted = cfg.Snapshot.Submitted
-		s.world.RestoreStats(cfg.Snapshot.Completions, cfg.Snapshot.LateArrivals)
-		s.traffic.RestoreStats(len(cfg.Snapshot.Traffic), cfg.Snapshot.InfeasibleStops)
-	}
-	s.simTimeBits.Store(math.Float64bits(s.simTime))
 	if cfg.WALDir != "" {
-		// WAL recovery, phase 2: seed the decided window from the
-		// checkpoint, replay the log tail through the same decide path live
-		// traffic uses, then checkpoint and truncate — NewServer returns
-		// with the state durably snapshotted and the log empty.
+		// WAL recovery, phase 2: restore the checkpoint's clock, counters
+		// and decided window, replay the log tail through the same decide
+		// path live traffic uses, then checkpoint and truncate — NewServer
+		// returns with the state durably snapshotted and the log empty.
 		s.decided = make(map[int32]Decision)
 		var after uint64
-		if cfg.Snapshot != nil {
-			after = cfg.Snapshot.WALSeq
-			for _, d := range cfg.Snapshot.LastDecisions {
+		if sn != nil {
+			s.simTime = sn.SimTime
+			s.simTimeBits.Store(math.Float64bits(s.simTime))
+			s.nextID = sn.NextID
+			s.accepted = sn.Accepted
+			s.rejected = sn.Rejected
+			s.penaltySum = sn.PenaltySum
+			s.batches = sn.Batches
+			s.maxBatch = sn.MaxBatch
+			s.lateAdmissions = sn.LateAdmissions
+			s.shed = sn.Shed
+			s.submitted = sn.Submitted
+			s.world.RestoreStats(sn.Completions, sn.LateArrivals)
+			s.traffic.RestoreStats(int(sn.Epoch), sn.InfeasibleStops)
+			after = sn.WALSeq
+			for _, d := range sn.LastDecisions {
 				s.decided[d.ID] = d
 				s.lastGroup = append(s.lastGroup, d.ID)
 			}
@@ -964,7 +938,6 @@ func (s *Server) ApplyTraffic(at *float64, ups []roadnet.TrafficUpdate) (Traffic
 	}
 	s.simTime = t
 	s.simTimeBits.Store(math.Float64bits(t))
-	s.trafficHistory = append(s.trafficHistory, append([]roadnet.TrafficUpdate(nil), ups...))
 	if s.wal != nil {
 		// Log the update as applied (effective time and epoch resolved) and
 		// sync before acknowledging — a crashed client may blindly resend,
@@ -1156,12 +1129,10 @@ func (s *Server) snapshotLocked() *Snapshot {
 		LateArrivals:    s.world.LateArrivals(),
 		InfeasibleStops: s.traffic.RepairStats().InfeasibleStops,
 		Workers:         make([]core.WorkerState, len(s.fleet.Workers)),
+		TrafficFactors:  s.traffic.Overlay().Factors(),
 	}
 	for i, w := range s.fleet.Workers {
 		sn.Workers[i] = core.NewWorkerState(w)
-	}
-	for _, batch := range s.trafficHistory {
-		sn.Traffic = append(sn.Traffic, append([]roadnet.TrafficUpdate(nil), batch...))
 	}
 	return sn
 }

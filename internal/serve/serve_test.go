@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/roadnet"
 	"repro/internal/shortest"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -294,9 +296,9 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 // TestSnapshotWarmRestartEquivalence serves the first half of a workload,
-// snapshots, restores a second server from the snapshot, then serves the
-// second half to both — decisions must match each other and the offline
-// run of the full instance.
+// snapshots, restores a second server from the snapshot (as the checkpoint
+// of its WAL directory), then serves the second half to both — decisions
+// must match each other and the offline run of the full instance.
 func TestSnapshotWarmRestartEquivalence(t *testing.T) {
 	g, inst := testInstance(t)
 	want, _, err := OfflineDecisions(g, inst, shortest.BuildHubLabels(g), "hub", 1, nil)
@@ -332,7 +334,7 @@ func TestSnapshotWarmRestartEquivalence(t *testing.T) {
 	}
 	s2 := newTestServer(t, g, inst, func(c *Config) {
 		c.Workers = nil
-		c.Snapshot = sn
+		c.WALDir = checkpointDir(t, sn)
 		c.Oracle = oracle
 	})
 
@@ -537,9 +539,10 @@ func TestSnapshotRejectsBadInput(t *testing.T) {
 		{"not json", "hello"},
 		{"wrong format", `{"format": "urpsm-roadnet", "version": 1}`},
 		{"wrong version", `{"format": "urpsm-snapshot", "version": 99}`},
-		{"negative sim time", `{"format": "urpsm-snapshot", "version": 1, "sim_time": -4}`},
-		{"nan penalty", `{"format": "urpsm-snapshot", "version": 1, "penalty_sum": 1e999}`},
-		{"negative counter", `{"format": "urpsm-snapshot", "version": 1, "accepted": -1}`},
+		{"version 1", `{"format": "urpsm-snapshot", "version": 1}`},
+		{"negative sim time", `{"format": "urpsm-snapshot", "version": 2, "sim_time": -4}`},
+		{"nan penalty", `{"format": "urpsm-snapshot", "version": 2, "penalty_sum": 1e999}`},
+		{"negative counter", `{"format": "urpsm-snapshot", "version": 2, "accepted": -1}`},
 	} {
 		if _, err := ReadSnapshot(strings.NewReader(tc.data)); err == nil {
 			t.Errorf("%s: expected error", tc.name)
@@ -547,7 +550,7 @@ func TestSnapshotRejectsBadInput(t *testing.T) {
 	}
 
 	// Structurally fine JSON whose fleet is invalid must fail at Restore.
-	sparse := `{"format": "urpsm-snapshot", "version": 1,
+	sparse := `{"format": "urpsm-snapshot", "version": 2,
 		"workers": [{"id": 1, "capacity": 2, "route": {"loc": 0}}]}`
 	sn, err := ReadSnapshot(strings.NewReader(sparse))
 	if err != nil {
@@ -556,4 +559,15 @@ func TestSnapshotRejectsBadInput(t *testing.T) {
 	if _, err := sn.Restore(4); err == nil {
 		t.Error("sparse worker IDs: expected Restore error")
 	}
+}
+
+// checkpointDir returns a fresh WAL directory whose checkpoint is sn, so a
+// server started on it warm-starts from sn.
+func checkpointDir(t *testing.T, sn *Snapshot) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := SaveSnapshotFile(filepath.Join(dir, wal.CheckpointName), sn); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }

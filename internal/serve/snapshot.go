@@ -3,9 +3,10 @@ package serve
 // Versioned JSON snapshots of the serving state, for crash recovery and
 // warm restarts (FORMATS.md §5). A snapshot captures everything the
 // server cannot rebuild from its inputs: the fleet's mid-flight routes,
-// the event clock and the decision counters. The road network itself is
-// NOT part of the snapshot — restoring validates the saved state against
-// the graph the server is started on.
+// the event clock, the decision counters and the traffic overlay's arc
+// factors. The road network itself is NOT part of the snapshot —
+// restoring validates the saved state against the graph the server is
+// started on. A server restores only from its WAL checkpoint (wal.go).
 
 import (
 	"encoding/json"
@@ -25,7 +26,7 @@ import (
 const SnapshotFormat = "urpsm-snapshot"
 
 // SnapshotVersion is the current snapshot schema version.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // maxSnapshotBytes bounds a snapshot file read; sized for fleets far
 // beyond anything this repository runs.
@@ -33,29 +34,30 @@ const maxSnapshotBytes = 1 << 28 // 256 MB
 
 // Snapshot is the persisted serving state. Every monotone counter the
 // stats surface reports is included, so /metrics counters never move
-// backwards across a warm restart. Epoch and Traffic carry the live
-// weight state: the applied update history is the source of truth (the
-// overlay is derived by replaying it at restore), and Epoch pins that the
-// replay reconstructed exactly the epoch the snapshot was taken at.
+// backwards across a warm restart. Epoch and TrafficFactors carry the
+// live weight state: the overlay's multiplier of every arc not at 1
+// (roadnet.Overlay.Factors), which roadnet.RestoreOverlay applies once
+// at restore. Its size is bounded by the graph, however many traffic
+// epochs led to it.
 type Snapshot struct {
-	Format          string                    `json:"format"`
-	Version         int                       `json:"version"`
-	SimTime         float64                   `json:"sim_time"`
-	Epoch           uint64                    `json:"epoch"`
-	NextID          int32                     `json:"next_id"`
-	Accepted        int                       `json:"accepted"`
-	Rejected        int                       `json:"rejected"`
-	PenaltySum      float64                   `json:"penalty_sum"`
-	Batches         int                       `json:"batches"`
-	MaxBatch        int                       `json:"max_batch"`
-	LateAdmissions  int                       `json:"late_admissions"`
-	Shed            int                       `json:"shed,omitempty"`
-	Submitted       int                       `json:"submitted,omitempty"`
-	Completions     int                       `json:"completions"`
-	LateArrivals    int                       `json:"late_arrivals"`
-	InfeasibleStops int                       `json:"infeasible_stops"`
-	Workers         []core.WorkerState        `json:"workers"`
-	Traffic         [][]roadnet.TrafficUpdate `json:"traffic,omitempty"`
+	Format          string              `json:"format"`
+	Version         int                 `json:"version"`
+	SimTime         float64             `json:"sim_time"`
+	Epoch           uint64              `json:"epoch"`
+	NextID          int32               `json:"next_id"`
+	Accepted        int                 `json:"accepted"`
+	Rejected        int                 `json:"rejected"`
+	PenaltySum      float64             `json:"penalty_sum"`
+	Batches         int                 `json:"batches"`
+	MaxBatch        int                 `json:"max_batch"`
+	LateAdmissions  int                 `json:"late_admissions"`
+	Shed            int                 `json:"shed,omitempty"`
+	Submitted       int                 `json:"submitted,omitempty"`
+	Completions     int                 `json:"completions"`
+	LateArrivals    int                 `json:"late_arrivals"`
+	InfeasibleStops int                 `json:"infeasible_stops"`
+	Workers         []core.WorkerState  `json:"workers"`
+	TrafficFactors  []roadnet.ArcFactor `json:"traffic_factors,omitempty"`
 	// WALSeq is set on WAL checkpoints: the log sequence number this
 	// snapshot covers through. Recovery skips WAL records at or below it.
 	WALSeq uint64 `json:"wal_lsn,omitempty"`
@@ -108,9 +110,9 @@ func SaveSnapshotFile(path string, sn *Snapshot) error {
 }
 
 // ReadSnapshot parses a snapshot, checking the format discriminator, the
-// version and the graph-independent structural invariants. Vertex ranges
-// and route feasibility are checked later by Restore, which knows the
-// graph.
+// version and the graph-independent structural invariants. Vertex ranges,
+// route feasibility and the traffic factors are checked later, against
+// the graph, by Restore and roadnet.RestoreOverlay.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxSnapshotBytes+1))
 	if err != nil {
@@ -139,14 +141,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if math.IsNaN(sn.PenaltySum) || math.IsInf(sn.PenaltySum, 0) || sn.PenaltySum < 0 {
 		return nil, fmt.Errorf("serve: bad snapshot penalty_sum %v", sn.PenaltySum)
-	}
-	if sn.Epoch != uint64(len(sn.Traffic)) {
-		return nil, fmt.Errorf("serve: snapshot epoch %d != %d traffic batches", sn.Epoch, len(sn.Traffic))
-	}
-	for i, batch := range sn.Traffic {
-		if len(batch) == 0 {
-			return nil, fmt.Errorf("serve: snapshot traffic batch %d is empty", i)
-		}
 	}
 	return &sn, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,23 +206,33 @@ func TestLockstepEquivalenceCCHCustomize(t *testing.T) {
 }
 
 // TestSnapshotCarriesTrafficState pins that a warm restart reconstructs
-// the weights: snapshot → restore → same epoch, same distances, and the
-// snapshot round-trips byte-stably.
+// the weights: snapshot → restore from a WAL checkpoint → same epoch, the
+// same arc factors and bit-identical distances over every vertex pair, and
+// the snapshot round-trips byte-stably.
 func TestSnapshotCarriesTrafficState(t *testing.T) {
 	g, inst := testInstance(t)
-	s := newTestServer(t, g, inst, nil)
+	onCCH := func(c *Config) {
+		c.Oracle = shortest.BuildCCH(g)
+		c.OracleKind = "cch"
+	}
+	s := newTestServer(t, g, inst, onCCH)
 	ts := httptest.NewServer(s.Handler())
 
-	postTraffic(t, ts.URL, 50, []roadnet.TrafficUpdate{{Factor: 2, Class: "residential"}})
-	postTraffic(t, ts.URL, 80, []roadnet.TrafficUpdate{{Factor: 1.4}})
+	e := firstEdge(g)
+	batches := [][]roadnet.TrafficUpdate{
+		{{Factor: 2, Class: "residential"}},
+		{{Factor: 1.4, Class: "arterial"}, {Factor: 3, Edges: [][2]int64{e}}},
+	}
+	postTraffic(t, ts.URL, 50, batches[0])
+	postTraffic(t, ts.URL, 80, batches[1])
 	reqs := sortedRequests(inst)
 	for _, r := range reqs[:10] {
 		postRequest(t, ts.URL, r)
 	}
 	sn := s.TakeSnapshot()
 	ts.Close()
-	if sn.Epoch != 2 || len(sn.Traffic) != 2 {
-		t.Fatalf("snapshot epoch=%d traffic batches=%d", sn.Epoch, len(sn.Traffic))
+	if sn.Epoch != 2 || len(sn.TrafficFactors) == 0 {
+		t.Fatalf("snapshot epoch=%d traffic factors=%d", sn.Epoch, len(sn.TrafficFactors))
 	}
 
 	// Byte-stable round trip through the reader.
@@ -241,41 +252,51 @@ func TestSnapshotCarriesTrafficState(t *testing.T) {
 		t.Fatal("traffic-bearing snapshot not byte-stable")
 	}
 
+	// The factors are the state an overlay that applied the same batches
+	// holds.
+	overlay := roadnet.NewOverlay(g)
+	for _, batch := range batches {
+		if _, _, _, err := overlay.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(sn2.TrafficFactors, overlay.Factors()) {
+		t.Fatalf("snapshot factors %v, overlay factors %v", sn2.TrafficFactors, overlay.Factors())
+	}
+
 	// Restore: the restarted server serves the restored epoch's weights,
 	// and the monotone traffic counters do not move backwards.
-	s2 := newTestServer(t, g, inst, func(c *Config) { c.Snapshot = sn2 })
+	s2 := newTestServer(t, g, inst, func(c *Config) {
+		onCCH(c)
+		c.WALDir = checkpointDir(t, sn2)
+	})
 	if st := s2.Stats(); st.TrafficEpoch != 2 {
 		t.Fatalf("restored epoch %d want 2", st.TrafficEpoch)
 	} else if st.TrafficUpdates != 2 || st.InfeasibleStops != sn2.InfeasibleStops {
 		t.Fatalf("restored counters regressed: updates=%d infeasible=%d (snapshot %d)",
 			st.TrafficUpdates, st.InfeasibleStops, sn2.InfeasibleStops)
 	}
-	// Distances after restore match an overlay replayed from the history.
-	overlay := roadnet.NewOverlay(g)
-	for _, batch := range sn2.Traffic {
-		if _, _, _, err := overlay.Apply(batch); err != nil {
-			t.Fatal(err)
+	// Distances after restore are, bit for bit, a CCH customized on that
+	// overlay's weights.
+	ref := shortest.BuildCCH(overlay.Graph())
+	n := roadnet.VertexID(g.NumVertices())
+	for u := roadnet.VertexID(0); u < n; u++ {
+		for v := roadnet.VertexID(0); v < n; v++ {
+			if got, want := s2.versioned.Dist(u, v), ref.Dist(u, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("restored Dist(%d,%d)=%v want %v", u, v, got, want)
+			}
 		}
 	}
-	ref := shortest.NewBiDijkstra(overlay.Graph())
-	for i := 0; i < 50; i++ {
-		u := roadnet.VertexID(i % g.NumVertices())
-		v := roadnet.VertexID((i * 7) % g.NumVertices())
-		if got, want := s2.versioned.Dist(u, v), ref.Dist(u, v); math.Abs(got-want) > 1e-9*(1+want) {
-			t.Fatalf("restored Dist(%d,%d)=%v want %v", u, v, got, want)
-		}
-	}
+}
 
-	// A corrupted epoch/history pairing is rejected.
-	sn3 := *sn2
-	sn3.Epoch = 5
-	var buf3 bytes.Buffer
-	if err := WriteSnapshot(&buf3, &sn3); err != nil {
-		t.Fatal(err)
+// firstEdge returns an edge of g as a traffic-update edge selector.
+func firstEdge(g *roadnet.Graph) [2]int64 {
+	for v := roadnet.VertexID(1); int(v) < g.NumVertices(); v++ {
+		if g.ArcIndex(0, v) >= 0 {
+			return [2]int64{0, int64(v)}
+		}
 	}
-	if _, err := ReadSnapshot(bytes.NewReader(buf3.Bytes())); err == nil {
-		t.Fatal("epoch/history mismatch accepted")
-	}
+	panic("vertex 0 has no edge")
 }
 
 // TestNewServerRejectsUnknownOracleKind: every traffic epoch rebuilds the

@@ -252,7 +252,6 @@ func (s *Server) replayTraffic(r wal.Record) error {
 	}
 	s.simTime = tr.At
 	s.simTimeBits.Store(math.Float64bits(tr.At))
-	s.trafficHistory = append(s.trafficHistory, append([]roadnet.TrafficUpdate(nil), tr.Updates...))
 	return nil
 }
 

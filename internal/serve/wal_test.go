@@ -458,6 +458,11 @@ func TestWALRecoveryErrors(t *testing.T) {
 	orphanSeg := rebuildSegment(start, []wal.Record{{LSN: start, Type: wal.TypeAdmission, Body: recs[1].Body}})
 	badMagic := append([]byte(nil), seg...)
 	copy(badMagic, "NOTAWAL!")
+	e := firstEdge(g)
+	nonEdge := 1
+	for g.ArcIndex(0, roadnet.VertexID(nonEdge)) >= 0 {
+		nonEdge++
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -468,15 +473,23 @@ func TestWALRecoveryErrors(t *testing.T) {
 		{"checkpoint version skew",
 			mutateJSON(t, ckpt, func(m map[string]any) { m["version"] = 99 }), nil,
 			"unsupported snapshot version"},
+		// The checkpoint's epoch disagrees with the traffic record the log
+		// carries after it.
 		{"corrupt epoch history",
 			mutateJSON(t, ckpt, func(m map[string]any) { m["epoch"] = 5 }), nil,
-			"traffic batches"},
+			"traffic replay produced epoch 6, log says 1"},
 		{"partial traffic batch",
 			mutateJSON(t, ckpt, func(m map[string]any) {
 				m["epoch"] = 1
-				m["traffic"] = []any{[]any{}}
+				m["traffic_factors"] = []any{[]any{e[0], e[1]}}
 			}), nil,
-			"traffic batch 0 is empty"},
+			"is not [u, v, factor]"},
+		{"traffic factor on a non-edge",
+			mutateJSON(t, ckpt, func(m map[string]any) {
+				m["epoch"] = 1
+				m["traffic_factors"] = []any{[]any{0, nonEdge, 2}}
+			}), nil,
+			"names no edge"},
 		{"corrupt worker",
 			mutateJSON(t, ckpt, func(m map[string]any) {
 				ws := m["workers"].([]any)
@@ -521,13 +534,6 @@ func TestWALRecoveryErrors(t *testing.T) {
 		})
 	}
 
-	// Config conflict: WALDir and Snapshot together are refused.
-	if _, err := NewServer(Config{
-		Graph: g, Workers: inst.Workers, Oracle: oracle,
-		WALDir: t.TempDir(), Snapshot: &Snapshot{Format: SnapshotFormat, Version: SnapshotVersion},
-	}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("WALDir+Snapshot: %v", err)
-	}
 }
 
 func newHTTPServer(t *testing.T, s *Server) string {
@@ -639,5 +645,65 @@ func TestWALHTTPEndpoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestCheckpointBytesBoundedByEpochs: a checkpoint holds the traffic
+// overlay's state, not its history, so its size does not grow with the
+// number of traffic epochs. N epochs cycling per-edge factors, a
+// class-wide rule, a clear and a mix, then the same N again: the second
+// checkpoint is within 10 % of the first, and a restart on the directory
+// resumes at epoch 2N.
+func TestCheckpointBytesBoundedByEpochs(t *testing.T) {
+	const n = 200
+	g, inst := testInstance(t)
+	oracle := shortest.BuildCCH(g)
+	dir := t.TempDir()
+	onCCH := func(c *Config) { c.OracleKind = "cch" }
+	s := newWALServer(t, g, inst, oracle, dir, onCCH)
+	url := newHTTPServer(t, s)
+	edges := g.Edges()
+	at := 0.0
+	cycle := func() {
+		for i := 0; i < n; i++ {
+			e := edges[(i*7)%len(edges)]
+			sel := [][2]int64{{int64(e.U), int64(e.V)}}
+			f := 1 + float64(i%9)/4
+			var ups []roadnet.TrafficUpdate
+			switch i % 4 {
+			case 0:
+				ups = []roadnet.TrafficUpdate{{Factor: f, Edges: sel}}
+			case 1:
+				ups = []roadnet.TrafficUpdate{{Factor: f, Class: "arterial"}}
+			case 2:
+				ups = []roadnet.TrafficUpdate{{Factor: 1}}
+			case 3:
+				ups = []roadnet.TrafficUpdate{{Factor: f, Class: "residential"}, {Factor: f + 1, Edges: sel}}
+			}
+			at++
+			postTraffic(t, url, at, ups)
+		}
+	}
+	checkpointBytes := func() int64 {
+		var ck CheckpointResult
+		postJSON(t, url+"/v1/checkpoint", &ck)
+		fi, err := os.Stat(filepath.Join(dir, wal.CheckpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	cycle()
+	b1 := checkpointBytes()
+	cycle()
+	b2 := checkpointBytes()
+	t.Logf("checkpoint bytes: %d after %d epochs, %d after %d", b1, n, b2, 2*n)
+	if float64(b2) > 1.1*float64(b1) {
+		t.Fatalf("checkpoint grew from %d to %d bytes between epoch %d and %d", b1, b2, n, 2*n)
+	}
+	s.Abort()
+	s2 := newWALServer(t, g, inst, oracle, dir, onCCH)
+	if st := s2.Stats(); st.TrafficEpoch != 2*n {
+		t.Fatalf("restart on the checkpoint reports epoch %d, want %d", st.TrafficEpoch, 2*n)
 	}
 }

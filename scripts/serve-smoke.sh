@@ -7,11 +7,14 @@
 # sim.Engine run and printing p50/p95/p99 latency), scrapes the
 # observability surface (/metrics histograms, /debug/trace, one
 # /v1/decisions/{id}/explain, /debug/runtime), then sends SIGTERM
-# and asserts a clean drain + snapshot write. A second server then
-# replays the same workload with a mid-replay traffic profile injected
-# via POST /v1/traffic (-traffic): decisions must stay bit-identical to
-# the offline engine replaying the same congestion trace, the epoch must
-# show up in /metrics, and no route may be dropped.
+# and asserts a clean drain + final WAL checkpoint, and a warm restart on
+# the same -wal directory resumes from that checkpoint. A third server
+# then replays the same workload with a mid-replay traffic profile
+# injected via POST /v1/traffic (-traffic): decisions must stay
+# bit-identical to the offline engine replaying the same congestion
+# trace, the epoch must show up in /metrics, and no route may be dropped;
+# it is then stopped and restarted on its own -wal directory, and must
+# come back at the same traffic epoch (the checkpoint's arc factors).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,7 +43,7 @@ echo "== fixture (chengdu preset, scale 0.1: 1500 requests, 60 workers) =="
 echo "== start urpsm-serve on $ADDR =="
 "$BIN/urpsm-serve" -net "$WORK/city.net" -load "$WORK/city.load" \
     -oracle auto -addr "$ADDR" -trace-events 16384 \
-    -snapshot "$WORK/state.json" > "$WORK/serve.log" 2>&1 &
+    -wal "$WORK/wal" > "$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 
 echo "== lockstep replay =="
@@ -96,24 +99,38 @@ if ! wait "$SERVE_PID"; then
     exit 1
 fi
 SERVE_PID=""
-grep -q "wrote snapshot" "$WORK/serve.log" || {
-    echo "no snapshot written; log:" >&2; cat "$WORK/serve.log" >&2; exit 1; }
-test -s "$WORK/state.json"
+grep -q "wal final checkpoint written" "$WORK/serve.log" || {
+    echo "no final checkpoint written; log:" >&2; cat "$WORK/serve.log" >&2; exit 1; }
+test -s "$WORK/wal/checkpoint.json"
 
-echo "== warm restart from snapshot =="
-"$BIN/urpsm-serve" -net "$WORK/city.net" -load "$WORK/city.load" \
-    -oracle auto -addr "$ADDR" -snapshot "$WORK/state.json" \
-    > "$WORK/serve2.log" 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-    grep -q "urpsm-serve on" "$WORK/serve2.log" && break
-    sleep 0.1
-done
-grep -q "restored snapshot" "$WORK/serve2.log" || {
-    echo "warm restart did not restore; log:" >&2; cat "$WORK/serve2.log" >&2; exit 1; }
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-SERVE_PID=""
+# start_serve LOG ARGS... starts urpsm-serve in the background and waits
+# until it listens.
+start_serve() {
+    local log=$1
+    shift
+    "$BIN/urpsm-serve" -net "$WORK/city.net" -load "$WORK/city.load" \
+        -oracle auto -addr "$ADDR" "$@" > "$log" 2>&1 &
+    SERVE_PID=$!
+    for _ in $(seq 1 100); do
+        grep -q "urpsm-serve on" "$log" && return
+        sleep 0.1
+    done
+    echo "urpsm-serve did not start; log:" >&2; cat "$log" >&2; exit 1
+}
+
+stop_serve() {
+    kill -TERM "$SERVE_PID"
+    wait "$SERVE_PID"
+    SERVE_PID=""
+}
+
+echo "== warm restart from the WAL checkpoint =="
+# The drain checkpointed every decision and left the log empty, so the
+# restart replays nothing and resumes at the checkpoint's 1500 decisions.
+start_serve "$WORK/serve2.log" -wal "$WORK/wal"
+grep -q "recovered 0 records (0 torn bytes discarded), state checkpointed at 1500 decided requests" "$WORK/serve2.log" || {
+    echo "warm restart did not resume from the checkpoint; log:" >&2; cat "$WORK/serve2.log" >&2; exit 1; }
+stop_serve
 
 echo "== lockstep replay with mid-replay traffic updates =="
 cat > "$WORK/rush.traffic" <<'TRAFFIC'
@@ -124,10 +141,7 @@ at 900 scale 2.2 class motorway
 at 900 scale 1.3
 at 1800 clear
 TRAFFIC
-"$BIN/urpsm-serve" -net "$WORK/city.net" -load "$WORK/city.load" \
-    -oracle auto -addr "$ADDR" \
-    > "$WORK/serve3.log" 2>&1 &
-SERVE_PID=$!
+start_serve "$WORK/serve3.log" -wal "$WORK/wal3"
 "$BIN/urpsm-replay" -net "$WORK/city.net" -load "$WORK/city.load" \
     -traffic "$WORK/rush.traffic" -addr "$ADDR" -oracle auto -lockstep
 
@@ -146,8 +160,19 @@ if command -v curl > /dev/null; then
     AFTER=$(curl -sf "http://$ADDR/metrics" | awk '/^urpsm_traffic_epoch/ {print $2}')
     [ "$AFTER" -gt "$BEFORE" ] || { echo "POST /v1/traffic did not bump epoch ($BEFORE -> $AFTER)" >&2; exit 1; }
 fi
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-SERVE_PID=""
+stop_serve
+
+echo "== restart on the traffic-bearing WAL directory =="
+# The checkpoint carries the overlay's arc factors and epoch; the
+# restarted daemon must serve at the epoch the first one stopped at.
+start_serve "$WORK/serve4.log" -wal "$WORK/wal3"
+if command -v curl > /dev/null; then
+    RESTORED=$(curl -sf "http://$ADDR/metrics" | awk '/^urpsm_traffic_epoch/ {print $2}')
+    [ "$RESTORED" = "$AFTER" ] && grep -q "traffic epoch $AFTER\$" "$WORK/serve4.log" || {
+        echo "restart reports traffic epoch $RESTORED, want $AFTER; log:" >&2
+        cat "$WORK/serve4.log" >&2; exit 1; }
+    echo "restart resumed at traffic epoch $RESTORED"
+fi
+stop_serve
 
 echo "serve-smoke OK"
