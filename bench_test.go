@@ -640,8 +640,8 @@ func BenchmarkBatchPlanning(b *testing.B) {
 	// every decision, and reports the oracle queries (cache misses) and
 	// table hits issued along the way.
 	run := func(batched bool) ([]core.Result, uint64, uint64) {
-		counter := shortest.NewCounting(st.hub)
-		dist := shortest.NewCached(counter, 1<<18).Dist
+		cached := shortest.NewCached(st.hub, 1<<18)
+		dist := cached.Dist
 		fleet, err := core.NewFleet(st.g, dist, cloneFleetWorkers(st.saved), 2000)
 		if err != nil {
 			panic(err)
@@ -683,7 +683,8 @@ func BenchmarkBatchPlanning(b *testing.B) {
 		if batched {
 			hits, _ = table.Stats()
 		}
-		return results, counter.Count(), hits
+		_, misses := cached.Stats()
+		return results, misses, hits
 	}
 
 	// Decision identity across the swap, verified before timing anything.

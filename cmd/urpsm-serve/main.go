@@ -38,6 +38,12 @@
 // while queries wait. Decisions stay bit-identical to the
 // offline engine under the same traffic.
 //
+// Distances (DESIGN.md §16): every query goes through one LRU cache over
+// the tier, and its misses are the dist_queries stat. The tier alone
+// decides batch prefetch: on hub each admission group is planned against
+// one many-to-many distance table, whose cells are bit-identical to the
+// point queries they replace; cch and bidijkstra plan from point queries.
+//
 // API: POST /v1/requests, POST /v1/traffic, POST /v1/checkpoint,
 // GET /v1/workers/{id}/route, GET /v1/decisions/{id}, GET /v1/stats,
 // GET /v1/snapshot, GET /metrics (Prometheus text). See FORMATS.md §5.
@@ -78,26 +84,25 @@ var version = "dev"
 
 func main() {
 	var (
-		netFile    = flag.String("net", "", "road-network file (urpsm-roadnet format, required)")
-		loadFile   = flag.String("load", "", "workload file supplying the initial fleet (urpsm-workload format, required)")
-		oracle     = cliutil.OracleFlag("auto")
-		addr       = flag.String("addr", ":8650", "HTTP listen address")
-		maxQueue   = flag.Int("max-queue", 0, "bound the pending admission queue: beyond this many requests the lowest-value one is shed with HTTP 429 (0 = unbounded)")
-		degTarget  = flag.Duration("degrade-target", 0, "p95 per-group plan-time SLO driving the graceful-degradation ladder (0 = ladder disabled)")
-		degWindow  = flag.Int("degrade-window", serve.DefaultDegradeWindow, "consecutive groups breaching (or clearing) the SLO before the ladder moves a stage")
-		gridKm     = flag.Float64("grid", 2, "grid cell size g in km")
-		alpha      = flag.Float64("alpha", 1, "unified-cost weight α")
-		walDir     = flag.String("wal", "", "write-ahead-log directory: the checkpoint plus log a restart on the same directory resumes from, crash-safe (empty = no state survives the process)")
-		walCkpt    = flag.Int64("wal-checkpoint-bytes", serve.DefaultCheckpointBytes, "auto-checkpoint once the log exceeds this size (negative = explicit POST /v1/checkpoint only)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		noPrefetch = flag.Bool("no-batch-prefetch", false, "plan every admission batch with point distance queries instead of one prefetched many-to-many table (decisions are bit-identical either way, see DESIGN.md §16); only the hub tier has a table, cch and bidijkstra always plan from point queries")
-		traceEv    = flag.Int("trace-events", serve.DefaultTraceEvents, "flight-recorder ring capacity in events for /debug/trace and explain (0 = tracing disabled)")
-		logLevel   = cliutil.LogLevelFlag("info")
+		netFile   = flag.String("net", "", "road-network file (urpsm-roadnet format, required)")
+		loadFile  = flag.String("load", "", "workload file supplying the initial fleet (urpsm-workload format, required)")
+		oracle    = cliutil.OracleFlag("auto")
+		addr      = flag.String("addr", ":8650", "HTTP listen address")
+		maxQueue  = flag.Int("max-queue", 0, "bound the pending admission queue: beyond this many requests the lowest-value one is shed with HTTP 429 (0 = unbounded)")
+		degTarget = flag.Duration("degrade-target", 0, "p95 per-group plan-time SLO driving the graceful-degradation ladder (0 = ladder disabled)")
+		degWindow = flag.Int("degrade-window", serve.DefaultDegradeWindow, "consecutive groups breaching (or clearing) the SLO before the ladder moves a stage")
+		gridKm    = flag.Float64("grid", 2, "grid cell size g in km")
+		alpha     = flag.Float64("alpha", 1, "unified-cost weight α")
+		walDir    = flag.String("wal", "", "write-ahead-log directory: the checkpoint plus log a restart on the same directory resumes from, crash-safe (empty = no state survives the process)")
+		walCkpt   = flag.Int64("wal-checkpoint-bytes", serve.DefaultCheckpointBytes, "auto-checkpoint once the log exceeds this size (negative = explicit POST /v1/checkpoint only)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
+		traceEv   = flag.Int("trace-events", serve.DefaultTraceEvents, "flight-recorder ring capacity in events for /debug/trace and explain (0 = tracing disabled)")
+		logLevel  = cliutil.LogLevelFlag("info")
 	)
 	flag.Parse()
 	if err := run(*netFile, *loadFile, *oracle, *addr,
 		*gridKm, *alpha, *walDir, *walCkpt, *pprofAddr,
-		*noPrefetch, *traceEv, *logLevel,
+		*traceEv, *logLevel,
 		overload{maxQueue: *maxQueue, target: *degTarget, window: *degWindow}); err != nil {
 		fmt.Fprintln(os.Stderr, "urpsm-serve:", err)
 		os.Exit(1)
@@ -114,7 +119,7 @@ type overload struct {
 
 func run(netFile, loadFile, oracleKind, addr string,
 	gridKm, alpha float64, walDir string,
-	walCkptBytes int64, pprofAddr string, noPrefetch bool,
+	walCkptBytes int64, pprofAddr string,
 	traceEvents int, logLevel string, ovl overload) error {
 	if netFile == "" || loadFile == "" {
 		return fmt.Errorf("-net and -load are required")
@@ -159,7 +164,6 @@ func run(netFile, loadFile, oracleKind, addr string,
 		MaxQueue:        ovl.maxQueue,
 		DegradeTarget:   ovl.target,
 		DegradeWindow:   ovl.window,
-		NoBatchPrefetch: noPrefetch,
 		WALDir:          walDir,
 		CheckpointBytes: walCkptBytes,
 		TraceEvents:     traceEvents,

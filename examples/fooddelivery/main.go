@@ -42,8 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	hub := shortest.BuildHubLabels(g)
-	counter := shortest.NewCounting(hub)
-	cached := shortest.NewCached(counter, 1<<18)
+	cached := shortest.NewCached(hub, 1<<18) // its misses are the distance queries
 
 	inst, err := workload.BuildOn(params, g, cached.Dist)
 	if err != nil {
@@ -60,7 +59,7 @@ func main() {
 	}
 	planner := core.NewPruneGreedyDP(fleet, 1)
 	eng := sim.NewEngine(fleet, planner, shortest.NewBiDijkstra(g), 1)
-	eng.Queries = counter
+	eng.Queries = cached
 
 	m, err := eng.Run(inst.Requests)
 	if err != nil {

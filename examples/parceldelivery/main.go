@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	hub := shortest.BuildHubLabels(g)
-	cached := shortest.NewCached(shortest.NewCounting(hub), 1<<18)
+	cached := shortest.NewCached(hub, 1<<18)
 
 	inst, err := workload.BuildOn(params, g, cached.Dist)
 	if err != nil {

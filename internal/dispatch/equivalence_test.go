@@ -7,9 +7,9 @@ package dispatch_test
 // per-scenario history stays comparable.
 //
 // What it checks now: core.Greedy driving a full simulation must reach
-// bit-identical decisions whether its distances come through the
-// Counting → Cached chain the simulator and server use, or straight from
-// the hub labels on an independently built fleet. Served sets, per-request
+// bit-identical decisions whether its distances come through the LRU cache
+// (shortest.Cached) the simulator and server query through, or straight
+// from the hub labels on an independently built fleet. Served sets, per-request
 // worker assignments, Δ* values, total distance and final routes must
 // match exactly, so a cache that returned a wrong or stale distance, or a
 // planner whose output depended on build order, fails here.
@@ -73,7 +73,7 @@ func makeScenario(i int) scenario {
 }
 
 // build materializes one scenario: graph, oracle, instance, fleet. With
-// cached set the fleet reads the hub labels through Counting → Cached;
+// cached set the fleet reads the hub labels through shortest.Cached;
 // otherwise it reads them directly.
 func (s scenario) build(t *testing.T, cached bool) (*core.Fleet, []*core.Request, *roadnet.Graph) {
 	t.Helper()
@@ -84,7 +84,7 @@ func (s scenario) build(t *testing.T, cached bool) (*core.Fleet, []*core.Request
 	hub := shortest.BuildHubLabels(g)
 	dist := core.DistFunc(hub.Dist)
 	if cached {
-		dist = shortest.NewCached(shortest.NewCounting(hub), 1<<14).Dist
+		dist = shortest.NewCached(hub, 1<<14).Dist
 	}
 	inst, err := workload.BuildOn(s.params, g, dist)
 	if err != nil {

@@ -45,8 +45,8 @@ func (r *Runner) batchDistMode(b int, batched bool) ([]core.Result, *BatchDistPo
 	if mtm == nil {
 		return nil, nil, fmt.Errorf("expt: oracle %q has no batched form (use hub)", kind)
 	}
-	counter := shortest.NewCounting(base)
-	dist := shortest.NewCached(counter, 1<<18).Dist
+	cached := shortest.NewCached(base, 1<<18)
+	dist := cached.Dist
 	inst, err := workload.BuildOn(r.Base, r.G, dist)
 	if err != nil {
 		return nil, nil, err
@@ -64,7 +64,7 @@ func (r *Runner) batchDistMode(b int, batched bool) ([]core.Result, *BatchDistPo
 	var cands []*core.Worker
 	results := make([]core.Result, 0, len(reqs))
 	served := 0
-	before := counter.Count()
+	_, before := cached.Stats()
 	start := time.Now()
 	for lo := 0; lo < len(reqs); lo += b {
 		batch := reqs[lo:min(lo+b, len(reqs))]
@@ -95,13 +95,14 @@ func (r *Runner) batchDistMode(b int, batched bool) ([]core.Result, *BatchDistPo
 	}
 	planMs := float64(time.Since(start).Nanoseconds()) / 1e6
 	hits, _ := table.Stats()
+	_, after := cached.Stats()
 	pt := &BatchDistPoint{BatchSize: b, Served: served}
 	if batched {
-		pt.BatchedQueries = counter.Count() - before
+		pt.BatchedQueries = after - before
 		pt.BatchedPlanMs = planMs
 		pt.TableHits = hits
 	} else {
-		pt.PointQueries = counter.Count() - before
+		pt.PointQueries = after - before
 		pt.PointPlanMs = planMs
 	}
 	return results, pt, nil

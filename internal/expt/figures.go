@@ -121,8 +121,7 @@ func (r *Runner) Table4() (DatasetStats, error) {
 	if err != nil {
 		return DatasetStats{}, err
 	}
-	counter := shortest.NewCounting(base)
-	inst, err := workload.BuildOn(r.Base, r.G, counter.Dist)
+	inst, err := workload.BuildOn(r.Base, r.G, base.Dist)
 	if err != nil {
 		return DatasetStats{}, err
 	}

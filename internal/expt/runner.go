@@ -185,15 +185,15 @@ type trafficWiring struct {
 	versioned *shortest.Versioned
 }
 
-// chain assembles the per-run query chain (cache + counter) over the base
-// oracle. With a traffic profile the chain runs through a fresh epoch-aware
+// chain assembles the per-run query chain over the base oracle: one cache,
+// whose misses are the run's distance queries. With a traffic profile the chain runs through a fresh epoch-aware
 // front (the overlay mutates during the run, so it can never be shared
 // across runs); the cached per-kind base oracle is adopted as its epoch-0
 // tier.
-func (r *Runner) chain() (core.DistFunc, *shortest.Counting, *trafficWiring, error) {
+func (r *Runner) chain() (*shortest.Cached, *trafficWiring, error) {
 	base, kind, err := r.oracle()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var tw *trafficWiring
 	if r.Traffic != nil {
@@ -203,20 +203,19 @@ func (r *Runner) chain() (core.DistFunc, *shortest.Counting, *trafficWiring, err
 		}
 		base = tw.versioned
 	}
-	c := shortest.NewCounting(base)
-	return shortest.NewCached(c, 1<<18).Dist, c, tw, nil
+	return shortest.NewCached(base, 1<<18), tw, nil
 }
 
 func (r *Runner) runSingle(p workload.Params, algo string) (sim.Metrics, error) {
-	dist, queries, tw, err := r.chain()
+	cached, tw, err := r.chain()
 	if err != nil {
 		return sim.Metrics{}, err
 	}
-	inst, err := workload.BuildOn(p, r.G, dist)
+	inst, err := workload.BuildOn(p, r.G, cached.Dist)
 	if err != nil {
 		return sim.Metrics{}, err
 	}
-	return r.runWith(inst, algo, dist, queries, tw)
+	return r.runWith(inst, algo, cached, tw)
 }
 
 // RunInstance runs one algorithm over a pre-materialized instance on this
@@ -231,7 +230,7 @@ func (r *Runner) RunInstance(inst *workload.Instance, algo string) (sim.Metrics,
 	if inst.Graph != r.G {
 		return sim.Metrics{}, fmt.Errorf("expt: instance graph differs from runner graph")
 	}
-	dist, queries, tw, err := r.chain()
+	cached, tw, err := r.chain()
 	if err != nil {
 		return sim.Metrics{}, err
 	}
@@ -248,13 +247,13 @@ func (r *Runner) RunInstance(inst *workload.Instance, algo string) (sim.Metrics,
 		Requests: append([]*core.Request(nil), inst.Requests...),
 		Workers:  workers,
 	}
-	return r.runWith(private, algo, dist, queries, tw)
+	return r.runWith(private, algo, cached, tw)
 }
 
 // runWith wires fleet, planner and engine for one simulation run.
-func (r *Runner) runWith(inst *workload.Instance, algo string, dist core.DistFunc,
-	queries *shortest.Counting, tw *trafficWiring) (sim.Metrics, error) {
-	fleet, err := core.NewFleet(r.G, dist, inst.Workers, r.CellMeters)
+func (r *Runner) runWith(inst *workload.Instance, algo string, cached *shortest.Cached,
+	tw *trafficWiring) (sim.Metrics, error) {
+	fleet, err := core.NewFleet(r.G, cached.Dist, inst.Workers, r.CellMeters)
 	if err != nil {
 		return sim.Metrics{}, err
 	}
@@ -308,7 +307,7 @@ func (r *Runner) runWith(inst *workload.Instance, algo string, dist core.DistFun
 		return sim.Metrics{}, fmt.Errorf("expt: unknown algorithm %q", algo)
 	}
 	eng := sim.NewEngine(fleet, planner, shortest.NewBiDijkstra(r.G), 1)
-	eng.Queries = queries
+	eng.Queries = cached
 	eng.Observer = r.Observer
 	trafficRun := false
 	if tw != nil {

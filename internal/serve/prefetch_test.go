@@ -1,15 +1,14 @@
 package serve
 
 // Batch-prefetch equivalence: the server's flush-time distance table must
-// be invisible in decisions (DESIGN.md §16). This suite drives identical
-// multi-request admission groups through a default server and a
-// NoBatchPrefetch server and requires both to match the offline
-// reference bit-for-bit, while the stats prove the default server really
-// planned against tables on hub — and planned without any on cch, whose
-// point query is already a label read (§16.4).
+// be invisible in decisions (DESIGN.md §16). This suite drives
+// multi-request admission groups through a server and requires its
+// decisions to match the offline reference, which plans from point
+// queries alone, bit-for-bit, while the stats prove the server really
+// planned against tables on hub — and that a cch server holds no table,
+// its point query being a label read already (§16.4).
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -42,34 +41,23 @@ func TestBatchPrefetchEquivalence(t *testing.T) {
 	reqs := sortedRequests(inst)
 	const wave = 8
 
-	on := newTestServer(t, g, inst, nil)
-	gotOn := runWaves(t, on, reqs, wave)
-	checkEquivalence(t, gotOn, want)
+	s := newTestServer(t, g, inst, nil)
+	checkEquivalence(t, runWaves(t, s, reqs, wave), want)
 
-	off := newTestServer(t, g, inst, func(c *Config) { c.NoBatchPrefetch = true })
-	gotOff := runWaves(t, off, reqs, wave)
-	checkEquivalence(t, gotOff, want)
-
-	stOn, stOff := on.Stats(), off.Stats()
-	if stOn.MaxBatch < 2 {
-		t.Fatalf("max batch %d: waves never formed a multi-request batch", stOn.MaxBatch)
+	st := s.Stats()
+	if st.MaxBatch < 2 {
+		t.Fatalf("max batch %d: waves never formed a multi-request batch", st.MaxBatch)
 	}
-	if stOn.TablePrefetches == 0 || stOn.TableHits == 0 {
-		t.Fatalf("default server planned without tables (prefetches=%d hits=%d)",
-			stOn.TablePrefetches, stOn.TableHits)
+	if st.TablePrefetches == 0 || st.TableHits == 0 {
+		t.Fatalf("hub server planned without tables (prefetches=%d hits=%d)",
+			st.TablePrefetches, st.TableHits)
 	}
-	if stOff.TablePrefetches != 0 || stOff.TableHits != 0 {
-		t.Fatalf("NoBatchPrefetch server still prefetched (prefetches=%d hits=%d)",
-			stOff.TablePrefetches, stOff.TableHits)
-	}
-	t.Logf("dist_queries: prefetch on %d (table hits %d, misses %d) vs off %d",
-		stOn.DistQueries, stOn.TableHits, stOn.TableMisses, stOff.DistQueries)
+	t.Logf("dist_queries %d (table hits %d, misses %d)", st.DistQueries, st.TableHits, st.TableMisses)
 }
 
 // TestCCHServePlansFromLabels pins the cch serve path: a WAL-backed server
-// flushing multi-request batches across two traffic epochs never builds a
-// distance table, and every decision — worker, Δ* bits, ETAs — equals the
-// same stream through a NoBatchPrefetch server and the offline engine.
+// flushing multi-request batches across two traffic epochs holds no
+// distance table, and every decision equals the offline engine's.
 func TestCCHServePlansFromLabels(t *testing.T) {
 	p := workload.ChengduLike(0.02)
 	g, err := roadnet.Generate(p.Net)
@@ -96,53 +84,40 @@ func TestCCHServePlansFromLabels(t *testing.T) {
 	}
 
 	const wave = 8
-	run := func(noPrefetch bool) (map[int32]Decision, Stats) {
-		s := newWALServer(t, g, inst, shortest.BuildCCH(g), t.TempDir(), func(c *Config) {
-			c.OracleKind = "cch"
-			c.NoBatchPrefetch = noPrefetch
-		})
-		got := make(map[int32]Decision, len(reqs))
-		lo := 0
-		for _, e := range profile.Events {
-			hi := lo
-			for hi < len(reqs) && reqs[hi].Release < e.At {
-				hi++
-			}
-			for id, d := range runWaves(t, s, reqs[lo:hi], wave) {
-				got[id] = d
-			}
-			at := e.At
-			if _, err := s.ApplyTraffic(&at, e.Updates); err != nil {
-				t.Fatal(err)
-			}
-			lo = hi
+	s := newWALServer(t, g, inst, shortest.BuildCCH(g), t.TempDir(), func(c *Config) {
+		c.OracleKind = "cch"
+	})
+	if s.table != nil {
+		t.Fatal("cch server allocated a distance table; its tier has no filler")
+	}
+	got := make(map[int32]Decision, len(reqs))
+	lo := 0
+	for _, e := range profile.Events {
+		hi := lo
+		for hi < len(reqs) && reqs[hi].Release < e.At {
+			hi++
 		}
-		for id, d := range runWaves(t, s, reqs[lo:], wave) {
+		for id, d := range runWaves(t, s, reqs[lo:hi], wave) {
 			got[id] = d
 		}
-		return got, s.Stats()
-	}
-
-	got, st := run(false)
-	checkEquivalence(t, got, want)
-	ref, stRef := run(true)
-	checkEquivalence(t, ref, want)
-	for id, a := range got {
-		b := ref[id]
-		if !sameDecision(a, b) ||
-			math.Float64bits(a.PickupETA) != math.Float64bits(b.PickupETA) ||
-			math.Float64bits(a.DropoffETA) != math.Float64bits(b.DropoffETA) {
-			t.Fatalf("request %d: default %+v != NoBatchPrefetch %+v", id, a, b)
+		at := e.At
+		if _, err := s.ApplyTraffic(&at, e.Updates); err != nil {
+			t.Fatal(err)
 		}
+		lo = hi
 	}
+	for id, d := range runWaves(t, s, reqs[lo:], wave) {
+		got[id] = d
+	}
+	checkEquivalence(t, got, want)
+
+	st := s.Stats()
 	if st.MaxBatch < 2 || st.TrafficEpoch != 2 || st.OracleCustomizations != 2 {
 		t.Fatalf("max batch %d, epoch %d, customizations %d: the run never exercised batches across epochs",
 			st.MaxBatch, st.TrafficEpoch, st.OracleCustomizations)
 	}
-	for _, x := range []Stats{st, stRef} {
-		if x.TablePrefetches != 0 || x.TableHits != 0 {
-			t.Fatalf("cch server built distance tables (prefetches=%d hits=%d); its point query is a label read",
-				x.TablePrefetches, x.TableHits)
-		}
+	if st.TablePrefetches != 0 || st.TableHits != 0 {
+		t.Fatalf("cch server built distance tables (prefetches=%d hits=%d); its point query is a label read",
+			st.TablePrefetches, st.TableHits)
 	}
 }

@@ -64,9 +64,17 @@ type Config struct {
 	// copy. Ignored when WALDir holds a checkpoint, which it warm-starts from.
 	Workers []*core.Worker
 	// Oracle is the base distance oracle (see cliutil.BuildOracle); the
-	// server wraps it in the same cache/counter chain the experiment
-	// harness uses. OracleKind names its tier (hub, cch or bidijkstra):
-	// /v1/stats reports it, and every traffic epoch rebuilds that tier.
+	// server queries it through the chain the experiment harness uses,
+	// Cached → Versioned → tier, whose cache misses are the dist_queries
+	// stat. OracleKind names its tier (hub, cch or bidijkstra): /v1/stats
+	// reports it, and every traffic epoch rebuilds that tier. The tier
+	// alone decides batch prefetch: on the one with a table filler (hub)
+	// flush builds one dense many-to-many table per admission batch
+	// (request endpoints × candidate route vertices) and plans the batch
+	// against it; cells are bit-identical to the point queries they replace
+	// and uncovered pairs fall back to the point chain, so decisions are the
+	// same either way (DESIGN.md §16). cch and bidijkstra have no table: a
+	// cch query already reads cached labels.
 	Oracle     shortest.Oracle
 	OracleKind string
 	// Alpha is the unified-cost weight α; 0 means 1.
@@ -106,17 +114,6 @@ type Config struct {
 	// a flush leaves the segment at least this large; 0 means
 	// DefaultCheckpointBytes, negative disables auto-checkpointing.
 	CheckpointBytes int64
-	// NoBatchPrefetch disables the batched distance-table prefetch: by
-	// default, on the tier with a table filler (hub), flush builds one
-	// dense many-to-many table per admission batch (request endpoints ×
-	// candidate route vertices, one shortest.ManyToMany sweep) and plans
-	// the batch against it, collapsing per-batch dist_queries from
-	// O(workers × requests × stops) point queries to table lookups. Cells
-	// are bit-identical to the point queries they replace and uncovered
-	// pairs fall back to the point chain, so decisions are identical either
-	// way (DESIGN.md §16); the knob is for A/B measurement. cch and
-	// bidijkstra have no table: a cch query already reads cached labels.
-	NoBatchPrefetch bool
 	// TraceEvents enables the flight recorder (internal/trace): the ring
 	// retains that many most-recent lifecycle events, the planner gets a
 	// PlanObserver, and GET /debug/trace plus
@@ -177,14 +174,16 @@ type Server struct {
 	fleet   *core.Fleet
 	planner *core.Greedy
 	world   *sim.World
-	queries *shortest.Counting
+	// cache is the point-query chain's head, over versioned; its misses
+	// are the queries that reached the tier (Stats.DistQueries).
+	cache *shortest.Cached
 	// versioned is the epoch-aware oracle front the whole query chain
 	// runs through; traffic coordinates epoch advances across it, the
 	// fleet and the world. Both are mutated only under smu.
 	versioned *shortest.Versioned
 	traffic   *sim.Traffic
 
-	// Batch-prefetch state (nil table = prefetch disabled). distChain is
+	// Batch-prefetch state, nil table on a tier without a filler. distChain is
 	// the point-query chain fleet.Dist normally runs through; flush swaps
 	// table.Dist in front of it for the duration of one batch and restores
 	// it before releasing smu, so nothing outside a flush can observe the
@@ -352,7 +351,8 @@ func NewServer(cfg Config) (*Server, error) {
 		// the restored epoch.
 		versioned.Advance(overlay.Graph(), overlay.Epoch())
 	}
-	dist, queries := queryChain(versioned)
+	cache := shortest.NewCached(versioned, 1<<18)
+	dist := cache.Dist
 	fleet, err := core.NewFleet(overlay.Graph(), dist, workers, cfg.CellMeters)
 	if err != nil {
 		return nil, err
@@ -370,7 +370,7 @@ func NewServer(cfg Config) (*Server, error) {
 		fleet:       fleet,
 		planner:     core.NewPruneGreedyDP(fleet, cfg.Alpha),
 		world:       world,
-		queries:     queries,
+		cache:       cache,
 		versioned:   versioned,
 		traffic:     sim.NewTraffic(overlay, versioned, fleet, world),
 		latency:     newLatencyRing(8192),
@@ -385,7 +385,9 @@ func NewServer(cfg Config) (*Server, error) {
 		killC:       make(chan struct{}),
 	}
 	s.effQueue.Store(int64(cfg.MaxQueue))
-	if !cfg.NoBatchPrefetch {
+	// The tier is fixed for the server's life, so a tier without a table
+	// filler never needs the table's n-sized index arrays.
+	if tier, _ := versioned.CurrentTier(); shortest.ManyToManyFor(tier) != nil {
 		s.table = core.NewDistTable(cfg.Graph.NumVertices(), dist)
 		s.tarena = shortest.NewTableArena()
 		s.distChain = dist
@@ -434,15 +436,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	go s.run()
 	return s, nil
-}
-
-// queryChain assembles the distance-query chain over the epoch-aware
-// oracle front, mirroring the experiment Runner: the paper's
-// single-threaded cache+counter. Versioned handles tier locking itself,
-// and the cache watches its epoch, flushing on a traffic update.
-func queryChain(v *shortest.Versioned) (core.DistFunc, *shortest.Counting) {
-	c := shortest.NewCounting(v)
-	return shortest.NewCached(c, 1<<18).Dist, c
 }
 
 // cloneWorkers deep-copies a fleet so the server owns its state.
@@ -1058,9 +1051,7 @@ func (s *Server) Stats() Stats {
 	st.OracleRebuilds = s.versioned.Rebuilds()
 	st.OracleCustomizations = s.versioned.Customizations()
 	st.LastRebuildMs = float64(s.versioned.LastRebuild().Nanoseconds()) / 1e6
-	if s.queries != nil {
-		st.DistQueries = s.queries.Count()
-	}
+	_, st.DistQueries = s.cache.Stats()
 	st.TablePrefetches = s.tablePrefetches
 	if s.table != nil {
 		st.TableHits, st.TableMisses = s.table.Stats()
@@ -1177,14 +1168,14 @@ func OfflineDecisions(g *roadnet.Graph, inst *workload.Instance, oracle shortest
 	}
 	overlay := roadnet.NewOverlay(g)
 	versioned := shortest.AdoptVersioned(g, oracle, shortest.AutoKind(oracleKind))
-	dist, queries := queryChain(versioned)
-	fleet, err := core.NewFleet(g, dist, cloneWorkers(inst.Workers), 2000)
+	cache := shortest.NewCached(versioned, 1<<18)
+	fleet, err := core.NewFleet(g, cache.Dist, cloneWorkers(inst.Workers), 2000)
 	if err != nil {
 		return nil, sim.Metrics{}, err
 	}
 	rec := &recordingPlanner{inner: core.NewPruneGreedyDP(fleet, alpha), decisions: make(map[int32]Decision, len(inst.Requests))}
 	eng := sim.NewEngine(fleet, rec, shortest.NewBiDijkstra(g), alpha)
-	eng.Queries = queries
+	eng.Queries = cache
 	tc := sim.NewTraffic(overlay, versioned, fleet, eng.World())
 	if profile != nil {
 		tc.SetProfile(*profile)

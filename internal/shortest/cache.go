@@ -133,25 +133,25 @@ func (c *LRU) moveToFront(i int32) {
 	c.pushFront(i)
 }
 
-// Cached wraps an Oracle with an LRU cache. It also counts the queries that
-// reached the inner oracle (cache misses) separately from total queries,
-// which is what the "saved distance queries" experiment reports.
+// Cached wraps an Oracle with an LRU cache. It is the query chain's one
+// counter: its misses are the queries that reached the inner oracle, which
+// is what the "saved distance queries" experiment reports.
 //
-// When the inner chain contains an epoch-aware oracle (Versioned), the
-// cache watches its epoch and flushes itself on advance; a static chain
-// resolves no source at construction and pays nothing per query.
+// When inner is an epoch-aware front (Versioned), the cache watches its
+// epoch and flushes itself on advance; over any other oracle it pays
+// nothing per query for the watch.
 //
-// Over a CCH (bare, or behind counting, locking or caching shims) there is
-// no cache: a warm label query is two table reads and a zip, cheaper than
-// the LRU probe in front of it, so every query is forwarded and counted
-// as a miss (DESIGN.md §12.4). The same holds over a Versioned front whose
+// Over a CCH (bare, or behind locking or caching shims) there is no cache:
+// a warm label query is two table reads and a zip, cheaper than the LRU
+// probe in front of it, so every query is forwarded and counted as a miss
+// (DESIGN.md §12.4). The same holds over a Versioned front whose
 // tier is a CCH: every epoch's tier is a CCH, customized before Advance
 // returns, and its labels are the cache.
 type Cached struct {
 	inner  Oracle
-	cache  *LRU   // nil over CCH labels
-	missed uint64 // queries forwarded without a cache
-	src    EpochSource
+	cache  *LRU       // nil over CCH labels
+	missed uint64     // queries forwarded without a cache
+	src    *Versioned // nil over a static oracle
 	epoch  uint64
 }
 
@@ -168,8 +168,8 @@ func NewCached(inner Oracle, capacity int) *Cached {
 		}
 	}
 	c.cache = NewLRU(capacity)
-	if c.src = epochSourceOf(inner); c.src != nil {
-		c.epoch = c.src.Epoch()
+	if v, ok := inner.(*Versioned); ok {
+		c.src, c.epoch = v, v.Epoch()
 	}
 	return c
 }

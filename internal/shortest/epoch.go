@@ -12,9 +12,9 @@ package shortest
 //     comes from the one tier — which is what keeps replay equivalence
 //     independent of when traffic arrives.
 //
-//   - Cached watches an EpochSource discovered in its inner chain and
-//     flushes itself when the epoch advances, so no cached distance from
-//     an earlier epoch can leak into a plan.
+//   - Cached, built directly over a Versioned front, watches its epoch
+//     and flushes itself when the epoch advances, so no cached distance
+//     from an earlier epoch can leak into a plan.
 //
 // The single-epoch (static) case is the existing behavior: the epoch
 // never advances, the watch branch never fires, the built tier always
@@ -27,12 +27,6 @@ import (
 
 	"repro/internal/roadnet"
 )
-
-// EpochSource reports the weight epoch an oracle currently answers for.
-// roadnet.Overlay and Versioned implement it.
-type EpochSource interface {
-	Epoch() uint64
-}
 
 // Versioned is the epoch-aware oracle front. Dist is safe for any number
 // of concurrent callers (the tier is wrapped in Locked when it is
@@ -97,7 +91,7 @@ func lockIfStateful(o Oracle, kind AutoKind) Oracle {
 	return NewLocked(o)
 }
 
-// Epoch implements EpochSource.
+// Epoch returns the weight epoch the front currently answers for.
 func (v *Versioned) Epoch() uint64 { return v.epoch.Load() }
 
 // Rebuilds returns how many epoch advances have re-derived the tier.
@@ -166,22 +160,4 @@ func (v *Versioned) Advance(g *roadnet.Graph, epoch uint64) {
 	v.built = lockIfStateful(base, v.kind)
 	v.rebuilds.Add(1)
 	v.lastRebuildNs.Store(time.Since(start).Nanoseconds())
-}
-
-// epochSourceOf walks a query chain to the epoch-bearing oracle, if any.
-// Resolution happens once, at cache construction, so static chains pay
-// nothing per query.
-func epochSourceOf(o Oracle) EpochSource {
-	for {
-		switch x := o.(type) {
-		case *Versioned:
-			return x
-		case *Counting:
-			o = x.Inner
-		case *Locked:
-			o = x.inner
-		default:
-			return nil
-		}
-	}
 }

@@ -64,7 +64,7 @@ func TestVersionedMatchesDijkstraAcrossEpochs(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			overlay := roadnet.NewOverlay(g)
 			v := AdoptVersioned(g, Build(kind, g), kind)
-			cached := NewCached(NewCounting(v), 1<<12)
+			cached := NewCached(v, 1<<12)
 			rng := rand.New(rand.NewSource(7))
 			const epochs = 4
 			for epoch := 0; epoch <= epochs; epoch++ {
@@ -144,7 +144,7 @@ func hammerVersioned(t *testing.T, g *roadnet.Graph, v *Versioned, seed int64) {
 	t.Helper()
 	n := g.NumVertices()
 	overlay := roadnet.NewOverlay(g)
-	cached := NewLocked(NewCached(NewCounting(v), 1<<10))
+	cached := NewLocked(NewCached(v, 1<<10))
 
 	const pairs = 32
 	rng := rand.New(rand.NewSource(seed))

@@ -118,7 +118,7 @@ func (m *HubMtM) Table(a *TableArena, sources, targets []roadnet.VertexID) []flo
 }
 
 // ManyToManyFor returns the batched filler matching o's tier, unwrapping
-// counting/locking/caching shims to reach it: label scatter for hub
+// locking and caching shims to reach it: label scatter for hub
 // labels, nil otherwise. BiDijkstra has no bit-identical batched form (its
 // meet-sum rounds differently than a one-sided sweep); CCH needs none: a
 // label is its vertex's finished upward sweep, cached, so a bucket fill
@@ -132,14 +132,12 @@ func ManyToManyFor(o Oracle) ManyToMany {
 	return nil
 }
 
-// tierOf strips the counting, locking and caching shims off o and returns
+// tierOf strips the locking and caching shims off o and returns
 // the oracle underneath. An epoch front (Versioned) is not a shim: the tier
 // behind it changes with every traffic epoch.
 func tierOf(o Oracle) Oracle {
 	for {
 		switch x := o.(type) {
-		case *Counting:
-			o = x.Inner
 		case *Locked:
 			o = x.inner
 		case *Cached:

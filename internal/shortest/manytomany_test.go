@@ -100,10 +100,9 @@ func TestManyToManyFor(t *testing.T) {
 		wrap func(Oracle) Oracle
 	}{
 		{"bare", func(o Oracle) Oracle { return o }},
-		{"Counting", func(o Oracle) Oracle { return NewCounting(o) }},
 		{"Locked", func(o Oracle) Oracle { return NewLocked(o) }},
 		{"Cached", func(o Oracle) Oracle { return NewCached(o, 64) }},
-		{"stack", func(o Oracle) Oracle { return NewCounting(NewLocked(NewCached(o, 64))) }},
+		{"Locked(Cached)", func(o Oracle) Oracle { return NewLocked(NewCached(o, 64)) }},
 	}
 	tiers := []struct {
 		name string

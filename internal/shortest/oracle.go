@@ -3,8 +3,9 @@
 // bidirectional Dijkstra (with a landmark-guided A* for the simulator's leg
 // paths), and a hub-labeling oracle (pruned landmark labeling, standing in
 // for the hub-based labeling of Abraham et al., the paper's reference [9]),
-// plus the LRU query cache and query counters used in the paper's
-// experimental setup.
+// plus the LRU query cache of the paper's experimental setup. The cache is
+// also the query counter: its misses are the queries that reached the tier
+// (Cached.Stats), which is what the paper's §6 reports.
 //
 // All distances are travel times in seconds over roadnet.Graph edges.
 package shortest
@@ -30,30 +31,6 @@ type PathOracle interface {
 	Oracle
 	Path(s, t roadnet.VertexID, within float64) []roadnet.VertexID
 }
-
-// Counting wraps an Oracle and counts queries. The paper's §6 reports
-// "saved shortest distance queries" between pruneGreedyDP and GreedyDP;
-// this wrapper is how the harness measures them. It is not safe for
-// concurrent use, matching the single-threaded simulator.
-type Counting struct {
-	Inner   Oracle
-	Queries uint64
-}
-
-// NewCounting wraps inner with a query counter.
-func NewCounting(inner Oracle) *Counting { return &Counting{Inner: inner} }
-
-// Dist implements Oracle, incrementing the query counter.
-func (c *Counting) Dist(s, t roadnet.VertexID) float64 {
-	c.Queries++
-	return c.Inner.Dist(s, t)
-}
-
-// Reset zeroes the counter.
-func (c *Counting) Reset() { c.Queries = 0 }
-
-// Count returns the number of queries since the last Reset.
-func (c *Counting) Count() uint64 { return c.Queries }
 
 // Matrix is a precomputed all-pairs oracle. It is O(V²) memory and is only
 // intended for small graphs (tests, the hardness constructions, and the

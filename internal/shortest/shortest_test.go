@@ -262,20 +262,6 @@ func TestNewMatrixGuard(t *testing.T) {
 	NewMatrix(g)
 }
 
-func TestCountingOracle(t *testing.T) {
-	g := testGraph(t, 5, 5, 1)
-	c := NewCounting(NewDijkstra(g))
-	c.Dist(0, 1)
-	c.Dist(1, 2)
-	if c.Queries != 2 {
-		t.Fatalf("queries=%d want 2", c.Queries)
-	}
-	c.Reset()
-	if c.Queries != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestLRUBasic(t *testing.T) {
 	c := NewLRU(2)
 	c.Put(1, 2, 10)
@@ -457,8 +443,8 @@ func TestCachedOracleCorrectAndCounts(t *testing.T) {
 	}
 }
 
-// TestCachedDeclinesLabelTier: over a CCH, bare or behind the counting and
-// locking shims, or behind an epoch front that customizes it, NewCached
+// TestCachedDeclinesLabelTier: over a CCH, bare or behind the locking
+// shim, or behind an epoch front that customizes it, NewCached
 // keeps no LRU and forwards every query, counting each as a miss; over
 // every other tier it caches and hits as before.
 func TestCachedDeclinesLabelTier(t *testing.T) {
@@ -472,12 +458,10 @@ func TestCachedDeclinesLabelTier(t *testing.T) {
 		forwards bool
 	}{
 		{"cch", cch, true},
-		{"Counting(cch)", NewCounting(cch), true},
 		{"Locked(cch)", NewLocked(cch), true},
 		{"hub", BuildHubLabels(g), false},
 		{"bidijkstra", NewBiDijkstra(g), false},
 		{"Versioned(cch)", versioned(AutoCCH), true},
-		{"Counting(Versioned(cch))", NewCounting(versioned(AutoCCH)), true},
 		{"Versioned(hub)", versioned(AutoHub), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -28,8 +28,9 @@ import (
 type Engine struct {
 	Fleet   *core.Fleet
 	Planner core.Planner
-	// Queries, when set, is read to report distance-query counts.
-	Queries *shortest.Counting
+	// Queries, when set, is the query chain's cache: its misses, the
+	// queries that reached the oracle tier, are reported as DistQueries.
+	Queries *shortest.Cached
 	// Alpha is the unified-cost weight α.
 	Alpha float64
 	// Traffic, when set, replays a congestion trace against the event
@@ -181,7 +182,7 @@ func (e *Engine) metrics(total int) Metrics {
 	m.TotalComputeMs = float64(e.computeNs) / 1e6
 	m.AvgOccupancy, m.SharedFraction = e.world.Occupancy()
 	if e.Queries != nil {
-		m.DistQueries = e.Queries.Count()
+		_, m.DistQueries = e.Queries.Stats()
 	}
 	return m
 }

@@ -12,10 +12,10 @@ import (
 
 // pipeline assembles the full stack on a small synthetic instance.
 type pipeline struct {
-	inst    *workload.Instance
-	counter *shortest.Counting
-	fleet   *core.Fleet
-	paths   *shortest.BiDijkstra
+	inst   *workload.Instance
+	cached *shortest.Cached
+	fleet  *core.Fleet
+	paths  *shortest.BiDijkstra
 }
 
 func newPipeline(t testing.TB, seed int64, nWorkers, nRequests int) *pipeline {
@@ -31,8 +31,7 @@ func newPipeline(t testing.TB, seed int64, nWorkers, nRequests int) *pipeline {
 		t.Fatal(err)
 	}
 	base := shortest.BuildHubLabels(g)
-	counter := shortest.NewCounting(base)
-	cached := shortest.NewCached(counter, 1<<16)
+	cached := shortest.NewCached(base, 1<<16)
 	inst, err := workload.BuildOn(p, g, cached.Dist)
 	if err != nil {
 		t.Fatal(err)
@@ -42,10 +41,10 @@ func newPipeline(t testing.TB, seed int64, nWorkers, nRequests int) *pipeline {
 		t.Fatal(err)
 	}
 	return &pipeline{
-		inst:    inst,
-		counter: counter,
-		fleet:   fleet,
-		paths:   shortest.NewBiDijkstra(g),
+		inst:   inst,
+		cached: cached,
+		fleet:  fleet,
+		paths:  shortest.NewBiDijkstra(g),
 	}
 }
 
@@ -53,7 +52,7 @@ func TestEndToEndPruneGreedyDP(t *testing.T) {
 	pl := newPipeline(t, 3, 20, 300)
 	planner := core.NewPruneGreedyDP(pl.fleet, 1)
 	eng := NewEngine(pl.fleet, planner, pl.paths, 1)
-	eng.Queries = pl.counter
+	eng.Queries = pl.cached
 	m, err := eng.Run(pl.inst.Requests)
 	if err != nil {
 		t.Fatal(err)
@@ -159,12 +158,13 @@ func TestGreedyDPMatchesPruneInSimulation(t *testing.T) {
 			planner = core.NewGreedyDP(pl.fleet, 1)
 		}
 		eng := NewEngine(pl.fleet, planner, pl.paths, 1)
-		eng.Queries = pl.counter
+		eng.Queries = pl.cached
 		m, err := eng.Run(pl.inst.Requests)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, pl.counter.Queries
+		_, misses := pl.cached.Stats()
+		return m, misses
 	}
 	withPrune, qPrune := run(true)
 	without, qFull := run(false)

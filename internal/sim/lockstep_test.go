@@ -23,7 +23,7 @@ func lockstepLossless(t *testing.T, p workload.Params) {
 		t.Fatal(err)
 	}
 	hub := shortest.BuildHubLabels(g)
-	cached := shortest.NewCached(shortest.NewCounting(hub), 1<<18)
+	cached := shortest.NewCached(hub, 1<<18)
 	inst, err := workload.BuildOn(p, g, cached.Dist)
 	if err != nil {
 		t.Fatal(err)

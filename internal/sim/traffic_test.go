@@ -11,7 +11,7 @@ import (
 )
 
 // trafficPipeline assembles the epoch-aware stack: overlay → Versioned →
-// Counting → Cached, plus a Traffic coordinator bound to the engine's
+// Cached, plus a Traffic coordinator bound to the engine's
 // world. It mirrors what expt.Runner and serve.Server wire for traffic
 // runs.
 type trafficPipeline struct {
@@ -42,8 +42,7 @@ func newTrafficPipelineSized(t testing.TB, seed int64, side, nWorkers, nRequests
 	}
 	overlay := roadnet.NewOverlay(g)
 	versioned := shortest.AdoptVersioned(g, shortest.BuildHubLabels(g), shortest.AutoHub)
-	counter := shortest.NewCounting(versioned)
-	cached := shortest.NewCached(counter, 1<<16)
+	cached := shortest.NewCached(versioned, 1<<16)
 	inst, err := workload.BuildOn(p, g, cached.Dist)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +53,7 @@ func newTrafficPipelineSized(t testing.TB, seed int64, side, nWorkers, nRequests
 	}
 	planner := core.NewPruneGreedyDP(fleet, 1)
 	eng := NewEngine(fleet, planner, shortest.NewBiDijkstra(g), 1)
-	eng.Queries = counter
+	eng.Queries = cached
 	tc := NewTraffic(overlay, versioned, fleet, eng.World())
 	eng.Traffic = tc
 	return &trafficPipeline{inst: inst, overlay: overlay, fleet: fleet, eng: eng, tc: tc}
@@ -86,7 +85,7 @@ func TestTrafficStaticRunIsBitIdentical(t *testing.T) {
 	plain := newPipeline(t, 17, 15, 250)
 	planner := core.NewPruneGreedyDP(plain.fleet, 1)
 	engPlain := NewEngine(plain.fleet, planner, plain.paths, 1)
-	engPlain.Queries = plain.counter
+	engPlain.Queries = plain.cached
 	mPlain, err := engPlain.Run(plain.inst.Requests)
 	if err != nil {
 		t.Fatal(err)
