@@ -101,8 +101,8 @@ func (u *TrafficUpdate) Validate(g *Graph) error {
 	return nil
 }
 
-// ValidateTrafficUpdates checks a whole batch against g; the serve layer
-// runs it before touching any state so a bad request cannot half-apply.
+// ValidateTrafficUpdates checks a whole batch against g; Overlay.Apply runs
+// it before touching any state so a bad batch cannot half-apply.
 func ValidateTrafficUpdates(g *Graph, ups []TrafficUpdate) error {
 	if len(ups) == 0 {
 		return fmt.Errorf("roadnet: empty traffic update")
@@ -168,9 +168,6 @@ func NewOverlay(base *Graph) *Overlay {
 	}
 	return &Overlay{base: base, mult: mult, cur: base}
 }
-
-// Base returns the epoch-0 graph.
-func (o *Overlay) Base() *Graph { return o.base }
 
 // Graph returns the current weight snapshot. The returned graph is
 // immutable; later Applies produce new snapshots and never mutate it.

@@ -371,7 +371,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.TakeSnapshot())
+	w.Header().Set("Content-Type", "application/json")
+	_ = WriteSnapshot(w, s.TakeSnapshot())
 }
 
 // handleMetrics renders the stats in Prometheus text exposition format.

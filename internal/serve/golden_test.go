@@ -104,11 +104,21 @@ var trafficAt = 1180.0
 func TestGoldenWireFormats(t *testing.T) {
 	for name, v := range goldenCases() {
 		path := filepath.Join("testdata", name)
-		got, err := json.MarshalIndent(v, "", "  ")
+		var got []byte
+		var err error
+		if sn, ok := v.(Snapshot); ok {
+			// The snapshot has its own writer, shared by the checkpoint
+			// file and GET /v1/snapshot.
+			var buf bytes.Buffer
+			err = WriteSnapshot(&buf, &sn)
+			got = buf.Bytes()
+		} else {
+			got, err = json.MarshalIndent(v, "", "  ")
+			got = append(got, '\n')
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, '\n')
 		if *update {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)

@@ -923,8 +923,8 @@ func (s *Server) ApplyTraffic(at *float64, ups []roadnet.TrafficUpdate) (Traffic
 	if at != nil && *at > t {
 		t = *at
 	}
-	// sim.Traffic.Apply validates the batch before the world moves, so a
-	// rejected update leaves the server (clock included) untouched.
+	// sim.Traffic.Apply moves nothing on a rejected batch, and the clock
+	// moves only after it succeeds.
 	res, err := s.traffic.Apply(t, ups)
 	if err != nil {
 		return TrafficResult{}, err

@@ -67,10 +67,12 @@ type Snapshot struct {
 	LastDecisions []Decision `json:"last_decisions,omitempty"`
 }
 
-// WriteSnapshot serializes sn as indented JSON with a trailing newline;
-// the encoding is deterministic, so snapshots are byte-stable.
+// WriteSnapshot serializes sn as compact JSON with a trailing newline;
+// the encoding is deterministic, so snapshots are byte-stable. Compact
+// matters: every auto-checkpoint is written inside a flush, and indenting
+// a fleet's routes about triples the bytes.
 func WriteSnapshot(w io.Writer, sn *Snapshot) error {
-	data, err := json.MarshalIndent(sn, "", "  ")
+	data, err := json.Marshal(sn)
 	if err != nil {
 		return err
 	}

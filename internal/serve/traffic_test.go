@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/roadnet"
 	"repro/internal/shortest"
 )
@@ -103,6 +104,44 @@ func TestTrafficEndpointRejectsBadUpdates(t *testing.T) {
 	}
 	if st := s.Stats(); st.TrafficEpoch != 0 {
 		t.Fatalf("rejected updates advanced the epoch to %d", st.TrafficEpoch)
+	}
+
+	// A batch dated ahead of the clock that names a non-edge moves nothing:
+	// not the clock, not the epoch, not a busy worker's route.
+	var busy Decision
+	for _, r := range sortedRequests(inst) {
+		if busy = postRequest(t, ts.URL, r); busy.Accepted {
+			break
+		}
+	}
+	if !busy.Accepted {
+		t.Fatal("no request was accepted")
+	}
+	far := roadnet.VertexID(1)
+	for g.ArcIndex(0, far) >= 0 {
+		far++
+	}
+	before := s.Stats()
+	route, _ := s.WorkerRoute(core.WorkerID(busy.Worker))
+	body, _ := json.Marshal(map[string]any{
+		"at":      before.SimTime + 1e5,
+		"updates": []map[string]any{{"factor": 2, "edges": [][2]int64{{0, int64(far)}}}},
+	})
+	resp, err := http.Post(ts.URL+"/v1/traffic", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("non-edge body %s: status %d, want 400", body, resp.StatusCode)
+	}
+	after := s.Stats()
+	if after.SimTime != before.SimTime || after.TrafficEpoch != 0 {
+		t.Fatalf("rejected batch moved the clock %v -> %v or the epoch to %d",
+			before.SimTime, after.SimTime, after.TrafficEpoch)
+	}
+	if got, _ := s.WorkerRoute(core.WorkerID(busy.Worker)); !reflect.DeepEqual(got, route) {
+		t.Fatalf("rejected batch moved worker %d:\nbefore %+v\nafter  %+v", busy.Worker, route, got)
 	}
 }
 

@@ -91,17 +91,15 @@ type ApplyResult struct {
 // the current clock), applies one batch of updates and repairs every
 // consequence. On a validation error nothing changes.
 func (tc *Traffic) Apply(at float64, ups []roadnet.TrafficUpdate) (ApplyResult, error) {
-	// Validate before the world moves: a rejected update must not advance
-	// anything.
-	if err := roadnet.ValidateTrafficUpdates(tc.overlay.Base(), ups); err != nil {
-		return ApplyResult{}, err
-	}
-	// Workers travel at the old weights up to the event time.
-	tc.world.AdvanceAll(at)
+	// The overlay validates the batch and changes nothing when it rejects
+	// it, so applying it first leaves a rejected batch with nothing moved.
 	g, epoch, changed, err := tc.overlay.Apply(ups)
 	if err != nil {
 		return ApplyResult{}, err
 	}
+	// Workers travel at the old weights up to the event time: the world,
+	// the fleet and the oracle are still bound to the old snapshot.
+	tc.world.AdvanceAll(at)
 	if tc.oracle != nil {
 		tc.oracle.Advance(g, epoch)
 	}
