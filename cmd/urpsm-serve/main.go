@@ -38,11 +38,9 @@
 // while queries wait. Decisions stay bit-identical to the
 // offline engine under the same traffic.
 //
-// Distances (DESIGN.md §16): every query goes through one LRU cache over
-// the tier, and its misses are the dist_queries stat. The tier alone
-// decides batch prefetch: on hub each admission group is planned against
-// one many-to-many distance table, whose cells are bit-identical to the
-// point queries they replace; cch and bidijkstra plan from point queries.
+// Distances: every query goes through one LRU cache, whose misses are the
+// dist_queries stat. On hub each admission group is planned against one
+// prefetched distance table; cch and bidijkstra plan from point queries.
 //
 // API: POST /v1/requests, POST /v1/traffic, POST /v1/checkpoint,
 // GET /v1/workers/{id}/route, GET /v1/decisions/{id}, GET /v1/stats,

@@ -186,10 +186,10 @@ type trafficWiring struct {
 }
 
 // chain assembles the per-run query chain over the base oracle: one cache,
-// whose misses are the run's distance queries. With a traffic profile the chain runs through a fresh epoch-aware
-// front (the overlay mutates during the run, so it can never be shared
-// across runs); the cached per-kind base oracle is adopted as its epoch-0
-// tier.
+// whose misses are the run's distance queries. With a traffic profile the
+// chain runs through a fresh epoch-aware front (the overlay mutates during
+// the run, so it can never be shared across runs); the cached per-kind
+// base oracle is adopted as its epoch-0 tier.
 func (r *Runner) chain() (*shortest.Cached, *trafficWiring, error) {
 	base, kind, err := r.oracle()
 	if err != nil {

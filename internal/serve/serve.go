@@ -64,16 +64,13 @@ type Config struct {
 	// copy. Ignored when WALDir holds a checkpoint, which it warm-starts from.
 	Workers []*core.Worker
 	// Oracle is the base distance oracle (see cliutil.BuildOracle); the
-	// server queries it through the chain the experiment harness uses,
-	// Cached → Versioned → tier, whose cache misses are the dist_queries
-	// stat. OracleKind names its tier (hub, cch or bidijkstra): /v1/stats
-	// reports it, and every traffic epoch rebuilds that tier. The tier
-	// alone decides batch prefetch: on the one with a table filler (hub)
-	// flush builds one dense many-to-many table per admission batch
-	// (request endpoints × candidate route vertices) and plans the batch
-	// against it; cells are bit-identical to the point queries they replace
-	// and uncovered pairs fall back to the point chain, so decisions are the
-	// same either way (DESIGN.md §16). cch and bidijkstra have no table: a
+	// server queries it through the experiment harness's chain, Cached →
+	// Versioned → tier, whose cache misses are the dist_queries stat.
+	// OracleKind names its tier (hub, cch or bidijkstra): /v1/stats reports
+	// it, and every traffic epoch rebuilds that tier. The tier alone decides
+	// batch prefetch: on hub, the tier with a table filler, flush plans each
+	// admission batch against one many-to-many table whose cells are
+	// bit-identical to the point queries they replace (DESIGN.md §16); a
 	// cch query already reads cached labels.
 	Oracle     shortest.Oracle
 	OracleKind string
@@ -183,8 +180,8 @@ type Server struct {
 	versioned *shortest.Versioned
 	traffic   *sim.Traffic
 
-	// Batch-prefetch state, nil table on a tier without a filler. distChain is
-	// the point-query chain fleet.Dist normally runs through; flush swaps
+	// Batch-prefetch state, nil table on a tier without a filler. distChain
+	// is the point-query chain fleet.Dist normally runs through; flush swaps
 	// table.Dist in front of it for the duration of one batch and restores
 	// it before releasing smu, so nothing outside a flush can observe the
 	// table. All under smu.
@@ -385,8 +382,7 @@ func NewServer(cfg Config) (*Server, error) {
 		killC:       make(chan struct{}),
 	}
 	s.effQueue.Store(int64(cfg.MaxQueue))
-	// The tier is fixed for the server's life, so a tier without a table
-	// filler never needs the table's n-sized index arrays.
+	// The tier is fixed for life: one without a filler never needs a table.
 	if tier, _ := versioned.CurrentTier(); shortest.ManyToManyFor(tier) != nil {
 		s.table = core.NewDistTable(cfg.Graph.NumVertices(), dist)
 		s.tarena = shortest.NewTableArena()
@@ -772,9 +768,8 @@ const maxPrefetchCells = 1 << 22
 // Pairs the table missed (a mid-leg location after AdvanceAll, a worker
 // that drifted into radius, a dest-to-dest query) fall back to the
 // untouched point chain, so coverage gaps cost a point query, never a
-// different decision. Prefetch is skipped on a tier without a table filler
-// (cch plans from its labels, bidijkstra has no bit-identical batched
-// form).
+// different decision. A tier without a filler has no table: cch plans
+// from its labels, bidijkstra has no bit-identical batched form.
 func (s *Server) prefetchLocked(batch []*pending) bool {
 	if s.table == nil || len(batch) == 0 {
 		return false

@@ -68,9 +68,8 @@ type Snapshot struct {
 }
 
 // WriteSnapshot serializes sn as compact JSON with a trailing newline;
-// the encoding is deterministic, so snapshots are byte-stable. Compact
-// matters: every auto-checkpoint is written inside a flush, and indenting
-// a fleet's routes about triples the bytes.
+// the encoding is deterministic, so snapshots are byte-stable. Compact,
+// because auto-checkpoints are written inside a flush.
 func WriteSnapshot(w io.Writer, sn *Snapshot) error {
 	data, err := json.Marshal(sn)
 	if err != nil {

@@ -28,8 +28,7 @@ import (
 type Engine struct {
 	Fleet   *core.Fleet
 	Planner core.Planner
-	// Queries, when set, is the query chain's cache: its misses, the
-	// queries that reached the oracle tier, are reported as DistQueries.
+	// Queries, when set, is the query chain's cache; its misses are DistQueries.
 	Queries *shortest.Cached
 	// Alpha is the unified-cost weight α.
 	Alpha float64
